@@ -16,7 +16,7 @@ import pytest
 
 from benchmarks.conftest import print_comparison
 from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig
-from repro.core.bitvector import BitVector, ByteArrayBitVector
+from repro.core.bitvector import BitVector
 from repro.filters.bitmap import BitmapPacketFilter
 from repro.filters.spi import SPIFilter
 from repro.net.inet import IPPROTO_TCP
@@ -63,20 +63,19 @@ def test_sec52_inbound_lookup_constant_time(benchmark, fill):
 
 @pytest.mark.parametrize("n_bits", [16, 20, 24])
 def test_sec52_rotate_cost(benchmark, n_bits):
-    """b.rotate is the most expensive operation; with the int-backed
-    vector its clear is O(1) rebinding, better than the paper's O(N)."""
+    """b.rotate is the most expensive operation: its clear is the paper's
+    O(N) memset, an in-place wipe of the vacated vector's bytes."""
     filt = BitmapFilter(BitmapFilterConfig(size=2 ** n_bits, vectors=4, hashes=3))
     for pair in random_pairs(2000):
         filt.mark_outbound(pair)
     benchmark(filt.rotate)
 
 
-@pytest.mark.parametrize("backend", ["int", "bytearray"])
-def test_sec52_clear_layouts(benchmark, backend):
-    """Compare the two memory layouts' clear cost (the paper assumes a
-    C-style O(N) memset; Python ints clear by rebinding)."""
+def test_sec52_clear_layouts(benchmark):
+    """The clear cost of the bytearray layout: the C-style O(N) memset
+    the paper assumes, over N/8 bytes."""
     size = 2 ** 20
-    vector = BitVector(size) if backend == "int" else ByteArrayBitVector(size)
+    vector = BitVector(size)
     rng = random.Random(1)
     vector.set_many(rng.randrange(size) for _ in range(5000))
     benchmark(vector.clear)

@@ -180,23 +180,27 @@ class BitmapFilter:
     # Algorithm 1 — b.rotate
     # ------------------------------------------------------------------
 
-    def rotate(self) -> int:
+    def rotate(self, count: int = 1) -> int:
         """Advance the current index and wipe the vector it vacates.
 
         Returns the new current index, exactly as Algorithm 1 does.
+        ``count`` runs that many rotations at once; a vector vacated more
+        than once is wiped once, so any count costs at most k wipes.
         """
-        last = self.idx
-        self.idx = (self.idx + 1) % self.config.vectors
-        self.vectors[last].clear()
-        self.stats.rotations += 1
+        k = self.config.vectors
+        for step in range(min(count, k)):
+            self.vectors[(self.idx + step) % k].clear()
+        self.idx = (self.idx + count) % k
+        self.stats.rotations += count
         return self.idx
 
     def advance_to(self, now: float) -> int:
         """Run however many rotations a wall-clock time implies.
 
         The first call anchors the rotation schedule; later calls perform
-        ``floor((now - anchor)/Δt)`` pending rotations.  Returns how many
-        rotations ran.  Time never goes backwards; stale timestamps are
+        ``floor((now - anchor)/Δt)`` pending rotations, wiping each vector
+        at most once however long the gap.  Returns how many rotations
+        ran.  Time never goes backwards; stale timestamps are
         ignored rather than raising, because replayed traces can carry
         slight reordering.
 
@@ -214,11 +218,15 @@ class BitmapFilter:
             else:
                 self._next_rotation = now + interval
             return 0
+        interval = self.config.rotate_interval
+        next_rotation = self._next_rotation
         ran = 0
-        while now >= self._next_rotation:
-            self.rotate()
-            self._next_rotation += self.config.rotate_interval
+        while now >= next_rotation:
+            next_rotation += interval
             ran += 1
+        if ran:
+            self.rotate(ran)
+            self._next_rotation = next_rotation
         return ran
 
     # ------------------------------------------------------------------
@@ -282,9 +290,9 @@ class BitmapFilter:
         :meth:`filter` once per packet (same verdicts, same stats, same
         RNG consumption), but engineered for throughput:
 
-        * the ``k`` vectors are staged as ``bytearray``s for the duration
-          of the batch, so each mark/test is a handful of O(1) byte ops
-          instead of big-int shifts that touch all ``N`` bits;
+        * marks and tests run directly on the ``k`` vectors' byte buffers,
+          which rotation wipes in place, so the references stay valid for
+          the whole batch;
         * hash indices arrive precomputed (``indices_seq``, e.g. from
           :class:`repro.core.hashing.HashIndexMemo`), so repeated flows
           hash once;
@@ -300,10 +308,7 @@ class BitmapFilter:
         verdicts: List[bool] = []
         if total == 0:
             return verdicts
-        config = self.config
-        k = config.vectors
-        nbytes = (config.size + 7) // 8
-        bufs = [bytearray(vector.to_bytes()) for vector in self.vectors]
+        bufs = [vector._buf for vector in self.vectors]
         stats = self.stats
         rng_random = self._rng.random
         append = verdicts.append
@@ -314,13 +319,7 @@ class BitmapFilter:
             now = timestamps[position]
             next_rotation = self._next_rotation
             if next_rotation is None or now >= next_rotation:
-                vacated = self.idx
-                ran = self.advance_to(now)
-                if ran >= k:
-                    bufs = [bytearray(nbytes) for _ in range(k)]
-                else:
-                    for step in range(ran):
-                        bufs[(vacated + step) % k] = bytearray(nbytes)
+                self.advance_to(now)
                 next_rotation = self._next_rotation
             current = bufs[self.idx]
 
@@ -361,8 +360,6 @@ class BitmapFilter:
                             append(True)
                 position += 1
 
-        for vector, buf in zip(self.vectors, bufs):
-            vector._bits = int.from_bytes(buf, "little")
         stats.outbound_marked += marked
         stats.inbound_hits += hits
         stats.inbound_misses += misses

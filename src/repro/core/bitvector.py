@@ -1,172 +1,40 @@
-"""A fixed-size bit vector backed by a single Python integer.
+"""A fixed-size bit vector backed by a ``bytearray``.
 
-Each column of the {k×N}-bitmap is one bit vector (paper Figure 7).  A
-Python ``int`` gives O(1) amortized set/test via shifts and masks, and —
-crucially for ``b.rotate`` — a true O(1) *clear* (rebind to zero), which is
-even cheaper than the paper's O(N) memset.  A ``bytearray`` variant is kept
-for the memory-layout benchmarks in ``bench_sec52_performance``.
+Each column of the {k×N}-bitmap is one bit vector (paper Figure 7).  Bit
+``i`` lives in byte ``i >> 3`` under mask ``1 << (i & 7)``: the
+little-endian layout :meth:`BitVector.to_bytes` serializes, so snapshots
+are the buffer itself.  A set or test is one O(1) byte operation, and
+:meth:`BitVector.clear` is the paper's O(N) memset (section 5.2), done in
+place so the fused replay loops in :mod:`repro.sim.fastpath` can hold a
+vector's ``_buf`` across a rotation.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, List
 
-# Popcount of an arbitrary-width int.  ``int.bit_count`` (Python >= 3.10) is
-# a C-level loop over the limbs; on 3.9 we fall back to counting set bits in
-# fixed-size chunks serialized via ``to_bytes``, which avoids materializing
-# the 2^20-character string ``bin(...)`` builds for a full vector.
-_CHUNK_BITS = 1 << 14
-_CHUNK_BYTES = _CHUNK_BITS // 8
-_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
 _BYTE_POPCOUNT = bytes(bin(i).count("1") for i in range(256))
 
 if hasattr(int, "bit_count"):  # pragma: no branch
 
-    def popcount_int(value: int) -> int:
-        """Number of set bits in a non-negative int."""
-        return value.bit_count()
+    def popcount_bytes(data) -> int:
+        """Number of set bits in a byte string."""
+        return int.from_bytes(data, "little").bit_count()
 
 else:  # pragma: no cover - exercised on Python 3.9 only
 
-    def popcount_int(value: int) -> int:
-        """Number of set bits in a non-negative int (chunked fallback)."""
-        return _popcount_fallback(value)
+    def popcount_bytes(data) -> int:
+        """Number of set bits in a byte string (per-byte table fallback)."""
+        return _popcount_fallback(data)
 
 
-def _popcount_fallback(value: int) -> int:
-    """Chunked-``to_bytes`` popcount, kept importable for tests/benchmarks."""
-    table = _BYTE_POPCOUNT
-    count = 0
-    while value:
-        chunk = value & _CHUNK_MASK
-        value >>= _CHUNK_BITS
-        count += sum(map(table.__getitem__, chunk.to_bytes(_CHUNK_BYTES, "little")))
-    return count
+def _popcount_fallback(data) -> int:
+    """Per-byte table popcount, kept importable for tests/benchmarks."""
+    return sum(data.translate(_BYTE_POPCOUNT))
 
 
 class BitVector:
     """``size``-bit vector with set / test / clear and popcount."""
-
-    __slots__ = ("size", "_bits")
-
-    def __init__(self, size: int) -> None:
-        if size <= 0:
-            raise ValueError(f"size must be positive, got {size}")
-        self.size = size
-        self._bits = 0
-
-    def set(self, index: int) -> None:
-        """Mark bit ``index`` as 1."""
-        if not 0 <= index < self.size:
-            raise IndexError(f"bit {index} out of range [0, {self.size})")
-        self._bits |= 1 << index
-
-    def set_many(self, indices: Iterable[int]) -> None:
-        mask = 0
-        size = self.size
-        for index in indices:
-            if not 0 <= index < size:
-                raise IndexError(f"bit {index} out of range [0, {size})")
-            mask |= 1 << index
-        self._bits |= mask
-
-    def test(self, index: int) -> bool:
-        """True when bit ``index`` is marked."""
-        if not 0 <= index < self.size:
-            raise IndexError(f"bit {index} out of range [0, {self.size})")
-        return bool((self._bits >> index) & 1)
-
-    def test_all(self, indices: Iterable[int]) -> bool:
-        """True when *every* index is marked (the Bloom membership test)."""
-        bits = self._bits
-        for index in indices:
-            if not (bits >> index) & 1:
-                return False
-        return True
-
-    def clear(self) -> None:
-        """Reset every bit to zero (``b.rotate``'s per-vector wipe)."""
-        self._bits = 0
-
-    def popcount(self) -> int:
-        """Number of marked bits — the ``b`` of Equation 2's ``U = b/N``."""
-        return popcount_int(self._bits)
-
-    # -- word-level batch operations (the fast-path primitives) -------------
-
-    def set_mask(self, mask: int) -> None:
-        """OR a precomputed multi-bit mask in — one big-int op for a whole
-        run of marks (``repro.sim.fastpath`` batches outbound packets into
-        such masks between rotation boundaries)."""
-        if mask >> self.size:
-            raise IndexError(f"mask has bits beyond [0, {self.size})")
-        self._bits |= mask
-
-    def test_mask(self, mask: int) -> bool:
-        """True when *every* bit of ``mask`` is marked — the Bloom
-        membership test as a single word-level compare."""
-        return self._bits & mask == mask
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of marked bits, ``U = b/N``."""
-        return self.popcount() / self.size
-
-    def copy(self) -> "BitVector":
-        clone = BitVector(self.size)
-        clone._bits = self._bits
-        return clone
-
-    def union_update(self, other: "BitVector") -> None:
-        if other.size != self.size:
-            raise ValueError("size mismatch")
-        self._bits |= other._bits
-
-    def to_bytes(self) -> bytes:
-        """Little-endian byte serialization (for persistence/inspection)."""
-        return self._bits.to_bytes((self.size + 7) // 8, "little")
-
-    @classmethod
-    def from_bytes(cls, data: bytes, size: int) -> "BitVector":
-        vector = cls(size)
-        value = int.from_bytes(data, "little")
-        if value >> size:
-            raise ValueError("data has bits beyond the declared size")
-        vector._bits = value
-        return vector
-
-    def iter_set_bits(self) -> Iterator[int]:
-        """Yield the indices of marked bits in increasing order."""
-        bits = self._bits
-        index = 0
-        while bits:
-            if bits & 1:
-                yield index
-            bits >>= 1
-            index += 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitVector):
-            return NotImplemented
-        return self.size == other.size and self._bits == other._bits
-
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
-        return hash((self.size, self._bits))
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"BitVector(size={self.size}, popcount={self.popcount()})"
-
-
-class ByteArrayBitVector:
-    """The same interface backed by a ``bytearray``.
-
-    This mirrors a C implementation's memory layout: clear really is an
-    O(N) wipe, as the paper's complexity analysis (section 5.2) assumes.
-    Used by the performance benchmarks to compare both layouts.
-    """
 
     __slots__ = ("size", "_buf")
 
@@ -177,38 +45,102 @@ class ByteArrayBitVector:
         self._buf = bytearray((size + 7) // 8)
 
     def set(self, index: int) -> None:
+        """Mark bit ``index`` as 1."""
         if not 0 <= index < self.size:
             raise IndexError(f"bit {index} out of range [0, {self.size})")
         self._buf[index >> 3] |= 1 << (index & 7)
 
     def set_many(self, indices: Iterable[int]) -> None:
+        """Mark every index; nothing is marked when any is out of range."""
+        if not isinstance(indices, (tuple, list)):
+            indices = tuple(indices)
+        size = self.size
         for index in indices:
-            self.set(index)
+            if not 0 <= index < size:
+                raise IndexError(f"bit {index} out of range [0, {size})")
+        buf = self._buf
+        for index in indices:
+            buf[index >> 3] |= 1 << (index & 7)
 
     def test(self, index: int) -> bool:
+        """True when bit ``index`` is marked."""
         if not 0 <= index < self.size:
             raise IndexError(f"bit {index} out of range [0, {self.size})")
         return bool(self._buf[index >> 3] & (1 << (index & 7)))
 
     def test_all(self, indices: Iterable[int]) -> bool:
+        """True when *every* index is marked (the Bloom membership test).
+
+        Indices at or beyond ``size`` read as unmarked."""
         buf = self._buf
+        size = self.size
         for index in indices:
+            if index >= size:
+                return False
+            if index < 0:
+                raise IndexError(f"bit {index} out of range [0, {size})")
             if not buf[index >> 3] & (1 << (index & 7)):
                 return False
         return True
 
     def clear(self) -> None:
-        self._buf = bytearray(len(self._buf))
+        """Reset every bit to zero in place (``b.rotate``'s per-vector wipe)."""
+        self._buf[:] = bytes(len(self._buf))
 
     def popcount(self) -> int:
-        return sum(map(_BYTE_POPCOUNT.__getitem__, self._buf))
+        """Number of marked bits — the ``b`` of Equation 2's ``U = b/N``."""
+        return popcount_bytes(self._buf)
 
     @property
     def utilization(self) -> float:
+        """Fraction of marked bits, ``U = b/N``."""
         return self.popcount() / self.size
+
+    def copy(self) -> "BitVector":
+        clone = BitVector(self.size)
+        clone._buf[:] = self._buf
+        return clone
+
+    def union_update(self, other: "BitVector") -> None:
+        if other.size != self.size:
+            raise ValueError("size mismatch")
+        merged = int.from_bytes(self._buf, "little") | int.from_bytes(other._buf, "little")
+        self._buf[:] = merged.to_bytes(len(self._buf), "little")
+
+    def to_bytes(self) -> bytes:
+        """Little-endian byte serialization (for persistence/inspection)."""
+        return bytes(self._buf)
+
+    @classmethod
+    def from_bytes(cls, data: bytes, size: int) -> "BitVector":
+        vector = cls(size)
+        value = int.from_bytes(data, "little")
+        if value >> size:
+            raise ValueError("data has bits beyond the declared size")
+        vector._buf[:] = value.to_bytes(len(vector._buf), "little")
+        return vector
+
+    def iter_set_bits(self) -> Iterator[int]:
+        """Yield the indices of marked bits in increasing order."""
+        for position, byte in enumerate(self._buf):
+            while byte:
+                low = byte & -byte
+                yield (position << 3) + low.bit_length() - 1
+                byte ^= low
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BitVector):
+            return NotImplemented
+        return self.size == other.size and self._buf == other._buf
+
+    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
+        return hash((self.size, bytes(self._buf)))
 
     def __len__(self) -> int:
         return self.size
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"BitVector(size={self.size}, popcount={self.popcount()})"
 
 
 def vector_stats(vectors: List[BitVector]) -> dict:

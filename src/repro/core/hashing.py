@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable, List, Sequence, Tuple
 
+from repro.net.table import _numpy
+
 #: 64-bit FNV-1a offset basis — also the seed (and hence the empty value)
 #: of the replay layer's running verdict fingerprint.
 FNV64_OFFSET = 0xCBF29CE484222325
@@ -67,18 +69,6 @@ def mix_tuple(fields: Sequence[int], seed: int = 0) -> int:
     for field in fields:
         value = splitmix64(value ^ field)
     return value
-
-
-def _numpy():
-    """The numpy module when columnar acceleration is enabled, else None.
-
-    Honors the same switch as :mod:`repro.net.table` (tests flip
-    ``table._use_numpy`` to pin the stdlib path), read lazily so flipping
-    it mid-process takes effect immediately.
-    """
-    from repro.net import table as _table
-
-    return _table._np if _table._np_enabled() else None
 
 
 def _mix_tuple_np(np, columns, seed: int):

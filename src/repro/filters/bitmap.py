@@ -60,7 +60,7 @@ class BitmapPacketFilter(PacketFilter):
         Columnarizes the batch (precomputed hash indices via the memo),
         pre-computes the per-packet ``P_d`` sequence — the throughput meter
         is fed only by outbound packets, so its trajectory is independent
-        of drop decisions — and runs the byte-staged
+        of drop decisions — and runs the fused
         :meth:`BitmapFilter.process_batch` core loop.
         """
         from repro.sim.fastpath import PacketColumns

@@ -80,22 +80,29 @@ class CountingBitmapFilter(PacketFilter):
             return (pair.protocol, pair.src_addr, pair.src_port, pair.dst_addr)
         return tuple(pair)
 
-    def rotate(self) -> int:
-        last = self.idx
-        self.idx = (self.idx + 1) % self.config.vectors
-        self.columns[last].clear()
+    def rotate(self, count: int = 1) -> int:
+        """Run ``count`` rotations, clearing each vacated column once."""
+        k = self.config.vectors
+        for step in range(min(count, k)):
+            self.columns[(self.idx + step) % k].clear()
+        self.idx = (self.idx + count) % k
         return self.idx
 
     def advance_to(self, now: float) -> int:
+        """Run the rotations due by ``now``, clearing each column at most
+        once however long the gap; returns how many ran."""
         if self._next_rotation is None:
             self._next_rotation = now + self.config.rotate_interval
             return 0
+        interval = self.config.rotate_interval
+        next_rotation = self._next_rotation
         ran = 0
-        while now >= self._next_rotation:
-            self.rotate()
-            self._next_rotation += self.config.rotate_interval
+        while now >= next_rotation:
+            next_rotation += interval
             ran += 1
         if ran:
+            self.rotate(ran)
+            self._next_rotation = next_rotation
             self._expire_half_closed(now)
         return ran
 

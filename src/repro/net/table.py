@@ -23,27 +23,26 @@ column reads.
 
 An optional numpy acceleration path speeds up the bulk column operations
 (selection, per-lane partitioning, direction scans) when numpy is
-importable; it is bit-identical to the stdlib path — both are pure
-integer/data movement — and the test suite runs both.
+installed; it is bit-identical to the stdlib path — both are pure
+integer/data movement — and the test suite runs both.  numpy is imported
+on first use through :func:`_numpy`, so per-packet work never loads it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from array import array
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.net.packet import Direction, Packet, SocketPair
 
-try:  # pragma: no cover - exercised via the CI numpy matrix
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: True when the numpy acceleration path is available.  Tests flip the
-#: module-level ``_use_numpy`` flag to force the stdlib path and assert
-#: bit-identical results.
-HAVE_NUMPY = _np is not None
+#: True when numpy is installed (found without importing it).  Tests flip
+#: the module-level ``_use_numpy`` flag to force the stdlib path and
+#: assert bit-identical results.
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 _use_numpy = HAVE_NUMPY
+#: The numpy module once imported; False after an import that failed.
+_np = None
 
 _MAX_FLAGS = 1 << 32
 _EMPTY = b""
@@ -53,8 +52,23 @@ SEEN_OUTBOUND = 1
 SEEN_INBOUND = 2
 
 
-def _np_enabled() -> bool:
-    return _use_numpy and _np is not None
+def _numpy():
+    """numpy when the acceleration path is on, else None.
+
+    The first call imports numpy; an installed numpy that fails to import
+    leaves every caller on the stdlib path.
+    """
+    global _np
+    if not _use_numpy:
+        return None
+    if _np is None:
+        try:
+            import numpy
+        except ImportError:
+            _np = False
+        else:
+            _np = numpy
+    return _np or None
 
 
 def _column_dtype(column) -> str:
@@ -385,11 +399,12 @@ class PacketTable:
     def select(self, positions: Sequence[int]) -> "PacketTable":
         """The given rows (in order) as a pool-sharing sub-table."""
         child = self._shallow()
-        if _np_enabled() and len(positions) > 64:
-            take = _np.asarray(positions, dtype=_np.int64)
+        np = _numpy() if len(positions) > 64 else None
+        if np is not None:
+            take = np.asarray(positions, dtype=np.int64)
             for name, typecode in self.COLUMNS:
                 column = getattr(self, name)
-                picked = _np.frombuffer(column, dtype=_column_dtype(column))[take]
+                picked = np.frombuffer(column, dtype=_column_dtype(column))[take]
                 setattr(child, name, array(typecode, picked.tobytes()))
         else:
             for name, typecode in self.COLUMNS:
@@ -482,16 +497,17 @@ class PacketTable:
         seen = bytearray(len(self.pairs))
         if not len(self):
             return seen
-        if _np_enabled():
-            pair_ids = _np.frombuffer(
+        np = _numpy()
+        if np is not None:
+            pair_ids = np.frombuffer(
                 self.pair_ids, dtype=_column_dtype(self.pair_ids)
             )
-            outbound = _np.frombuffer(self.outbound, dtype=_np.int8)
+            outbound = np.frombuffer(self.outbound, dtype=np.int8)
             out_mask = outbound != 0
             for mask, bit in ((out_mask, SEEN_OUTBOUND), (~out_mask, SEEN_INBOUND)):
                 hit = pair_ids[mask]
                 if hit.size:
-                    for pid in _np.unique(hit):
+                    for pid in np.unique(hit):
                         seen[pid] |= bit
             return seen
         for pid, is_out in zip(self.pair_ids, self.outbound):
@@ -506,9 +522,10 @@ class PacketTable:
         arrays — grouping preserves row order either way.
         """
         groups = [array("l") for _ in range(lanes + 1)]
-        if _np_enabled() and len(self) > 64:
-            rows = _np.asarray(lane_by_row, dtype=_np.int64)
-            order = _np.arange(len(rows), dtype=_np.int64)
+        np = _numpy() if len(self) > 64 else None
+        if np is not None:
+            rows = np.asarray(lane_by_row, dtype=np.int64)
+            order = np.arange(len(rows), dtype=np.int64)
             for lane in range(lanes):
                 picked = order[rows == lane]
                 if picked.size:

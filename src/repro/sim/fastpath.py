@@ -2,17 +2,17 @@
 
 The per-packet replay pipeline crosses four layers of Python dispatch
 (``replay`` → ``EdgeRouter.forward`` → ``PacketFilter.process`` →
-``BitmapFilter.filter``) and, worse, the int-backed :class:`BitVector`
-pays O(N) big-int arithmetic per mark/test at the paper's N = 2^20.  This
-module collapses the pipeline into one fused loop over columnar arrays:
+``BitmapFilter.filter``) per packet.  This module collapses the pipeline
+into one fused loop over columnar arrays:
 
 1. **Columnarize** — the packet stream becomes parallel arrays of
    timestamps, direction flags, sizes, and *precomputed* hash-index tuples
    (:meth:`HashFamily.indices_many` through a bounded
    :class:`HashIndexMemo` LRU, so repeated flows hash once).
-2. **Byte-stage the bitmap** — the ``k`` vectors are staged as
-   ``bytearray``s for the duration of the batch; each mark/test is a few
-   O(1) byte operations instead of megabit shifts.
+2. **Work on the vectors' buffers** — the loop reads each
+   :class:`BitVector`'s ``bytearray`` directly; each mark/test is a few
+   O(1) byte operations, and rotation wipes a vector in place, so the
+   references stay valid across rotations.
 3. **Chunk between rotations** — rotation boundaries are the only
    ordering constraint the bitmap imposes, so everything inside one Δt
    window runs with all hot state in locals.
@@ -42,7 +42,7 @@ from repro.core.hashing import HashIndexMemo
 from repro.filters.base import Verdict
 from repro.filters.bitmap import BitmapPacketFilter
 from repro.net.packet import Direction, Packet
-from repro.net.table import _np, _np_enabled
+from repro.net.table import _numpy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sim.router import EdgeRouter
@@ -157,10 +157,7 @@ def process_packets_fast(
     originals = columns.packets
 
     core = flt.core
-    config = core.config
-    k = config.vectors
-    nbytes = (config.size + 7) // 8
-    bufs = [bytearray(vector.to_bytes()) for vector in core.vectors]
+    bufs = [vector._buf for vector in core.vectors]
     rng_random = core._rng.random
 
     controller = flt.drop_controller
@@ -217,15 +214,9 @@ def process_packets_fast(
                 window_dropped[window_index] = window_dropped.get(window_index, 0) + 1
             continue
 
-        # Rotation boundary — rare; refreshes the chunk-local staging.
+        # Rotation boundary — rare; the current vector moves on.
         if next_rotation is None or now >= next_rotation:
-            vacated = core.idx
-            ran = core.advance_to(now)
-            if ran >= k:
-                bufs = [bytearray(nbytes) for _ in range(k)]
-            elif ran:
-                for step in range(ran):
-                    bufs[(vacated + step) % k] = bytearray(nbytes)
+            core.advance_to(now)
             next_rotation = core._next_rotation
             current = bufs[core.idx]
 
@@ -277,8 +268,6 @@ def process_packets_fast(
             passed_in[bin_index] = passed_in.get(bin_index, 0) + size
             append(PASS)
 
-    for vector, buf in zip(core.vectors, bufs):
-        vector._bits = int.from_bytes(buf, "little")
     core_stats = core.stats
     core_stats.outbound_marked += marked
     core_stats.inbound_hits += hits
@@ -356,10 +345,7 @@ def process_table_fast(router: "EdgeRouter", table) -> List[Verdict]:
     PASS, DROP = Verdict.PASS, Verdict.DROP
 
     core = flt.core
-    config = core.config
-    k = config.vectors
-    nbytes = (config.size + 7) // 8
-    bufs = [bytearray(vector.to_bytes()) for vector in core.vectors]
+    bufs = [vector._buf for vector in core.vectors]
     rng_random = core._rng.random
 
     controller = flt.drop_controller
@@ -413,10 +399,11 @@ def process_table_fast(router: "EdgeRouter", table) -> List[Verdict]:
     # a float64→int64 cast both truncate toward zero, so the numpy path
     # is value-identical to the per-packet ``int(now / interval)``.
     timestamps = table.timestamps
-    if _np_enabled() and total > 64:
-        ts_np = _np.frombuffer(timestamps, dtype=_np.float64)
-        series_bins = (ts_np / series_interval).astype(_np.int64).tolist()
-        window_bins = (ts_np / drop_window).astype(_np.int64).tolist()
+    np = _numpy() if total > 64 else None
+    if np is not None:
+        ts_np = np.frombuffer(timestamps, dtype=np.float64)
+        series_bins = (ts_np / series_interval).astype(np.int64).tolist()
+        window_bins = (ts_np / drop_window).astype(np.int64).tolist()
     else:
         series_bins = [int(now / series_interval) for now in timestamps]
         window_bins = [int(now / drop_window) for now in timestamps]
@@ -465,17 +452,10 @@ def process_table_fast(router: "EdgeRouter", table) -> List[Verdict]:
                     continue
 
         if next_rotation is None or now >= next_rotation:
-            vacated = core.idx
-            ran = core.advance_to(now)
-            if ran >= k:
-                bufs = [bytearray(nbytes) for _ in range(k)]
-            elif ran:
-                for step in range(ran):
-                    bufs[(vacated + step) % k] = bytearray(nbytes)
+            if core.advance_to(now):
+                generation += 1
             next_rotation = core._next_rotation
             current = bufs[core.idx]
-            if ran:
-                generation += 1
 
         if is_out:
             if marked_get(pid) != generation:
@@ -532,8 +512,6 @@ def process_table_fast(router: "EdgeRouter", table) -> List[Verdict]:
             passed_in[series_bin] = passed_in.get(series_bin, 0) + size
             append(PASS)
 
-    for vector, buf in zip(core.vectors, bufs):
-        vector._bits = int.from_bytes(buf, "little")
     core_stats = core.stats
     core_stats.outbound_marked += marked
     core_stats.inbound_hits += hits

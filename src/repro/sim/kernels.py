@@ -48,7 +48,7 @@ from repro.filters.ratelimit import RedPolicerFilter, TokenBucketFilter
 from repro.filters.spi import SPIFilter, _FlowState
 from repro.net.inet import IPPROTO_TCP
 from repro.net.packet import Direction, Packet
-from repro.net.table import PacketTable, _np, _np_enabled
+from repro.net.table import PacketTable, _numpy
 from repro.sim.fastpath import (
     process_packets_fast,
     process_table_fast,
@@ -134,11 +134,12 @@ def _bin_columns(timestamps, total: int, series_interval: float, drop_window: fl
     ``int(x)`` and a float64→int64 cast both truncate toward zero, so the
     numpy path is value-identical to the per-packet ``int(now / interval)``.
     """
-    if _np_enabled() and total > 64:
-        ts_np = _np.frombuffer(timestamps, dtype=_np.float64)
+    np = _numpy() if total > 64 else None
+    if np is not None:
+        ts_np = np.frombuffer(timestamps, dtype=np.float64)
         return (
-            (ts_np / series_interval).astype(_np.int64).tolist(),
-            (ts_np / drop_window).astype(_np.int64).tolist(),
+            (ts_np / series_interval).astype(np.int64).tolist(),
+            (ts_np / drop_window).astype(np.int64).tolist(),
         )
     return (
         [int(now / series_interval) for now in timestamps],
@@ -166,7 +167,7 @@ def _flush_stats(stats, passed_out_n, passed_in_n, dropped_out_n, dropped_in_n,
 
 @register_kernel(BitmapPacketFilter)
 class BitmapKernel(FilterKernel):
-    """The paper's filter: byte-staged vectors, rotation-window caches."""
+    """The paper's filter: in-place byte vectors, rotation-window caches."""
 
     def run_table(self, router: "EdgeRouter", table) -> List[Verdict]:
         return process_table_fast(router, table)

@@ -507,11 +507,13 @@ class BatchedBackend(ExecutionBackend):
         if isinstance(packets, PacketTable):
             feed_table(packets)
             return pipeline.finalize()
-        if isinstance(packets, list):
+        if isinstance(packets, list) and not (
+            packets and isinstance(packets[0], PacketTable)
+        ):
             packet_list = packets
         else:
-            # Peek: an iterable may yield PacketTable chunks (the
-            # generator's iter_tables stream) or plain packets.
+            # Peek: an iterable (or a list) may yield PacketTable chunks
+            # (the generator's iter_tables stream) or plain packets.
             iterator = iter(packets)
             first = next(iterator, None)
             if first is None:

@@ -123,8 +123,8 @@ class _PendingMerger:
     __slots__ = ("use_numpy", "_np", "_dtypes", "tails")
 
     def __init__(self) -> None:
-        self.use_numpy = _table_mod._np_enabled()
-        self._np = _table_mod._np
+        self._np = _table_mod._numpy()
+        self.use_numpy = self._np is not None
         if self.use_numpy:
             np = self._np
             self._dtypes = (np.float64, np.int64, np.uint32, np.int64,

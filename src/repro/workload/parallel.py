@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.hashing import derive_seed
-from repro.net import table as _table_mod
 from repro.net.table import PacketTable
 from repro.shard.lifecycle import WorkerPool
 from repro.workload.apps import ConnectionSpec, connection_rows
@@ -188,7 +187,7 @@ def parallel_tables(
     merger = _PendingMerger()
     emitter = _ChunkEmitter(pool_table, chunk_size)
     use_numpy = merger.use_numpy
-    np = _table_mod._np
+    np = merger._np
 
     if batch_size is None:
         batch_size = _batch_size_for(len(specs), workers)

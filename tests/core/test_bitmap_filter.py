@@ -1,6 +1,7 @@
 """Tests for the {k×N}-bitmap filter (Algorithms 1 and 2)."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +160,51 @@ class TestRotation:
             filt.mark_outbound(pair)
             filt.rotate()
             assert filt.lookup_inbound(pair.inverse)
+
+
+def rotate_per_interval(filt: BitmapFilter, now: float) -> None:
+    """Reference clock: one :meth:`BitmapFilter.rotate` per Δt."""
+    while now >= filt._next_rotation:
+        filt.rotate()
+        filt._next_rotation += filt.config.rotate_interval
+
+
+def marked_filter(size: int) -> BitmapFilter:
+    filt = small_filter(size=size, rotate_interval=5.0)
+    filt.advance_to(0.3)
+    for step in range(12):
+        filt.advance_to(0.3 + 2.5 * step)
+        filt.mark_outbound(tcp_pair(sport=3000 + step))
+    return filt
+
+
+class TestRotationGaps:
+    """A gap of many Δt wipes each vector at most once, and ends in the
+    state a filter rotating once per Δt would reach."""
+
+    @pytest.mark.parametrize("gap", [0.1, 5.0, 9.9, 12.5, 17.0, 19.99, 20.0,
+                                     31.0, 1234.5, 1e6])
+    def test_matches_one_rotation_per_interval(self, gap):
+        capped, reference = marked_filter(2 ** 12), marked_filter(2 ** 12)
+        now = 27.8 + gap
+        ran = capped.advance_to(now)
+        before = reference.stats.rotations
+        rotate_per_interval(reference, now)
+        assert ran == reference.stats.rotations - before
+        assert capped.idx == reference.idx
+        assert capped.stats.as_dict() == reference.stats.as_dict()
+        assert capped._next_rotation == reference._next_rotation
+        assert [v.to_bytes() for v in capped.vectors] == \
+            [v.to_bytes() for v in reference.vectors]
+
+    def test_huge_gap_at_paper_size_is_fast(self):
+        filt = marked_filter(2 ** 20)
+        start = time.perf_counter()
+        ran = filt.advance_to(1e6)
+        elapsed = time.perf_counter() - start
+        assert ran == 199_994
+        assert all(vector.popcount() == 0 for vector in filt.vectors)
+        assert elapsed < 1.0, f"10^6 s gap took {elapsed:.2f}s"
 
 
 class TestFilterDecision:

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.core.bitvector import BitVector, ByteArrayBitVector, vector_stats
+from repro.core.bitvector import BitVector, vector_stats
 
 
 class TestBitVectorBasics:
@@ -124,41 +125,6 @@ class TestBitVectorSerde:
         assert a != b
 
 
-class TestByteArrayBitVector:
-    """The C-layout variant must agree with the int-backed one."""
-
-    def test_agrees_with_int_backed(self):
-        import random
-
-        rng = random.Random(3)
-        a = BitVector(512)
-        b = ByteArrayBitVector(512)
-        indices = [rng.randrange(512) for _ in range(100)]
-        a.set_many(indices)
-        b.set_many(indices)
-        for index in range(512):
-            assert a.test(index) == b.test(index)
-        assert a.popcount() == b.popcount()
-
-    def test_clear(self):
-        vector = ByteArrayBitVector(64)
-        vector.set_many([0, 63])
-        vector.clear()
-        assert vector.popcount() == 0
-
-    def test_bounds(self):
-        with pytest.raises(IndexError):
-            ByteArrayBitVector(8).set(8)
-        with pytest.raises(ValueError):
-            ByteArrayBitVector(0)
-
-    def test_test_all(self):
-        vector = ByteArrayBitVector(32)
-        vector.set_many([4, 5])
-        assert vector.test_all([4, 5])
-        assert not vector.test_all([4, 6])
-
-
 class TestVectorStats:
     def test_summary(self):
         vectors = [BitVector(10) for _ in range(3)]
@@ -193,31 +159,110 @@ def test_serde_roundtrip_property(indices):
 @given(st.sets(st.integers(min_value=0, max_value=4095), max_size=200))
 @settings(max_examples=100)
 def test_popcount_fallback_matches_bit_count(indices):
-    # The chunked-to_bytes fallback (Python 3.9) must agree with the
+    # The per-byte table fallback (Python 3.9) must agree with the
     # int.bit_count fast path used on >= 3.10.
-    from repro.core.bitvector import _popcount_fallback, popcount_int
+    from repro.core.bitvector import _popcount_fallback, popcount_bytes
 
-    value = 0
-    for index in indices:
-        value |= 1 << index
-    assert _popcount_fallback(value) == len(indices)
-    assert popcount_int(value) == len(indices)
+    vector = BitVector(4096)
+    vector.set_many(indices)
+    assert _popcount_fallback(vector.to_bytes()) == len(indices)
+    assert popcount_bytes(vector.to_bytes()) == len(indices)
 
 
-class TestMaskOps:
-    def test_set_mask_equivalent_to_set_many(self):
-        a, b = BitVector(64), BitVector(64)
-        a.set_many([1, 5, 40])
-        b.set_mask((1 << 1) | (1 << 5) | (1 << 40))
-        assert a == b
+# -- model-based: BitVector against a Python set ---------------------------
 
-    def test_set_mask_rejects_out_of_range(self):
-        with pytest.raises(IndexError):
-            BitVector(8).set_mask(1 << 8)
+#: Not a multiple of 8, so the last byte is only partly inside the vector.
+MODEL_SIZE = 77
+in_range = st.integers(min_value=0, max_value=MODEL_SIZE - 1)
+any_index = st.integers(min_value=-3, max_value=MODEL_SIZE + 10)
 
-    def test_test_mask_requires_all_bits(self):
-        vector = BitVector(32)
-        vector.set_many([2, 3])
-        assert vector.test_mask((1 << 2) | (1 << 3))
-        assert not vector.test_mask((1 << 2) | (1 << 4))
-        assert vector.test_mask(0)
+
+def int_layout(bits, size=MODEL_SIZE) -> bytes:
+    """The bytes an int-backed vector with these bits serializes to."""
+    return sum(1 << index for index in bits).to_bytes((size + 7) // 8, "little")
+
+
+class BitVectorModel(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.vector = BitVector(MODEL_SIZE)
+        self.model = set()
+
+    @rule(index=any_index)
+    def set_one(self, index):
+        if 0 <= index < MODEL_SIZE:
+            self.vector.set(index)
+            self.model.add(index)
+        else:
+            with pytest.raises(IndexError):
+                self.vector.set(index)
+
+    @rule(indices=st.lists(any_index, max_size=6))
+    def set_many(self, indices):
+        if all(0 <= index < MODEL_SIZE for index in indices):
+            self.vector.set_many(iter(indices))
+            self.model.update(indices)
+        else:
+            # All or nothing: the in-range indices stay unmarked too.
+            with pytest.raises(IndexError):
+                self.vector.set_many(indices)
+
+    @rule(index=any_index)
+    def test_one(self, index):
+        if 0 <= index < MODEL_SIZE:
+            assert self.vector.test(index) == (index in self.model)
+        else:
+            with pytest.raises(IndexError):
+                self.vector.test(index)
+
+    @rule(indices=st.lists(st.integers(min_value=0, max_value=MODEL_SIZE + 40),
+                           max_size=4))
+    def test_all(self, indices):
+        # Indices at or beyond the size read as unmarked.
+        expected = all(index in self.model for index in indices)
+        assert self.vector.test_all(indices) == expected
+
+    @rule()
+    def clear(self):
+        self.vector.clear()
+        self.model.clear()
+
+    @rule()
+    def copy_is_independent(self):
+        clone = self.vector.copy()
+        assert clone == self.vector
+        clone.set(0)
+        clone.set(MODEL_SIZE - 1)
+        assert self.vector.test(0) == (0 in self.model)
+        assert self.vector.test(MODEL_SIZE - 1) == (MODEL_SIZE - 1 in self.model)
+
+    @rule(other=st.sets(in_range, max_size=10))
+    def union_update(self, other):
+        vector = BitVector(MODEL_SIZE)
+        vector.set_many(other)
+        self.vector.union_update(vector)
+        self.model |= other
+
+    @rule()
+    def bytes_roundtrip(self):
+        data = self.vector.to_bytes()
+        self.vector = BitVector.from_bytes(data, MODEL_SIZE)
+        assert self.vector.to_bytes() == data
+
+    @rule(extra=st.integers(min_value=MODEL_SIZE, max_value=(MODEL_SIZE + 7) // 8 * 8 - 1))
+    def from_bytes_rejects_bits_beyond_size(self, extra):
+        data = int_layout(self.model | {extra})
+        with pytest.raises(ValueError):
+            BitVector.from_bytes(data, MODEL_SIZE)
+
+    @invariant()
+    def agrees_with_model(self):
+        assert self.vector.popcount() == len(self.model)
+        assert list(self.vector.iter_set_bits()) == sorted(self.model)
+        # Byte-identical to the int-backed layout snapshots were written in.
+        assert self.vector.to_bytes() == int_layout(self.model)
+
+
+TestBitVectorModel = BitVectorModel.TestCase
+TestBitVectorModel.settings = settings(max_examples=100, stateful_step_count=40,
+                                       deadline=None)

@@ -1,5 +1,7 @@
 """Tests for the close-aware counting bitmap filter (extension)."""
 
+import time
+
 import pytest
 
 from repro.core.bitmap_filter import BitmapFilterConfig
@@ -115,3 +117,55 @@ class TestMemoryAndReset:
     def test_validation(self):
         with pytest.raises(ValueError):
             CountingBitmapFilter(half_close_timeout=0.0)
+
+
+def rotate_per_interval(filt: CountingBitmapFilter, now: float) -> int:
+    """Reference clock: one :meth:`CountingBitmapFilter.rotate` per Δt."""
+    ran = 0
+    while now >= filt._next_rotation:
+        filt.rotate()
+        filt._next_rotation += filt.config.rotate_interval
+        ran += 1
+    if ran:
+        filt._expire_half_closed(now)
+    return ran
+
+
+def closing_filter(size: int) -> CountingBitmapFilter:
+    filt = small(size=size)
+    for step in range(10):
+        pair = tcp_pair(sport=4000 + step)
+        filt.process(out_packet(pair=pair, t=0.4 + 2.0 * step))
+        if step % 3 == 0:  # a half-close left pending
+            filt.process(out_packet(pair=pair, t=0.5 + 2.0 * step,
+                                    flags=TCPFlags.FIN))
+    return filt
+
+
+class TestRotationGaps:
+    """A gap of many Δt clears each column at most once, and ends in the
+    state a filter rotating once per Δt would reach."""
+
+    @pytest.mark.parametrize("gap", [0.1, 5.0, 12.5, 19.99, 20.0, 31.0,
+                                     75.0, 2e5])
+    def test_matches_one_rotation_per_interval(self, gap):
+        capped, reference = closing_filter(2 ** 10), closing_filter(2 ** 10)
+        now = 19.1 + gap
+        assert capped.advance_to(now) == rotate_per_interval(reference, now)
+        assert capped.idx == reference.idx
+        assert capped._next_rotation == reference._next_rotation
+        assert capped._half_closed == reference._half_closed
+        for mine, theirs in zip(capped.columns, reference.columns):
+            assert bytes(mine._cells) == bytes(theirs._cells)
+            assert (mine.added, mine.removed, mine.saturations) == \
+                (theirs.added, theirs.removed, theirs.saturations)
+
+    def test_huge_gap_at_paper_size_is_fast(self):
+        filt = closing_filter(2 ** 20)
+        start = time.perf_counter()
+        ran = filt.advance_to(2e5)
+        elapsed = time.perf_counter() - start
+        assert ran == 39_996
+        assert filt.half_closed_pairs == 0
+        assert all(not any(column._cells) for column in filt.columns)
+        assert elapsed < 1.0, f"2x10^5 s gap took {elapsed:.2f}s"

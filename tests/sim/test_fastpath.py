@@ -49,8 +49,8 @@ def assert_routers_identical(a: EdgeRouter, b: EdgeRouter):
     assert a.filter.core.stats.as_dict() == b.filter.core.stats.as_dict()
     assert a.filter.stats.as_dict() == b.filter.stats.as_dict()
     assert a.filter.core.idx == b.filter.core.idx
-    assert [v._bits for v in a.filter.core.vectors] == \
-        [v._bits for v in b.filter.core.vectors]
+    assert [v.to_bytes() for v in a.filter.core.vectors] == \
+        [v.to_bytes() for v in b.filter.core.vectors]
     assert a.offered._bins == b.offered._bins
     assert a.passed._bins == b.passed._bins
     assert a.inbound_drops._packets == b.inbound_drops._packets
@@ -172,8 +172,8 @@ class TestFilterProcessBatch:
         assert [legacy.process(p) for p in packets] == batched.process_batch(packets)
         assert legacy.stats.as_dict() == batched.stats.as_dict()
         assert legacy.core.stats.as_dict() == batched.core.stats.as_dict()
-        assert [v._bits for v in legacy.core.vectors] == \
-            [v._bits for v in batched.core.vectors]
+        assert [v.to_bytes() for v in legacy.core.vectors] == \
+            [v.to_bytes() for v in batched.core.vectors]
 
 
 class TestCoreProcessBatch:
@@ -215,7 +215,8 @@ class TestCoreProcessBatch:
         assert expected == got
         assert legacy.stats.as_dict() == batched.stats.as_dict()
         assert legacy.idx == batched.idx
-        assert [v._bits for v in legacy.vectors] == [v._bits for v in batched.vectors]
+        assert [v.to_bytes() for v in legacy.vectors] == \
+            [v.to_bytes() for v in batched.vectors]
 
     def test_empty(self):
         filt = BitmapFilter(BitmapFilterConfig(size=2 ** 10))

@@ -129,6 +129,23 @@ class TestStreamedInput:
         )
         assert got == reference
 
+    @pytest.mark.parametrize("backend", [
+        dict(batched=False), dict(batched=True),
+        dict(batched=True, chunk_size=501),
+    ], ids=["sequential", "batched", "chunked"])
+    def test_list_of_tables(self, traces, backend):
+        # A list of tables is a table stream, like an iterator over them.
+        packets, table = traces[7]
+        reference = fingerprint(
+            replay(packets, make_filter(), use_blocklist=True, **backend)
+        )
+        cut = len(table) // 3
+        tables = [table.slice(0, cut), table.slice(cut, len(table))]
+        got = fingerprint(
+            replay(tables, make_filter(), use_blocklist=True, **backend)
+        )
+        assert got == reference
+
     def test_explicit_chunk_size_argument(self, traces):
         packets, table = traces[7]
         reference = fingerprint(
