@@ -7,8 +7,8 @@ calibrated ~1M-packet synthetic trace, each in its own subprocess so peak
 RSS is attributable per mode:
 
 * ``object``   — the PR-3 baseline: ``TraceGenerator.packet_list()``
-  (a ``List[Packet]``) replayed through the batched engine, which must
-  columnarize via ``PacketColumns.from_packets`` per chunk;
+  (a ``List[Packet]``) replayed through the batched engine, which
+  columnarizes it once at its front door (``PacketTable.from_packets``);
 * ``columnar`` — ``TraceGenerator.table()``: one native
   :class:`~repro.net.table.PacketTable`, no packet objects anywhere;
 * ``stream``   — ``TraceGenerator.iter_tables(chunk_size)``: bounded-

@@ -960,7 +960,7 @@ def cmd_fleet_serve(args) -> int:
                 f"{reference.fingerprint:#018x}"
             )
         offline_blocked = (
-            dict(reference.router.blocklist._blocked)
+            reference.router.blocklist.entries()
             if reference.router.blocklist is not None else None
         )
         if (result.blocked or None) != (offline_blocked or None):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.bitvector import BitVector
 from repro.core.hashing import make_hash_family
@@ -271,100 +271,6 @@ class BitmapFilter:
             self.stats.inbound_dropped += 1
             return False
         return True
-
-    # ------------------------------------------------------------------
-    # Batched Algorithm 2 — the replay fast path
-    # ------------------------------------------------------------------
-
-    def process_batch(
-        self,
-        timestamps: Sequence[float],
-        outbound: Sequence[bool],
-        indices_seq: Sequence[Sequence[int]],
-        drop_probability: float = 1.0,
-        drop_probabilities: Optional[Sequence[float]] = None,
-    ) -> List[bool]:
-        """Filter a whole batch of packets; True = PASS, False = DROP.
-
-        Semantically identical to calling :meth:`advance_to` followed by
-        :meth:`filter` once per packet (same verdicts, same stats, same
-        RNG consumption), but engineered for throughput:
-
-        * marks and tests run directly on the ``k`` vectors' byte buffers,
-          which rotation wipes in place, so the references stay valid for
-          the whole batch;
-        * hash indices arrive precomputed (``indices_seq``, e.g. from
-          :class:`repro.core.hashing.HashIndexMemo`), so repeated flows
-          hash once;
-        * rotation is the only ordering constraint, so everything between
-          two rotation boundaries runs inside one tight chunk with all
-          state in locals.
-
-        ``drop_probabilities`` optionally supplies a per-packet ``P_d``
-        (positions for outbound packets are ignored); otherwise the scalar
-        ``drop_probability`` applies to every inbound miss.
-        """
-        total = len(timestamps)
-        verdicts: List[bool] = []
-        if total == 0:
-            return verdicts
-        bufs = [vector._buf for vector in self.vectors]
-        stats = self.stats
-        rng_random = self._rng.random
-        append = verdicts.append
-        marked = hits = misses = dropped = 0
-
-        position = 0
-        while position < total:
-            now = timestamps[position]
-            next_rotation = self._next_rotation
-            if next_rotation is None or now >= next_rotation:
-                self.advance_to(now)
-                next_rotation = self._next_rotation
-            current = bufs[self.idx]
-
-            # One rotation-free chunk: marks and tests against fixed vectors.
-            while position < total:
-                now = timestamps[position]
-                if now >= next_rotation:
-                    break
-                indices = indices_seq[position]
-                if outbound[position]:
-                    for index in indices:
-                        byte = index >> 3
-                        bit = 1 << (index & 7)
-                        for buf in bufs:
-                            buf[byte] |= bit
-                    marked += 1
-                    append(True)
-                else:
-                    hit = True
-                    for index in indices:
-                        if not current[index >> 3] & (1 << (index & 7)):
-                            hit = False
-                            break
-                    if hit:
-                        hits += 1
-                        append(True)
-                    else:
-                        misses += 1
-                        probability = (
-                            drop_probabilities[position]
-                            if drop_probabilities is not None
-                            else drop_probability
-                        )
-                        if probability >= 1.0 or rng_random() < probability:
-                            dropped += 1
-                            append(False)
-                        else:
-                            append(True)
-                position += 1
-
-        stats.outbound_marked += marked
-        stats.inbound_hits += hits
-        stats.inbound_misses += misses
-        stats.inbound_dropped += dropped
-        return verdicts
 
     # ------------------------------------------------------------------
     # Introspection

@@ -5,8 +5,8 @@ Each column of the {k×N}-bitmap is one bit vector (paper Figure 7).  Bit
 little-endian layout :meth:`BitVector.to_bytes` serializes, so snapshots
 are the buffer itself.  A set or test is one O(1) byte operation, and
 :meth:`BitVector.clear` is the paper's O(N) memset (section 5.2), done in
-place so the fused replay loops in :mod:`repro.sim.fastpath` can hold a
-vector's ``_buf`` across a rotation.
+place so the bitmap's fused batch function (:mod:`repro.sim.kernels`)
+can hold a vector's ``_buf`` across a rotation.
 """
 
 from __future__ import annotations

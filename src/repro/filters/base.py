@@ -6,9 +6,10 @@ import enum
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict
 
 from repro.net.packet import Direction, Packet
+from repro.net.table import _numpy
 
 
 class Verdict(enum.Enum):
@@ -16,6 +17,12 @@ class Verdict(enum.Enum):
 
     PASS = "pass"
     DROP = "drop"
+
+
+#: Per-row verdict codes of a batched replay (one byte per table row):
+#: the filter dropped the row, passed it, or never saw it because the
+#: blocked-σ store suppressed it first.
+CODE_DROP, CODE_PASS, CODE_UNSEEN = 0, 1, 2
 
 
 class SnapshotUnsupported(RuntimeError):
@@ -83,6 +90,38 @@ class FilterStats:
         else:
             self.dropped[direction] += 1
             self.dropped_bytes[direction] += packet.size
+
+    def account_rows(self, sizes, outbound, codes) -> None:
+        """Account a batch of rows: the batched twin of :meth:`account`.
+
+        ``sizes`` and ``outbound`` are table columns and ``codes`` holds
+        one verdict code per row; :data:`CODE_UNSEEN` rows never reached
+        the filter and are not counted.  numpy's ``bincount`` when
+        :func:`~repro.net.table._numpy` returns it, a plain loop
+        otherwise; both give identical counters (the float64 byte sums
+        are exact below 2**53 bytes).
+        """
+        np = _numpy() if len(codes) > 64 else None
+        if np is not None:
+            slot = (np.frombuffer(outbound, dtype=np.int8) != 0) * 3 + np.frombuffer(
+                codes, dtype=np.uint8
+            )
+            counts = np.bincount(slot, minlength=6).tolist()
+            volume = np.bincount(
+                slot, weights=np.frombuffer(sizes, dtype=np.int64), minlength=6
+            ).astype(np.int64).tolist()
+        else:
+            counts = [0] * 6
+            volume = [0] * 6
+            for size, is_out, code in zip(sizes, outbound, codes):
+                slot = code + 3 if is_out else code
+                counts[slot] += 1
+                volume[slot] += size
+        for direction, base in ((Direction.INBOUND, 0), (Direction.OUTBOUND, 3)):
+            self.passed[direction] += counts[base + CODE_PASS]
+            self.passed_bytes[direction] += volume[base + CODE_PASS]
+            self.dropped[direction] += counts[base + CODE_DROP]
+            self.dropped_bytes[direction] += volume[base + CODE_DROP]
 
     @property
     def total(self) -> int:
@@ -170,22 +209,6 @@ class PacketFilter(ABC):
         verdict = self.decide(packet)
         self.stats.account(packet, verdict)
         return verdict
-
-    def process_batch(self, packets: Sequence[Packet]) -> List[Verdict]:
-        """Decide and account a timestamp-ordered batch of packets.
-
-        A first-class protocol stage: the replay engine's batched backend
-        (:class:`repro.sim.pipeline.BatchedBackend`) drives *every*
-        filter through this method, so overriding it is all a filter
-        needs to do to join the fast path.  The contract is bit-identical
-        behavior with the per-packet loop — same verdicts in order, same
-        statistics, same RNG consumption.  The default is a plain loop
-        over :meth:`process`, which satisfies the contract by
-        construction; filters with a genuinely batched implementation
-        override it (the bitmap filter's fused columnar loop, the sharded
-        filter's per-shard partitioning).
-        """
-        return [self.process(packet) for packet in packets]
 
     def reset(self) -> None:
         """Forget all per-flow state and statistics."""

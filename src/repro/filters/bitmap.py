@@ -8,10 +8,9 @@ harness as the SPI and naïve baselines.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig
-from repro.core.dropper import StaticDropPolicy
 from repro.core.hashing import HashIndexMemo
 from repro.filters.base import FilterStats, PacketFilter, Verdict
 from repro.filters.policy import DropController
@@ -53,65 +52,6 @@ class BitmapPacketFilter(PacketFilter):
         probability = self.drop_controller.probability(now)
         passed = self.core.filter(packet.pair, Direction.INBOUND, probability)
         return Verdict.PASS if passed else Verdict.DROP
-
-    def process_batch(self, packets: Sequence[Packet]) -> List[Verdict]:
-        """Batched decide-and-account; identical to per-packet :meth:`process`.
-
-        Columnarizes the batch (precomputed hash indices via the memo),
-        pre-computes the per-packet ``P_d`` sequence — the throughput meter
-        is fed only by outbound packets, so its trajectory is independent
-        of drop decisions — and runs the fused
-        :meth:`BitmapFilter.process_batch` core loop.
-        """
-        from repro.sim.fastpath import PacketColumns
-
-        columns = PacketColumns.from_packets(packets, self)
-        controller = self.drop_controller
-        probabilities: Optional[List[float]] = None
-        if isinstance(controller.policy, StaticDropPolicy):
-            drop_probability = controller.policy.probability(0.0)
-        else:
-            drop_probability = 1.0
-            probabilities = [0.0] * len(columns)
-            record = controller.meter.record
-            probability_at = controller.probability
-            for position, is_outbound in enumerate(columns.outbound):
-                if is_outbound:
-                    record(columns.timestamps[position], columns.sizes[position])
-                else:
-                    probabilities[position] = probability_at(
-                        columns.timestamps[position]
-                    )
-        passed = self.core.process_batch(
-            columns.timestamps,
-            columns.outbound,
-            columns.indices,
-            drop_probability=drop_probability,
-            drop_probabilities=probabilities,
-        )
-        if probabilities is None:
-            # Static policy: the meter still has to see the uplink bytes.
-            record = controller.meter.record
-            for position, is_outbound in enumerate(columns.outbound):
-                if is_outbound:
-                    record(columns.timestamps[position], columns.sizes[position])
-        stats = self.stats
-        verdicts: List[Verdict] = []
-        append = verdicts.append
-        for position, ok in enumerate(passed):
-            direction = (
-                Direction.OUTBOUND if columns.outbound[position] else Direction.INBOUND
-            )
-            size = columns.sizes[position]
-            if ok:
-                stats.passed[direction] += 1
-                stats.passed_bytes[direction] += size
-                append(Verdict.PASS)
-            else:
-                stats.dropped[direction] += 1
-                stats.dropped_bytes[direction] += size
-                append(Verdict.DROP)
-        return verdicts
 
     @property
     def memory_bytes(self) -> int:

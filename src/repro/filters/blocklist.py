@@ -13,7 +13,8 @@ seconds so a peer retrying much later is treated as a fresh attempt.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import math
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.net.packet import Packet, SocketPair
 
@@ -39,11 +40,17 @@ class BlockedConnectionStore:
         σ and σ̄ both match)."""
         self._blocked[pair.canonical] = now
 
+    def _expired(self, stamped: float, now: float) -> bool:
+        """The one expiry predicate: lookups, the batched gate, interior
+        GC and :meth:`compact` all use it, so a verdict never depends on
+        whether GC happened to run first."""
+        return self.retention is not None and now - stamped > self.retention
+
     def is_blocked(self, pair: SocketPair, now: float) -> bool:
         stamped = self._blocked.get(pair.canonical)
         if stamped is None:
             return False
-        if self.retention is not None and now - stamped > self.retention:
+        if self._expired(stamped, now):
             del self._blocked[pair.canonical]
             return False
         return True
@@ -65,6 +72,61 @@ class BlockedConnectionStore:
         self.suppressed_packets += 1
         self.suppressed_bytes += size
         return True
+
+    def gate(
+        self, pairs: Sequence[SocketPair], rows: Iterable[tuple]
+    ) -> Tuple[Iterator[tuple], Callable[[int, float], None]]:
+        """The batched :meth:`suppress`: the rows a filter may see, and
+        its block hook.
+
+        ``rows`` are a table's ``(position, timestamp, size, outbound,
+        pair_id, flags)`` tuples and ``pairs`` its interned pair pool.
+        The generator applies to each row what :meth:`suppress` applies
+        to each packet — the GC clock, retention expiry, the stamp
+        refresh and the suppression counters — and yields only the rows
+        of connections not blocked.  ``block(pair_id, now)`` is
+        :meth:`block` by pool id, for the filter's inbound drops.  The
+        filter consumes the generator row by row, so a drop blocks its
+        connection's later rows in time, exactly as the per-packet loop
+        does.  Canonical pairs are computed once per interned flow.
+        """
+        blocked = self._blocked
+        canonical: List[Optional[SocketPair]] = [None] * len(pairs)
+
+        def block(pid: int, now: float) -> None:
+            key = canonical[pid]
+            if key is None:
+                key = canonical[pid] = pairs[pid].canonical
+            blocked[key] = now
+
+        def admitted() -> Iterator[tuple]:
+            # The GC clock as one float compare per row: -inf anchors it
+            # on the first row, +inf (no retention) never fires.
+            if self.retention is None:
+                next_gc = math.inf
+            else:
+                next_gc = -math.inf if self._next_gc is None else self._next_gc
+            for row in rows:
+                now = row[1]
+                if now >= next_gc:
+                    self._maybe_gc(now)
+                    next_gc = self._next_gc
+                pid = row[4]
+                key = canonical[pid]
+                if key is None:
+                    key = canonical[pid] = pairs[pid].canonical
+                stamped = blocked.get(key)
+                if stamped is not None:
+                    if self._expired(stamped, now):
+                        del blocked[key]
+                    else:
+                        blocked[key] = now
+                        self.suppressed_packets += 1
+                        self.suppressed_bytes += row[2]
+                        continue
+                yield row
+
+        return admitted(), block
 
     def _maybe_gc(self, now: float) -> None:
         if self.retention is None:
@@ -91,10 +153,29 @@ class BlockedConnectionStore:
         """
         if self.retention is None:
             return
-        horizon = now - self.retention
-        stale = [pair for pair, stamped in self._blocked.items() if stamped < horizon]
+        stale = [
+            pair for pair, stamped in self._blocked.items()
+            if self._expired(stamped, now)
+        ]
         for pair in stale:
             del self._blocked[pair]
+
+    def entries(self) -> Dict[SocketPair, float]:
+        """A copy of the blocked rows: canonical pair → last stamp."""
+        return dict(self._blocked)
+
+    def absorb(
+        self,
+        entries: Dict[SocketPair, float],
+        suppressed_packets: int = 0,
+        suppressed_bytes: int = 0,
+    ) -> None:
+        """Union another store's :meth:`entries` and counters into this
+        one — partitioned lanes own disjoint connections, so the union
+        is a plain update."""
+        self._blocked.update(entries)
+        self.suppressed_packets += suppressed_packets
+        self.suppressed_bytes += suppressed_bytes
 
     def clear(self) -> None:
         self._blocked.clear()

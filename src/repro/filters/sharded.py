@@ -146,41 +146,6 @@ class ShardedFilter(PacketFilter):
             return self.default_verdict
         return shard.process(packet)
 
-    def process_batch(self, packets) -> List[Verdict]:
-        """Batched decide-and-account: partition, then batch per shard.
-
-        Shards touch disjoint state (a connection's packets share one
-        inner address) and each carries its own RNG, so replaying one
-        shard's sub-stream contiguously consumes exactly the draws the
-        interleaved per-packet loop would — verdicts, member statistics
-        and filter state come out bit-identical.  Each member filter gets
-        its own :meth:`PacketFilter.process_batch` call, so bitmap shards
-        take the fused columnar fast path in-process.
-        """
-        packet_list = packets if isinstance(packets, list) else list(packets)
-        verdicts: List[Optional[Verdict]] = [None] * len(packet_list)
-        lanes: Dict[int, List[int]] = {}
-        lane_of = self.plan.lane_of
-        inner_address = self.inner_address
-        for position, packet in enumerate(packet_list):
-            shard_position = lane_of(inner_address(packet))
-            if shard_position < 0:
-                self.unrouted_packets += 1
-                verdicts[position] = self.default_verdict
-            else:
-                lanes.setdefault(shard_position, []).append(position)
-        for shard_position, positions in lanes.items():
-            shard = self.members[shard_position]
-            shard_verdicts = shard.process_batch(
-                [packet_list[position] for position in positions]
-            )
-            for position, verdict in zip(positions, shard_verdicts):
-                verdicts[position] = verdict
-        account = self.stats.account
-        for packet, verdict in zip(packet_list, verdicts):
-            account(packet, verdict)
-        return verdicts
-
     # -- housekeeping ----------------------------------------------------
 
     def shard_stats(self) -> Dict[str, dict]:

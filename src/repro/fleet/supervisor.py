@@ -386,7 +386,7 @@ class FleetSupervisor(ShardLifecycle):
             blocklist_doc = snapshot_doc["router"].get("blocklist")
             if use_blocklist and blocklist_doc is not None:
                 store = BlockedConnectionStore.restore(blocklist_doc)
-                merged_blocked.update(store._blocked)
+                merged_blocked.update(store.entries())
                 result.suppressed_packets += store.suppressed_packets
                 result.suppressed_bytes += store.suppressed_bytes
             daemon.stop()
@@ -400,7 +400,7 @@ class FleetSupervisor(ShardLifecycle):
                 fingerprints[-1] = default.fingerprint
             blocklist = default.router.blocklist
             if use_blocklist and blocklist is not None:
-                merged_blocked.update(blocklist._blocked)
+                merged_blocked.update(blocklist.entries())
                 result.suppressed_packets += blocklist.suppressed_packets
                 result.suppressed_bytes += blocklist.suppressed_bytes
 
@@ -408,10 +408,10 @@ class FleetSupervisor(ShardLifecycle):
             # The offline merge compacts at the trace's end; matching it
             # here makes the merged table contents deterministic too.
             store = BlockedConnectionStore()
-            store._blocked = merged_blocked
+            store.absorb(merged_blocked)
             if self._last_ts is not None:
                 store.compact(self._last_ts)
-            result.blocked = store._blocked
+            result.blocked = store.entries()
 
         result.lane_fingerprints = fingerprints
         result.fingerprint = combine_lane_fingerprints(fingerprints)

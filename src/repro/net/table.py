@@ -653,24 +653,18 @@ def as_table(packets) -> PacketTable:
     """Coerce any accepted trace representation to one PacketTable.
 
     Accepts a :class:`PacketTable` (returned as-is), an iterable of
-    tables (concatenated), or an iterable of :class:`Packet` objects.
+    tables (concatenated into a fresh table — no input table is
+    modified), or an iterable of :class:`Packet` objects.
     """
     if isinstance(packets, PacketTable):
         return packets
-    if isinstance(packets, (list, tuple)) and packets and isinstance(
-        packets[0], PacketTable
-    ):
-        merged = packets[0]
-        for chunk in packets[1:]:
-            merged.extend(chunk)
-        return merged
     iterator = iter(packets)
     try:
         first = next(iterator)
     except StopIteration:
         return PacketTable()
     if isinstance(first, PacketTable):
-        merged = first
+        merged = PacketTable().extend(first)
         for chunk in iterator:
             merged.extend(chunk)
         return merged

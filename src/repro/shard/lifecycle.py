@@ -295,9 +295,8 @@ def fold_lane_record(sharded, record, blocklist=None) -> None:
     else:
         sharded.unrouted_packets += record.filter_stats.total
     if blocklist is not None and record.blocked is not None:
-        blocklist._blocked.update(record.blocked)
-        blocklist.suppressed_packets += record.suppressed_packets
-        blocklist.suppressed_bytes += record.suppressed_bytes
+        blocklist.absorb(record.blocked, record.suppressed_packets,
+                         record.suppressed_bytes)
 
 
 def pipeline_counters(pipeline) -> dict:

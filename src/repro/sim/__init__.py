@@ -25,17 +25,10 @@ from repro.sim.pipeline import (
 )
 from repro.sim.replay import compare_drop_rates, replay
 from repro.sim.closedloop import ClosedLoopResult, ClosedLoopSimulator
-from repro.sim.fastpath import (
-    PacketColumns,
-    fast_replay,
-    process_packets_fast,
-    supports_fastpath,
-)
-from repro.sim.kernels import KERNELS, FilterKernel, kernel_for, register_kernel
+from repro.sim.kernels import KERNELS, kernel_for, register_kernel
 from repro.sim.parallel import LaneResult, ParallelReplayResult, parallel_replay
 
 __all__ = [
-    "FilterKernel",
     "KERNELS",
     "kernel_for",
     "register_kernel",
@@ -58,8 +51,4 @@ __all__ = [
     "compare_drop_rates",
     "ClosedLoopSimulator",
     "ClosedLoopResult",
-    "PacketColumns",
-    "fast_replay",
-    "process_packets_fast",
-    "supports_fastpath",
 ]

@@ -3,7 +3,8 @@
 :class:`ThroughputSeries` bins passed bytes per direction into fixed
 intervals — the data behind Figure 9's uplink/downlink bands.
 :class:`DropRateSampler` bins verdicts per interval — the data behind
-Figure 8's per-window drop-rate scatter.
+Figure 8's per-window drop-rate scatter.  :func:`record_rows` fills both
+for a whole replayed table at once.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.filters.base import CODE_PASS
 from repro.net.packet import Direction, Packet
+from repro.net.table import _numpy
 
 
 class ThroughputSeries:
@@ -246,6 +249,85 @@ class DropRateSampler:
         for index, count in snapshot["dropped"]:
             sampler._dropped[index] = count
         return sampler
+
+
+def record_rows(
+    offered: ThroughputSeries,
+    passed: ThroughputSeries,
+    drops: DropRateSampler,
+    timestamps,
+    sizes,
+    outbound,
+    codes,
+) -> None:
+    """Bin one replayed table into the router's series and drop windows.
+
+    The batched twin of the per-packet ``offered.record`` /
+    ``passed.record`` / ``drops.record`` calls: every row's bytes go to
+    ``offered``, the bytes of rows whose code is
+    :data:`~repro.filters.base.CODE_PASS` to ``passed``, and every
+    inbound row to a drop window, counted as dropped unless it passed.
+    Bins are order-independent sums, so one pass after the verdicts fills
+    exactly the bins the per-packet loop fills — a bin touched only by
+    zero-byte packets still gets its key.  numpy (``unique`` +
+    ``bincount``) when :func:`~repro.net.table._numpy` returns it, a
+    plain loop otherwise; both give identical bins.
+    """
+    interval = offered.interval
+    if passed.interval != interval:
+        raise ValueError(f"interval mismatch: {interval} vs {passed.interval}")
+    window = drops.window
+    offered_out = offered._bins[Direction.OUTBOUND]
+    offered_in = offered._bins[Direction.INBOUND]
+    passed_out = passed._bins[Direction.OUTBOUND]
+    passed_in = passed._bins[Direction.INBOUND]
+    window_packets = drops._packets
+    window_dropped = drops._dropped
+    np = _numpy() if len(codes) > 64 else None
+    if np is None:
+        for now, size, is_out, code in zip(timestamps, sizes, outbound, codes):
+            index = int(now / interval)
+            if is_out:
+                offered_out[index] = offered_out.get(index, 0) + size
+                if code == CODE_PASS:
+                    passed_out[index] = passed_out.get(index, 0) + size
+                continue
+            offered_in[index] = offered_in.get(index, 0) + size
+            window_index = int(now / window)
+            window_packets[window_index] = window_packets.get(window_index, 0) + 1
+            if code == CODE_PASS:
+                passed_in[index] = passed_in.get(index, 0) + size
+            else:
+                window_dropped[window_index] = window_dropped.get(window_index, 0) + 1
+        return
+    # A float64 → int64 cast truncates toward zero exactly like int().
+    times = np.frombuffer(timestamps, dtype=np.float64)
+    volume = np.frombuffer(sizes, dtype=np.int64)
+    out = np.frombuffer(outbound, dtype=np.int8) != 0
+    ok = np.frombuffer(codes, dtype=np.uint8) == CODE_PASS
+    index = (times / interval).astype(np.int64)
+    inbound = ~out
+    for bins, mask in ((offered_out, out), (offered_in, inbound),
+                       (passed_out, out & ok), (passed_in, inbound & ok)):
+        _add_bins(np, bins, index[mask], volume[mask])
+    window_index = (times[inbound] / window).astype(np.int64)
+    _add_bins(np, window_packets, window_index)
+    _add_bins(np, window_dropped, window_index[~ok[inbound]])
+
+
+def _add_bins(np, bins: Dict[int, int], keys, weights=None) -> None:
+    """``bins[key] +=`` the summed weights (or the count) of each key's
+    rows.  The float64 ``bincount`` sums of integer sizes are exact below
+    2**53 bytes per bin."""
+    if not keys.size:
+        return
+    unique, inverse = np.unique(keys, return_inverse=True)
+    sums = np.bincount(inverse, weights=weights)
+    if weights is not None:
+        sums = sums.astype(np.int64)
+    get = bins.get
+    for key, value in zip(unique.tolist(), sums.tolist()):
+        bins[key] = get(key, 0) + value
 
 
 def scatter_points(

@@ -141,7 +141,7 @@ def _replay_lane(task) -> LaneResult:
         offered=router.offered,
         passed=router.passed,
         inbound_drops=router.inbound_drops,
-        blocked=dict(blocklist._blocked) if blocklist is not None else None,
+        blocked=blocklist.entries() if blocklist is not None else None,
         suppressed_packets=blocklist.suppressed_packets if blocklist else 0,
         suppressed_bytes=blocklist.suppressed_bytes if blocklist else 0,
         fingerprint=result.fingerprint,

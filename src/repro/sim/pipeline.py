@@ -8,16 +8,17 @@ the CLI — drives the same five-stage packet pipeline:
 1. **scheduler-advance** — fire trace-time events due at or before the
    packet's timestamp (:class:`repro.sim.engine.EventScheduler`);
 2. **blocklist lookup** — a connection once refused stays refused
-   (:meth:`BlockedConnectionStore.suppress`);
-3. **filter verdict** — :meth:`PacketFilter.process` /
-   :meth:`PacketFilter.process_batch`;
+   (:meth:`BlockedConnectionStore.suppress`, batched as
+   :meth:`BlockedConnectionStore.gate`);
+3. **filter verdict** — :meth:`PacketFilter.process`, batched as the
+   filter's fused function in :mod:`repro.sim.kernels`;
 4. **metrics / accounting** — offered/passed throughput bins, inbound
    drop windows, replay counters;
 5. **blocklist update** — a dropped inbound σ is registered as blocked.
 
 Stages 2–5 are implemented once in :class:`repro.sim.router.EdgeRouter`
 (:meth:`~repro.sim.router.EdgeRouter.forward` per packet,
-:meth:`~repro.sim.router.EdgeRouter.process_batch` per chunk);
+:meth:`~repro.sim.router.EdgeRouter.process_table` per table);
 :class:`ReplayPipeline` adds the scheduler stage in front and the
 finalize hook (end-of-replay blocklist compaction, result assembly)
 behind.  An :class:`ExecutionBackend` decides *how* the stream traverses
@@ -25,10 +26,12 @@ the stages:
 
 * :class:`SequentialBackend` — one packet at a time; the only backend
   whose per-packet scheduler granularity supports feedback loops.
-* :class:`BatchedBackend` — columnar chunks through the fused fast path
-  (bitmap filters) or the generic :meth:`PacketFilter.process_batch`
-  protocol.  With a scheduler attached, chunks are split at event
-  boundaries so probes fire at exactly the per-packet moments.
+* :class:`BatchedBackend` — :class:`PacketTable` chunks.  Its front door
+  (:func:`iter_chunks`, shared with :meth:`ReplayStepper.feed`) turns a
+  packet list or iterable into one table before anything else runs, so
+  nothing past it sees a ``Packet`` list.  With a scheduler attached,
+  chunks are split at event boundaries so probes fire at exactly the
+  per-packet moments.
 * :class:`ParallelBackend` — multiprocess sharded lanes
   (:mod:`repro.sim.parallel`), each lane itself driven by the batched or
   sequential backend.
@@ -46,6 +49,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.filters.base import PacketFilter, Verdict
@@ -80,6 +84,35 @@ def iter_packetlike(packets) -> Iterator:
         return
     yield first
     yield from iterator
+
+
+def iter_chunks(stream, limit: Optional[int] = None) -> Iterator[PacketTable]:
+    """The batched front door: any accepted stream shape as tables of at
+    most ``limit`` rows (``None``: as given).
+
+    A :class:`PacketTable` or an iterable of tables passes through
+    (sliced to ``limit``); a packet list or packet iterable becomes one
+    table (:meth:`PacketTable.from_packets`, which raises
+    :class:`ValueError` on a packet without a direction) before any
+    replay stage runs.
+    """
+    if isinstance(stream, PacketTable):
+        tables: Iterable[PacketTable] = (stream,)
+    else:
+        iterator = iter(stream)
+        first = next(iterator, None)
+        if first is None:
+            return
+        if isinstance(first, PacketTable):
+            tables = chain((first,), iterator)
+        else:
+            tables = (PacketTable.from_packets(chain((first,), iterator)),)
+    for table in tables:
+        if limit is None or len(table) <= limit:
+            yield table
+            continue
+        for start in range(0, len(table), limit):
+            yield table.slice(start, start + limit)
 
 
 @dataclass
@@ -171,7 +204,7 @@ class ReplayPipeline:
     """The shared stage sequence, instantiated per replay.
 
     Backends feed packets through :meth:`process` (per packet) or
-    :meth:`process_batch` (per chunk) and close with :meth:`finalize` —
+    :meth:`process_table` (per chunk) and close with :meth:`finalize` —
     the *single* home of end-of-replay work: the final scheduler advance
     and the blocklist compaction that makes final table contents
     GC-phase-independent (previously copy-pasted in every replay loop).
@@ -215,53 +248,18 @@ class ReplayPipeline:
 
     # -- chunked traversal ----------------------------------------------
 
-    def process_batch(self, packets: Iterable[Packet]) -> List[Verdict]:
-        """Run a timestamp-ordered chunk through all five stages.
-
-        Identical to ``[self.process(p) for p in packets]``.  Without a
-        scheduler the whole chunk goes through the router's batched path
-        in one piece.  With a scheduler, the chunk is split at event
-        boundaries: every pending event fires exactly when the per-packet
-        loop would have fired it — before the first packet whose
-        timestamp reaches the event time — so probes observe identical
-        filter state.
-        """
-        packet_list = packets if isinstance(packets, list) else list(packets)
-        if not packet_list:
-            return []
-        if self.first_ts is None:
-            self.first_ts = packet_list[0].timestamp
-        self.last_ts = packet_list[-1].timestamp
-        scheduler = self.scheduler
-        if scheduler is None:
-            return self._run_chunk(packet_list)
-        verdicts: List[Verdict] = []
-        position = 0
-        total = len(packet_list)
-        while position < total:
-            next_fire = scheduler.next_time()
-            if next_fire is None:
-                verdicts.extend(self._run_chunk(packet_list[position:]))
-                break
-            end = position
-            while end < total and packet_list[end].timestamp < next_fire:
-                end += 1
-            if end > position:
-                verdicts.extend(self._run_chunk(packet_list[position:end]))
-                position = end
-            if position < total:
-                # The next packet's timestamp has reached the event time;
-                # fire everything due before processing it, exactly as the
-                # per-packet loop's scheduler-advance stage does.
-                scheduler.advance_to(packet_list[position].timestamp)
-        return verdicts
-
     def process_table(self, table: PacketTable) -> List[Verdict]:
         """Run a timestamp-ordered :class:`PacketTable` through all five
-        stages — the columnar twin of :meth:`process_batch`, with the
-        same event-splitting contract.  Scheduler boundaries are found by
-        binary search on the timestamp column and the chunk is handed
-        down as pool-sharing :meth:`PacketTable.slice` segments.
+        stages; identical to ``[self.process(p) for p in table]``.
+
+        Without a scheduler the whole table goes through
+        :meth:`EdgeRouter.process_table` in one piece.  With one, the
+        table is split at event boundaries (binary search on the
+        timestamp column, pool-sharing :meth:`PacketTable.slice`
+        segments): every pending event fires exactly when the per-packet
+        loop would fire it — before the first packet whose timestamp
+        reaches the event time — so probes observe identical filter
+        state.
         """
         total = len(table)
         if not total:
@@ -301,21 +299,6 @@ class ReplayPipeline:
         DROP = Verdict.DROP
         for is_out, verdict in zip(chunk.outbound, verdicts):
             if not is_out:
-                inbound += 1
-                if verdict is DROP:
-                    dropped += 1
-        self.inbound += inbound
-        self.dropped += dropped
-        if self.fingerprint is not None:
-            self.fingerprint = fingerprint_verdicts(self.fingerprint, verdicts)
-        return verdicts
-
-    def _run_chunk(self, chunk: List[Packet]) -> List[Verdict]:
-        verdicts = self.router.process_batch(chunk)
-        inbound = dropped = 0
-        INBOUND, DROP = Direction.INBOUND, Verdict.DROP
-        for packet, verdict in zip(chunk, verdicts):
-            if packet.direction is INBOUND:
                 inbound += 1
                 if verdict is DROP:
                     dropped += 1
@@ -403,22 +386,9 @@ class ReplayStepper:
         if self.per_packet:
             process = pipeline.process
             return [process(packet) for packet in iter_packetlike(chunk)]
-        limit = self.chunk_size
-        if isinstance(chunk, PacketTable):
-            if limit is None or len(chunk) <= limit:
-                return pipeline.process_table(chunk)
-            verdicts: List[Verdict] = []
-            for start in range(0, len(chunk), limit):
-                verdicts.extend(
-                    pipeline.process_table(chunk.slice(start, start + limit))
-                )
-            return verdicts
-        packet_list = chunk if isinstance(chunk, list) else list(iter_packetlike(chunk))
-        if limit is None or len(packet_list) <= limit:
-            return pipeline.process_batch(packet_list)
-        verdicts = []
-        for start in range(0, len(packet_list), limit):
-            verdicts.extend(pipeline.process_batch(packet_list[start:start + limit]))
+        verdicts: List[Verdict] = []
+        for table in iter_chunks(chunk, self.chunk_size):
+            verdicts.extend(pipeline.process_table(table))
         return verdicts
 
     def finish(self) -> ReplayResult:
@@ -473,17 +443,16 @@ class SequentialBackend(ExecutionBackend):
 
 
 class BatchedBackend(ExecutionBackend):
-    """Chunked traversal through the batched stage implementations.
+    """Chunked traversal: :class:`PacketTable` chunks through
+    :meth:`EdgeRouter.process_table`.
 
-    Filters with a registered fused kernel (:mod:`repro.sim.kernels`:
-    bitmap, SPI, counting Bloom, token-bucket, RED policer, chain) take
-    their one-loop columnar replay; everything else goes through the
-    first-class :meth:`PacketFilter.process_batch` protocol (router
-    stage-split when no blocklist is attached, per-packet fallback when
-    one is — blocked-σ suppression must interleave with verdicts, which
-    is also why the chain kernel declines blocklisted runs).
-    ``chunk_size`` bounds columnarization memory; ``None`` replays the
-    stream as one chunk.
+    Filters with a registered fused function (:mod:`repro.sim.kernels`:
+    bitmap, SPI, counting Bloom, token-bucket, RED policer, chain) take it
+    behind the blocked-σ gate; everything else replays per row through
+    the reference :meth:`EdgeRouter.forward`, as does the chain when a
+    blocklist is attached.  ``chunk_size`` bounds each table handed to the
+    router; ``None`` replays each input table (or the columnarized packet
+    stream) as one chunk.
     """
 
     name = "batched"
@@ -495,41 +464,8 @@ class BatchedBackend(ExecutionBackend):
 
     def run(self, packets: Iterable[Packet], config: PipelineConfig) -> ReplayResult:
         pipeline = ReplayPipeline(config)
-        limit = self.chunk_size
-
-        def feed_table(table: PacketTable) -> None:
-            if limit is None or len(table) <= limit:
-                pipeline.process_table(table)
-                return
-            for start in range(0, len(table), limit):
-                pipeline.process_table(table.slice(start, start + limit))
-
-        if isinstance(packets, PacketTable):
-            feed_table(packets)
-            return pipeline.finalize()
-        if isinstance(packets, list) and not (
-            packets and isinstance(packets[0], PacketTable)
-        ):
-            packet_list = packets
-        else:
-            # Peek: an iterable (or a list) may yield PacketTable chunks
-            # (the generator's iter_tables stream) or plain packets.
-            iterator = iter(packets)
-            first = next(iterator, None)
-            if first is None:
-                return pipeline.finalize()
-            if isinstance(first, PacketTable):
-                feed_table(first)
-                for table in iterator:
-                    feed_table(table)
-                return pipeline.finalize()
-            packet_list = [first]
-            packet_list.extend(iterator)
-        if limit is None:
-            pipeline.process_batch(packet_list)
-        else:
-            for start in range(0, len(packet_list), limit):
-                pipeline.process_batch(packet_list[start:start + limit])
+        for table in iter_chunks(packets, self.chunk_size):
+            pipeline.process_table(table)
         return pipeline.finalize()
 
     def stepper(self, config: PipelineConfig) -> ReplayStepper:

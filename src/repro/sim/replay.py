@@ -4,7 +4,10 @@
 :mod:`repro.sim.pipeline`: it maps the ``(batched, workers, scheduler)``
 knobs onto one :class:`~repro.sim.pipeline.ExecutionBackend` and runs the
 shared stage pipeline.  Every combination either selects a backend or
-raises — there are no silent mode downgrades.
+raises — there are no silent mode downgrades.  The batched engine has a
+single path: packet input becomes one
+:class:`~repro.net.table.PacketTable` at its front door, and every table
+goes through :meth:`~repro.sim.router.EdgeRouter.process_table`.
 """
 
 from __future__ import annotations
@@ -55,10 +58,12 @@ def replay(
     lets callers attach periodic probes; it is advanced in trace time.
 
     ``batched`` selects the columnar chunked engine
-    (:class:`~repro.sim.pipeline.BatchedBackend`): the fused fast path
-    for bitmap filters, the generic
-    :meth:`~repro.filters.base.PacketFilter.process_batch` protocol for
-    everything else, with identical results either way.  ``None`` (the
+    (:class:`~repro.sim.pipeline.BatchedBackend`): packet input becomes
+    one :class:`~repro.net.table.PacketTable` at the front door, and each
+    table goes through :meth:`~repro.sim.router.EdgeRouter.process_table`
+    — the filter's fused function from :mod:`repro.sim.kernels` when it
+    has one, the per-packet reference loop otherwise, with identical
+    results either way.  ``None`` (the
     default) lets the backend decide: sequential in-process, batched
     lanes under the parallel engine.  With a scheduler attached the
     batched engine splits chunks at event boundaries, so probes fire at

@@ -2,18 +2,28 @@
 
 The section 5.3 replay methodology: a packet first checks the blocked-σ
 store (a connection once refused stays refused); surviving packets go to
-the filter; inbound drops register the connection as blocked.  Passed
-traffic feeds the throughput series.
+the filter; inbound drops register the connection as blocked.  Offered
+and passed traffic feed the throughput series, inbound verdicts the drop
+windows.
+
+:meth:`EdgeRouter.forward` runs one packet — the reference path.
+:meth:`EdgeRouter.process_table` is the one batched path: the blocked-σ
+gate, the filter's fused batch function (:mod:`repro.sim.kernels`) and
+one accounting pass over the whole table.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from repro.filters.base import PacketFilter, Verdict
+from repro.filters.base import CODE_UNSEEN, PacketFilter, Verdict
 from repro.filters.blocklist import BlockedConnectionStore
 from repro.net.packet import Direction, Packet
-from repro.sim.metrics import DropRateSampler, ThroughputSeries
+from repro.sim.kernels import kernel_for, table_rows
+from repro.sim.metrics import DropRateSampler, ThroughputSeries, record_rows
+
+#: Verdict of each row code (CODE_DROP, CODE_PASS, CODE_UNSEEN).
+_VERDICT_OF_CODE = (Verdict.DROP, Verdict.PASS, Verdict.DROP)
 
 
 class EdgeRouter:
@@ -54,75 +64,44 @@ class EdgeRouter:
             self.passed.record(packet)
         return verdict
 
-    def process_batch(self, packets: Sequence[Packet]) -> List[Verdict]:
-        """Run a timestamp-ordered batch through the router.
-
-        Produces exactly the verdicts ``[self.forward(p) for p in packets]``
-        would.  Filters with a registered fused kernel
-        (:mod:`repro.sim.kernels`: bitmap, SPI, counting Bloom,
-        token-bucket, RED policer, chain) take their one-loop columnar
-        replay; every other filter goes through the first-class
-        :meth:`PacketFilter.process_batch` protocol with the router's
-        accounting stages split around it.  A kernel may decline a
-        configuration it cannot fuse (the chain kernel with a blocklist —
-        blocked-σ suppression must interleave with verdicts, and member
-        composition cannot stage that), in which case the exact generic
-        fallbacks below run instead.
-        """
-        from repro.sim.kernels import kernel_for
-
-        kernel = kernel_for(self.filter)
-        if kernel is not None:
-            verdicts = kernel.run_packets(self, packets)
-            if verdicts is not None:
-                return verdicts
-        if self.blocklist is None:
-            return self._process_batch_generic(packets)
-        return [self.forward(packet) for packet in packets]
-
     def process_table(self, table) -> List[Verdict]:
         """Run a timestamp-ordered :class:`~repro.net.table.PacketTable`
         through the router.
 
-        Same verdicts as :meth:`process_batch` on ``table.to_packets()``.
-        Registered filters take their table-native fused kernel
-        (:mod:`repro.sim.kernels`) and never build a :class:`Packet`;
-        unregistered filters (and configurations a kernel declines) fall
-        back to the object protocols through a single reused
-        zero-allocation :class:`~repro.net.table.PacketView` cursor
-        (per-packet when a blocklist must interleave, batch otherwise).
+        Bit-identical to ``[self.forward(view) for view in
+        table.iter_views()]``, which is what filters without a registered
+        batch function run.  Registered filters take four steps:
+
+        1. the blocked-σ gate (:meth:`BlockedConnectionStore.gate`) yields
+           the rows the filter may see and supplies its ``block`` hook;
+        2. the filter's batch function writes one verdict code per row it
+           sees — it consumes the gate row by row, so a drop blocks its
+           connection's later rows in time;
+        3. one accounting pass: :func:`~repro.sim.metrics.record_rows`
+           bins the series and drop windows, and
+           :meth:`FilterStats.account_rows` counts the rows the filter
+           saw — both order-independent sums;
+        4. one :class:`Verdict` list.
         """
-        from repro.sim.kernels import kernel_for
-
-        kernel = kernel_for(self.filter)
-        if kernel is not None:
-            verdicts = kernel.run_table(self, table)
-            if verdicts is not None:
-                return verdicts
-        if self.blocklist is None:
-            return self._process_batch_generic(table.to_packets())
-        return [self.forward(view) for view in table.iter_views()]
-
-    def _process_batch_generic(self, packets: Sequence[Packet]) -> List[Verdict]:
-        """Stage-split batch for any filter, blocklist-free.
-
-        Offered accounting, one :meth:`PacketFilter.process_batch` call
-        for the verdicts, then the metrics stage — equivalent to the
-        per-packet loop because filter state never depends on router
-        accounting and the bins are order-independent sums.
-        """
-        for packet in packets:
-            if packet.direction is None:
-                raise ValueError("packet has no direction set")
-            self.offered.record(packet)
-        self.packets += len(packets)
-        verdicts = self.filter.process_batch(packets)
-        for packet, verdict in zip(packets, verdicts):
-            if packet.direction is Direction.INBOUND:
-                self.inbound_drops.record(packet.timestamp, verdict is Verdict.DROP)
-            if verdict is Verdict.PASS:
-                self.passed.record(packet)
-        return verdicts
+        flt = self.filter
+        blocklist = self.blocklist
+        kernel = kernel_for(flt, gated=blocklist is not None)
+        if kernel is None:
+            return [self.forward(view) for view in table.iter_views()]
+        total = len(table)
+        self.packets += total
+        if not total:
+            return []
+        codes = bytearray((CODE_UNSEEN,)) * total
+        rows = table_rows(table)
+        block = None
+        if blocklist is not None:
+            rows, block = blocklist.gate(table.pairs, rows)
+        kernel(flt, table, rows, codes, block)
+        record_rows(self.offered, self.passed, self.inbound_drops,
+                    table.timestamps, table.sizes, table.outbound, codes)
+        flt.stats.account_rows(table.sizes, table.outbound, codes)
+        return list(map(_VERDICT_OF_CODE.__getitem__, codes))
 
     def merge_lane(self, lane) -> "EdgeRouter":
         """Fold one partitioned-replay lane's measurements into this router.

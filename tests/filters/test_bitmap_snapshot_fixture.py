@@ -22,7 +22,9 @@ from repro.core.dropper import StaticDropPolicy
 from repro.filters import restore_filter
 from repro.filters.bitmap import BitmapPacketFilter
 from repro.filters.policy import DropController
+from repro.net.table import PacketTable
 from repro.service.state import _decode, _encode
+from repro.sim.router import EdgeRouter
 from repro.workload import TraceConfig, TraceGenerator
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "bitmap_snapshot_n12.json"
@@ -94,7 +96,7 @@ def test_batched_continuation_matches():
     document = load_fixture()
     packets = fixture_trace()[document["cut"]:]
     resumed = restore_filter(_decode(document["snapshot"]))
-    tail = resumed.process_batch(packets)
+    tail = EdgeRouter(resumed).process_table(PacketTable.from_packets(packets))
     assert hashlib.sha256(verdict_string(tail).encode()).hexdigest() == \
         document["tail_verdicts_sha256"]
     assert digest(_encode(resumed.snapshot())) == document["final_snapshot_sha256"]

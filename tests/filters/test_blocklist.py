@@ -112,3 +112,23 @@ class TestCompact:
             store.block(tcp_pair(sport=2), now=25.0)
             store.compact(now=25.0)
         assert lazy._blocked == eager._blocked
+
+    def test_one_expiry_predicate_at_the_float_boundary(self):
+        """``now - stamped`` is exactly the retention here, while
+        ``stamped < now - retention`` also holds in floating point: GC,
+        lookups and compact must all use the lookup's predicate, so the
+        entry stays blocked whether GC is due at this packet or not."""
+        stamp, now = 245.718556863761, 3845.718556863761
+        assert now - stamp == 3600.0
+        pair = tcp_pair()
+        for gc_due in (False, True):
+            store = BlockedConnectionStore(retention=3600.0, gc_interval=300.0)
+            store.block(pair, now=stamp)
+            # Anchor the GC clock so it is (or is not) due at ``now``.
+            store.suppress_fields(tcp_pair(sport=9), now - (300.0 if gc_due else 1.0), 0)
+            assert store.suppress_fields(pair.inverse, now, 40), gc_due
+        store = BlockedConnectionStore(retention=3600.0)
+        store.block(pair, now=stamp)
+        store.compact(now)
+        assert store.entries() == {pair.canonical: stamp}
+

@@ -153,6 +153,31 @@ class TestValidation:
         table = PacketTable()
         assert as_table(table) is table
 
+    @pytest.mark.parametrize("wrap", [list, iter], ids=["list", "iterator"])
+    def test_as_table_leaves_input_tables_untouched(self, wrap):
+        from repro.workload.generator import TraceConfig, TraceGenerator
+
+        chunks = list(TraceGenerator(
+            TraceConfig(duration=20.0, connection_rate=6.0, seed=3)
+        ).iter_tables(200))
+        assert len(chunks) > 2
+
+        def shape(table):
+            return (len(table),
+                    [bytes(getattr(table, name)) for name, _ in PacketTable.COLUMNS],
+                    list(table.pairs), list(table.payloads))
+
+        before = [shape(chunk) for chunk in chunks]
+        merged = as_table(wrap(chunks))
+        assert [shape(chunk) for chunk in chunks] == before
+        assert all(merged is not chunk for chunk in chunks)
+
+        def rows(table):
+            return [(p.timestamp, p.pair, p.size, p.flags, p.payload, p.direction)
+                    for p in table]
+
+        assert rows(merged) == [row for chunk in chunks for row in rows(chunk)]
+
 
 # ---------------------------------------------------------------------------
 # Cross-representation replay equivalence (incl. hole-punching field mode)

@@ -1,12 +1,10 @@
-"""Equivalence tests: the batched fast path vs the per-packet pipeline.
+"""Equivalence tests: the batched table path vs the per-packet pipeline.
 
-The fast path's contract is *bit-identical* behavior — every verdict, every
-counter, every RNG draw.  These tests replay the same synthetic traces
-through both engines across seeds and configurations and require exact
-agreement.
+The batched path's contract is *bit-identical* behavior — every verdict,
+every counter, every RNG draw.  These tests replay the same synthetic
+traces through ``EdgeRouter.forward`` and ``EdgeRouter.process_table``
+across seeds and configurations and require exact agreement.
 """
-
-import random
 
 import pytest
 
@@ -18,7 +16,8 @@ from repro.filters.blocklist import BlockedConnectionStore
 from repro.filters.policy import DropController
 from repro.filters.spi import SPIFilter
 from repro.net.packet import Direction
-from repro.sim.fastpath import PacketColumns, socket_key, supports_fastpath
+from repro.net.table import PacketTable
+from repro.sim.kernels import kernel_for, socket_key
 from repro.sim.replay import replay
 from repro.sim.router import EdgeRouter
 from repro.workload.generator import TraceConfig, TraceGenerator
@@ -69,7 +68,7 @@ class TestRouterBatchEquivalence:
         legacy_router = build_router(use_blocklist)
         batch_router = build_router(use_blocklist)
         legacy = [legacy_router.forward(p) for p in packets]
-        batched = batch_router.process_batch(packets)
+        batched = batch_router.process_table(PacketTable.from_packets(packets))
         assert legacy == batched
         assert_routers_identical(legacy_router, batch_router)
 
@@ -81,7 +80,7 @@ class TestRouterBatchEquivalence:
         legacy_router = build_router(True, red=True)
         batch_router = build_router(True, red=True)
         legacy = [legacy_router.forward(p) for p in packets]
-        batched = batch_router.process_batch(packets)
+        batched = batch_router.process_table(PacketTable.from_packets(packets))
         assert legacy == batched
         assert_routers_identical(legacy_router, batch_router)
 
@@ -90,7 +89,7 @@ class TestRouterBatchEquivalence:
         legacy_router = build_router(True, field_mode=FieldMode.HOLE_PUNCHING)
         batch_router = build_router(True, field_mode=FieldMode.HOLE_PUNCHING)
         assert [legacy_router.forward(p) for p in packets] == \
-            batch_router.process_batch(packets)
+            batch_router.process_table(PacketTable.from_packets(packets))
         assert_routers_identical(legacy_router, batch_router)
 
     @pytest.mark.parametrize("use_blocklist", [True, False])
@@ -110,7 +109,7 @@ class TestRouterBatchEquivalence:
             assert stats.dropped[Direction.OUTBOUND] == 0
         if not use_blocklist:
             router = build_router(False)
-            verdicts = router.process_batch(packets)
+            verdicts = router.process_table(PacketTable.from_packets(packets))
             for packet, verdict in zip(packets, verdicts):
                 if packet.direction is Direction.OUTBOUND:
                     assert verdict is Verdict.PASS
@@ -134,8 +133,8 @@ class TestRouterBatchEquivalence:
         class TracingSPIFilter(SPIFilter):
             pass
 
-        assert supports_fastpath(SPIFilter())
-        assert not supports_fastpath(TracingSPIFilter())
+        assert kernel_for(SPIFilter()) is not None
+        assert kernel_for(TracingSPIFilter()) is None
         legacy = replay(packets, TracingSPIFilter(), batched=False)
         batched = replay(packets, TracingSPIFilter(), batched=True)
         assert legacy.inbound_dropped == batched.inbound_dropped
@@ -144,83 +143,22 @@ class TestRouterBatchEquivalence:
 
     def test_empty_batch(self):
         router = build_router(True)
-        assert router.process_batch([]) == []
+        assert router.process_table(PacketTable()) == []
         assert router.packets == 0
 
     def test_batches_compose(self):
-        # Splitting a stream into several process_batch calls must match
-        # one big batch (state carries over between batches).
-        packets = trace(10)
-        cut = len(packets) // 3
+        # Splitting a table into several process_table calls must match
+        # one big table (state carries over between tables).
+        table = PacketTable.from_packets(trace(10))
+        cut = len(table) // 3
         one = build_router(True)
         many = build_router(True)
-        whole = one.process_batch(packets)
-        parts = (many.process_batch(packets[:cut])
-                 + many.process_batch(packets[cut:2 * cut])
-                 + many.process_batch(packets[2 * cut:]))
+        whole = one.process_table(table)
+        parts = (many.process_table(table.slice(0, cut))
+                 + many.process_table(table.slice(cut, 2 * cut))
+                 + many.process_table(table.slice(2 * cut, len(table))))
         assert whole == parts
         assert_routers_identical(one, many)
-
-
-class TestFilterProcessBatch:
-    @pytest.mark.parametrize("red", [False, True])
-    def test_standalone_filter_batch_matches_process(self, red):
-        packets = trace(11)
-        controller = (lambda: DropController.red_mbps(0.5, 2.0)) if red else (lambda: None)
-        legacy = BitmapPacketFilter(SMALL_CONFIG, drop_controller=controller())
-        batched = BitmapPacketFilter(SMALL_CONFIG, drop_controller=controller())
-        assert [legacy.process(p) for p in packets] == batched.process_batch(packets)
-        assert legacy.stats.as_dict() == batched.stats.as_dict()
-        assert legacy.core.stats.as_dict() == batched.core.stats.as_dict()
-        assert [v.to_bytes() for v in legacy.core.vectors] == \
-            [v.to_bytes() for v in batched.core.vectors]
-
-
-class TestCoreProcessBatch:
-    def synthetic_ops(self, seed, count=3000):
-        """A randomized mark/lookup schedule crossing many rotations."""
-        rng = random.Random(seed)
-        now = 0.0
-        timestamps, outbound, pairs = [], [], []
-        for _ in range(count):
-            now += rng.expovariate(50.0)
-            timestamps.append(now)
-            outbound.append(rng.random() < 0.5)
-            pairs.append(tcp_pair(sport=2000 + rng.randrange(200)))
-        return timestamps, outbound, pairs
-
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_matches_per_packet_filter(self, seed):
-        timestamps, outbound, pairs = self.synthetic_ops(seed)
-        config = BitmapFilterConfig(size=2 ** 12, vectors=3, hashes=3,
-                                    rotate_interval=0.5)
-        legacy = BitmapFilter(config)
-        batched = BitmapFilter(config)
-        probability = 0.7  # exercises the RNG path
-
-        expected = []
-        for ts, out, pair in zip(timestamps, outbound, pairs):
-            legacy.advance_to(ts)
-            direction = Direction.OUTBOUND if out else Direction.INBOUND
-            expected.append(legacy.filter(pair, direction, probability))
-
-        memo = HashIndexMemo(batched.family)
-        keys = [
-            socket_key(pair, Direction.OUTBOUND if out else Direction.INBOUND, False)
-            for out, pair in zip(outbound, pairs)
-        ]
-        got = batched.process_batch(
-            timestamps, outbound, memo.get_many(keys), drop_probability=probability
-        )
-        assert expected == got
-        assert legacy.stats.as_dict() == batched.stats.as_dict()
-        assert legacy.idx == batched.idx
-        assert [v.to_bytes() for v in legacy.vectors] == \
-            [v.to_bytes() for v in batched.vectors]
-
-    def test_empty(self):
-        filt = BitmapFilter(BitmapFilterConfig(size=2 ** 10))
-        assert filt.process_batch([], [], []) == []
 
 
 class TestHashingBatchHelpers:
@@ -272,21 +210,11 @@ class TestHashingBatchHelpers:
                     tuple(filt_hole._key_fields(pair, direction))
 
 
-class TestPacketColumns:
-    def test_columns_share_index_tuples_across_repeats(self):
-        flt = BitmapPacketFilter(SMALL_CONFIG)
-        packets = trace(12)
-        columns = PacketColumns.from_packets(packets, flt)
-        assert len(columns) == len(packets)
-        seen = {}
-        for key_indices in columns.indices:
-            seen[id(key_indices)] = key_indices
-        # Repetitive flows share tuple objects through the memo.
-        assert len(seen) < len(packets)
-
+class TestFrontDoor:
     def test_rejects_directionless_packets(self):
-        flt = BitmapPacketFilter(SMALL_CONFIG)
+        # A packet list becomes one table before any replay stage runs; a
+        # packet without a direction has no row to become.
         packets = trace(13)
         packets[5].direction = None
-        with pytest.raises(ValueError):
-            PacketColumns.from_packets(packets, flt)
+        with pytest.raises(ValueError, match="no direction"):
+            replay(packets, BitmapPacketFilter(SMALL_CONFIG), batched=True)

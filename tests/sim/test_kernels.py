@@ -22,7 +22,6 @@ from repro.filters.ratelimit import RedPolicerFilter, TokenBucketFilter
 from repro.filters.sharded import ShardedFilter
 from repro.filters.spi import SPIFilter
 from repro.net.inet import parse_ipv4
-from repro.sim.fastpath import supports_fastpath
 from repro.sim.kernels import KERNELS, kernel_for
 from repro.sim.parallel import parallel_replay
 from repro.sim.replay import replay
@@ -98,7 +97,6 @@ class TestRegistry:
     def test_every_shipped_filter_is_registered(self, name):
         flt = FILTER_FACTORIES[name]()
         assert kernel_for(flt) is not None
-        assert supports_fastpath(flt)
 
     @pytest.mark.parametrize("base_name", sorted(FILTER_FACTORIES))
     def test_subclasses_are_not_registered(self, base_name):
@@ -107,7 +105,6 @@ class TestRegistry:
         assert subclass not in KERNELS
         instance = subclass.__new__(subclass)  # state doesn't matter here
         assert kernel_for(instance) is None
-        assert not supports_fastpath(instance)
 
     def test_registry_keys_are_exact_types(self):
         for registered in (SPIFilter, CountingBitmapFilter, TokenBucketFilter,

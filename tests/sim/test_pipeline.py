@@ -208,9 +208,10 @@ GENERIC_FILTERS = {
 
 
 class TestGenericBatchProtocol:
-    """The default PacketFilter.process_batch and the router's generic
-    stage-split must match the per-packet loop for every filter —
-    including RNG-consuming ones, where order of draws is the contract."""
+    """Batched replay — each filter's fused function behind the router's
+    one gate-and-account driver — must match the per-packet loop for
+    every filter, including RNG-consuming ones, where order of draws is
+    the contract."""
 
     @pytest.mark.parametrize("name", sorted(GENERIC_FILTERS))
     def test_batched_equals_sequential_without_blocklist(self, name):
@@ -222,37 +223,27 @@ class TestGenericBatchProtocol:
 
     @pytest.mark.parametrize("name", sorted(GENERIC_FILTERS))
     def test_batched_equals_sequential_with_blocklist(self, name):
-        """With a blocklist the batched backend falls back to the
-        per-packet loop for non-bitmap filters (suppression must
-        interleave with verdicts) — still identical, just not fused."""
+        """With a blocklist the gate interleaves suppression with the
+        fused verdicts (the chain alone replays per row) — still
+        identical."""
         packets = trace(4)
         make = GENERIC_FILTERS[name]
         sequential = replay(packets, make(), use_blocklist=True)
         batched = replay(packets, make(), use_blocklist=True, batched=True)
         assert fingerprint(batched) == fingerprint(sequential)
 
-    def test_filter_process_batch_verdicts_match(self):
-        """PacketFilter.process_batch directly: verdicts in order plus
-        identical member statistics."""
-        packets = trace(6)
-        for name, make in sorted(GENERIC_FILTERS.items()):
-            loop_filter, batch_filter = make(), make()
-            expected = [loop_filter.process(p) for p in packets]
-            got = batch_filter.process_batch(packets)
-            assert got == expected, name
-            assert batch_filter.stats.as_dict() == loop_filter.stats.as_dict()
-
-    def test_sharded_process_batch_matches_loop(self):
-        """ShardedFilter.process_batch partitions then batches per shard;
-        member stats, unrouted counts and route cache all line up."""
+    def test_sharded_batched_replay_matches_sequential(self):
+        """An in-process ShardedFilter has no fused function, so batched
+        replay runs it per row; member stats, unrouted counts and the
+        route cache all line up with the sequential backend."""
         packets = trace(8)
-        loop_filter, batch_filter = make_sharded(), make_sharded()
-        expected = [loop_filter.process(p) for p in packets]
-        got = batch_filter.process_batch(packets)
-        assert got == expected
-        assert batch_filter.stats.as_dict() == loop_filter.stats.as_dict()
-        assert batch_filter.shard_stats() == loop_filter.shard_stats()
-        assert batch_filter.unrouted_packets == loop_filter.unrouted_packets
+        sequential = replay(packets, make_sharded())
+        batched = replay(packets, make_sharded(), batched=True)
+        assert fingerprint(batched) == fingerprint(sequential)
+        assert batched.router.filter.shard_stats() == \
+            sequential.router.filter.shard_stats()
+        assert batched.router.filter.unrouted_packets == \
+            sequential.router.filter.unrouted_packets
 
 
 class TestSchedulerChunking:
