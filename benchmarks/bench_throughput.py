@@ -281,11 +281,12 @@ def main(argv=None) -> int:
     speedup = legacy_s / batched_s
     memo = legacy.router.filter.hash_memo, batched.router.filter.hash_memo
     # Regression gate: flows spanning the batched run's chunks must
-    # produce memo *hits* — zero hits means get_many dedupes without
-    # crediting reuse.  It cannot catch a memo recreated per chunk: a
-    # strict-mode two-way flow hits its own outbound key in every chunk.
-    if memo[1].hits <= 0:
-        print(f"FAIL: hash-index memo recorded no hits "
+    # produce more memo hits than misses.  A memo recreated per chunk
+    # still records some hits — a strict-mode two-way flow hits its own
+    # outbound key within each chunk — but misses every flow again in
+    # each new chunk, so its hits stay below its misses.
+    if memo[1].hits <= memo[1].misses:
+        print(f"FAIL: hash-index memo recorded no more hits than misses "
               f"(hits={memo[1].hits}, misses={memo[1].misses})",
               file=sys.stderr)
         return 1

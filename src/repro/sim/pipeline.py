@@ -363,7 +363,9 @@ class ReplayStepper:
 
     A batch ``run`` consumes one finite stream and finalizes; a live
     service feeds chunks as they arrive and must keep the pipeline open
-    between them (and across snapshots).  :meth:`feed` pushes one chunk —
+    between them (and across snapshots), and
+    :func:`~repro.sim.replay.compare_drop_rates` feeds each chunk to one
+    stepper per filter before pulling the next.  :meth:`feed` pushes one chunk —
     a :class:`PacketTable` or a packet sequence — through the same stage
     implementations the owning backend's ``run`` uses, so a stepper-fed
     replay is verdict-identical to a one-shot replay of the concatenated

@@ -8,6 +8,9 @@ raises — there are no silent mode downgrades.  The batched engine has a
 single path: packet input becomes one
 :class:`~repro.net.table.PacketTable` at its front door, and every table
 goes through :meth:`~repro.sim.router.EdgeRouter.process_table`.
+:func:`compare_drop_rates` drives one
+:class:`~repro.sim.pipeline.ReplayStepper` per filter in lockstep over a
+single pass of its input.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from repro.sim.pipeline import (
     ExecutionBackend,
     PipelineConfig,
     ReplayResult,
+    ReplayStepper,
+    iter_chunks,
     select_backend,
 )
 
@@ -126,10 +131,10 @@ class DropRateComparison:
     """Figure 8's data: two (or more) filters over the same trace.
 
     ``timings`` records the comparison's phase split: ``trace_s`` (the
-    one-time stream materialization, 0.0 when the caller handed over a
-    ready list/table or a factory) and per-filter replay seconds under
-    ``replay_s`` — the generate/replay accounting the benchmark JSONs
-    publish.
+    seconds spent pulling chunks from the input — generation time for a
+    factory or iterator, next to nothing for a ready list or table) and
+    per-filter ``replay_s`` (each filter's feed plus finish time) — the
+    generate/replay accounting the benchmark JSONs publish.
     """
 
     results: Dict[str, ReplayResult]
@@ -157,21 +162,87 @@ def compare_drop_rates(
     default there so the filters' raw decisions are compared packet by
     packet.  ``points`` pairs the first two filters in insertion order.
 
-    ``packets`` may also be a **callable trace factory**: it is invoked
-    once per filter and its return value (typically a fresh
-    ``iter_tables`` chunk stream) goes straight to :func:`replay`
-    *without* being materialized — the bounded-memory path for
-    10–100M-packet Figure-8 campaigns, where one merged table would not
-    fit.  Deterministic generators make every invocation replay the
-    identical stream, so results match the materialized path exactly.
+    The filters run in lockstep: each input chunk is pulled once and fed
+    to one :class:`~repro.sim.pipeline.ReplayStepper` per filter before
+    the next is pulled, so the trace is generated once whatever the
+    number of filters, and only one chunk is held at a time.  Stepped
+    replay is bit-identical to :func:`replay`, so every result equals a
+    per-filter replay of the same stream.  Because chunks interleave
+    across filters, the filters must not share mutable state (one RNG,
+    one drop controller).
 
-    ``batched`` / ``workers`` pass straight through to :func:`replay`,
-    so Figure-8 comparisons on large traces can use the columnar and
-    multiprocess fast paths — the per-window rates are identical by the
-    backends' equivalence contract.
+    ``packets`` may be a packet list or a
+    :class:`~repro.net.table.PacketTable` (one chunk, fed as given), an
+    iterable of tables (streamed chunk by chunk), a packet iterable (one
+    table), or a **callable trace factory**, called once — typically
+    returning an ``iter_tables`` chunk stream, the bounded-memory path
+    for 10–100M-packet campaigns.
+
+    ``batched`` / ``workers`` select the backend as in :func:`replay`.
+    The parallel backend (``workers > 1``) cannot step, so there each
+    filter runs its own :func:`replay`: a factory is called per filter,
+    any other iterable is materialized into one table first.
     """
     if len(filters) < 2:
         raise ValueError("need at least two filters to compare")
+    backend = select_backend(batched=batched, workers=workers)
+    try:
+        steppers = {
+            name: backend.stepper(PipelineConfig(
+                packet_filter=flt, use_blocklist=use_blocklist,
+                drop_window=drop_window,
+            ))
+            for name, flt in filters.items()
+        }
+    except NotImplementedError:
+        results, trace_s, replay_s = _replay_each(
+            packets, filters, backend, use_blocklist, drop_window)
+    else:
+        results, trace_s, replay_s = _replay_lockstep(packets, steppers)
+    names = list(filters)
+    points = scatter_points(
+        results[names[0]].router.inbound_drops,
+        results[names[1]].router.inbound_drops,
+        min_packets=min_window_packets,
+    )
+    return DropRateComparison(
+        results=results,
+        points=points,
+        timings={"trace_s": trace_s, "replay_s": replay_s},
+    )
+
+
+def _replay_lockstep(packets, steppers: Dict[str, ReplayStepper]):
+    """Pull each chunk once and feed it to every stepper in turn."""
+    trace_s = 0.0
+    replay_s = dict.fromkeys(steppers, 0.0)
+    pulling = time.perf_counter()
+    if callable(packets):
+        packets = packets()
+    # A list or table is one chunk as given, so each stepper sees exactly
+    # what replay() would; other iterables are consumed once, here.
+    chunks = ((packets,) if isinstance(packets, (list, PacketTable))
+              else iter_chunks(packets))
+    for chunk in chunks:
+        trace_s += time.perf_counter() - pulling
+        for name, stepper in steppers.items():
+            started = time.perf_counter()
+            stepper.feed(chunk)
+            replay_s[name] += time.perf_counter() - started
+        pulling = time.perf_counter()
+    trace_s += time.perf_counter() - pulling
+    results: Dict[str, ReplayResult] = {}
+    for name, stepper in steppers.items():
+        started = time.perf_counter()
+        results[name] = stepper.finish()
+        replay_s[name] += time.perf_counter() - started
+    return results, trace_s, replay_s
+
+
+def _replay_each(packets, filters: Dict[str, PacketFilter],
+                 backend: ExecutionBackend, use_blocklist: bool,
+                 drop_window: float):
+    """One :func:`replay` per filter, for backends that cannot step."""
     factory = packets if callable(packets) else None
     trace_s = 0.0
     if factory is None and not isinstance(packets, (list, PacketTable)):
@@ -188,17 +259,6 @@ def compare_drop_rates(
         stream = factory() if factory is not None else packets
         started = time.perf_counter()
         results[name] = replay(stream, flt, use_blocklist=use_blocklist,
-                               drop_window=drop_window, batched=batched,
-                               workers=workers)
+                               drop_window=drop_window, backend=backend)
         replay_s[name] = time.perf_counter() - started
-    names = list(filters)
-    points = scatter_points(
-        results[names[0]].router.inbound_drops,
-        results[names[1]].router.inbound_drops,
-        min_packets=min_window_packets,
-    )
-    return DropRateComparison(
-        results=results,
-        points=points,
-        timings={"trace_s": trace_s, "replay_s": replay_s},
-    )
+    return results, trace_s, replay_s

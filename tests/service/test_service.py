@@ -198,7 +198,12 @@ class TestControlActions:
                 generator_source(), make_filter(), speed=40.0
             )
             run_task = asyncio.create_task(service.run())
-            await asyncio.sleep(0.05)
+            # Reconfigure mid-run: once the first chunk is through, not
+            # after a fixed sleep the first chunk's generation can outlast.
+            deadline = asyncio.get_running_loop().time() + 5.0
+            while (service.chunks_done < 1
+                   and asyncio.get_running_loop().time() < deadline):
+                await asyncio.sleep(0.01)
             applied = await service.reconfigure(
                 low_mbps=0.25, high_mbps=2.5, rotate_interval=8.0
             )

@@ -5,19 +5,27 @@ maps every coherent ``(batched, workers, scheduler)`` combination onto
 exactly one backend and *raises* on the incoherent ones — no silent mode
 downgrades.  Second, every backend is bit-identical: same verdicts, same
 statistics, same RNG consumption as the sequential reference loop.
+:func:`repro.sim.replay.compare_drop_rates`, which steps every filter
+through one pass of its input, is held to the same bit-identity against
+a per-filter :func:`repro.sim.replay.replay`.
 """
+
+import random
 
 import pytest
 
 from repro.core.bitmap_filter import BitmapFilterConfig
+from repro.filters.base import AcceptAllFilter, Verdict
 from repro.filters.bitmap import BitmapPacketFilter
 from repro.filters.chain import FilterChain
 from repro.filters.counting import CountingBitmapFilter
+from repro.filters.policy import DropController
 from repro.filters.ratelimit import RedPolicerFilter, TokenBucketFilter
 from repro.filters.sharded import ShardedFilter
 from repro.filters.spi import SPIFilter
 from repro.net.inet import parse_ipv4
 from repro.sim.engine import EventScheduler
+from repro.sim.metrics import scatter_points
 from repro.sim.parallel import ParallelReplayResult
 from repro.sim.pipeline import (
     BatchedBackend,
@@ -313,8 +321,9 @@ class TestCompareDropRatesPassthrough:
 
 
 class TestCompareDropRatesFactory:
-    """The bounded-memory path: a callable trace factory replays each
-    filter from a fresh chunk stream, never materializing one table."""
+    """The bounded-memory path: a callable trace factory is called once
+    and its chunk stream feeds every filter in lockstep, never
+    materializing one table."""
 
     def make_filters(self):
         return {
@@ -329,22 +338,141 @@ class TestCompareDropRatesFactory:
         table = TraceGenerator(config).table()
         reference = compare_drop_rates(table, self.make_filters(),
                                        batched=True)
-        streamed = compare_drop_rates(
-            lambda: TraceGenerator(config).iter_tables(chunk_size=512),
-            self.make_filters(), batched=True,
-        )
+        calls = []
+
+        def factory():
+            calls.append(None)
+            return TraceGenerator(config).iter_tables(chunk_size=512)
+
+        streamed = compare_drop_rates(factory, self.make_filters(),
+                                      batched=True)
         assert streamed.points == reference.points
         for name in ("spi", "bitmap"):
             assert streamed.overall(name) == reference.overall(name)
-        # The factory path never materializes: no trace_s is charged.
-        assert streamed.timings["trace_s"] == 0.0
+        # One generation pass feeds both filters, and it is charged to
+        # trace_s rather than to either filter's replay_s.
+        assert len(calls) == 1
+        assert streamed.timings["trace_s"] > 0.0
 
     def test_timings_cover_every_filter(self):
         comparison = compare_drop_rates(trace(15), self.make_filters())
         assert set(comparison.timings["replay_s"]) == {"spi", "bitmap"}
         assert all(value >= 0.0
                    for value in comparison.timings["replay_s"].values())
-        assert comparison.timings["trace_s"] == 0.0  # list passed through
+        assert comparison.timings["trace_s"] >= 0.0
+
+
+LOCKSTEP_TRACE = TraceConfig(duration=10.0, connection_rate=5.0, seed=21)
+
+
+def lockstep_filters():
+    """SPI, bitmap, and a counting filter whose RED controller draws its
+    P_d coins from the filter's own RNG."""
+    return {
+        "spi": SPIFilter(idle_timeout=240.0),
+        "bitmap": BitmapPacketFilter(
+            BitmapFilterConfig(size=2 ** 12, vectors=4, hashes=3,
+                               rotate_interval=5.0)),
+        "counting-red": CountingBitmapFilter(
+            BitmapFilterConfig(size=2 ** 12, vectors=3, hashes=2,
+                               rotate_interval=5.0),
+            drop_controller=DropController.red_mbps(0.02, 0.2),
+            rng=random.Random(3)),
+    }
+
+
+def lockstep_generator():
+    return TraceGenerator(LOCKSTEP_TRACE)
+
+
+#: Every input shape compare_drop_rates accepts, each built fresh per call.
+LOCKSTEP_INPUTS = {
+    "packet-list": lambda: lockstep_generator().packet_list(),
+    "table": lambda: lockstep_generator().table(),
+    "table-list": lambda: list(lockstep_generator().iter_tables(700)),
+    "table-iterator-700": lambda: lockstep_generator().iter_tables(700),
+    "table-iterator-1999": lambda: lockstep_generator().iter_tables(1999),
+    "factory": lambda: (lambda: lockstep_generator().iter_tables(512)),
+    "packet-generator": lambda: lockstep_generator().packets(),
+}
+
+
+@pytest.fixture(scope="module")
+def lockstep_references():
+    """(batched, use_blocklist) -> each filter replayed on its own through
+    replay(), fingerprinted, plus the SPI/bitmap scatter points."""
+    packets = lockstep_generator().packet_list()
+    references = {}
+    for batched in (None, True):
+        for use_blocklist in (False, True):
+            results = {
+                name: replay(packets, flt, use_blocklist=use_blocklist,
+                             batched=batched)
+                for name, flt in lockstep_filters().items()
+            }
+            points = scatter_points(results["spi"].router.inbound_drops,
+                                    results["bitmap"].router.inbound_drops,
+                                    min_packets=20)
+            references[batched, use_blocklist] = (
+                {name: fingerprint(result) for name, result in results.items()},
+                points,
+            )
+    return references
+
+
+class TallyingFilter(AcceptAllFilter):
+    """Passes everything and counts the packets it has decided."""
+
+    def __init__(self):
+        super().__init__()
+        self.decided = 0
+
+    def decide(self, packet):
+        self.decided += 1
+        return Verdict.PASS
+
+
+class TestCompareDropRatesLockstep:
+    """compare_drop_rates pulls each chunk once and feeds it to one
+    ReplayStepper per filter; every result must equal a per-filter
+    replay() of the same stream."""
+
+    @pytest.mark.parametrize("use_blocklist", [False, True])
+    @pytest.mark.parametrize("batched", [None, True])
+    @pytest.mark.parametrize("shape", sorted(LOCKSTEP_INPUTS))
+    def test_matches_per_filter_replay(self, lockstep_references, shape,
+                                       batched, use_blocklist):
+        expected, expected_points = lockstep_references[batched, use_blocklist]
+        # The RED controller drew coins, so the RNG order is under test.
+        assert expected["counting-red"]["filter_stats"]["dropped_inbound"] > 0
+        comparison = compare_drop_rates(
+            LOCKSTEP_INPUTS[shape](), lockstep_filters(),
+            use_blocklist=use_blocklist, batched=batched)
+        got = {name: fingerprint(result)
+               for name, result in comparison.results.items()}
+        assert got == expected
+        assert comparison.points == expected_points
+
+    @pytest.mark.parametrize("batched", [None, True])
+    def test_each_chunk_replayed_before_the_next_pull(self, batched):
+        filters = {name: TallyingFilter() for name in ("a", "b", "c")}
+        observed = []
+
+        def chunks():
+            pulled = 0
+            for table in lockstep_generator().iter_tables(700):
+                observed.append(
+                    (pulled, [flt.decided for flt in filters.values()]))
+                yield table
+                pulled += len(table)
+            observed.append(
+                (pulled, [flt.decided for flt in filters.values()]))
+
+        comparison = compare_drop_rates(chunks(), filters, batched=batched)
+        assert len(observed) > 3
+        for pulled, decided in observed:
+            assert decided == [pulled] * len(filters)
+        assert comparison.results["a"].packets == observed[-1][0]
 
 
 class TestUnifiedResultShape:
