@@ -24,6 +24,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point: parse arguments, dispatch to a command handler."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    path = getattr(args, "pcap", None)
+    if path is not None:
+        try:
+            open(path, "rb").close()
+        except OSError as exc:
+            parser.error(f"cannot read {path}: {exc.strerror or exc}")
     if not hasattr(args, "handler"):
         parser.print_help()
         return 2

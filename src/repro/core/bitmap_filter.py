@@ -5,6 +5,8 @@ hash functions.
 
 * **mark** (outbound packet): hash the outbound socket pair and set the
   resulting ``m`` bits in *all* ``k`` vectors (Algorithm 2, lines 1-5).
+  A connection is hashed once while its key stays in the filter's
+  bounded :class:`~repro.core.hashing.HashIndexMemo`.
 * **look up** (inbound packet): hash the *inverse* of the inbound socket
   pair and test the bits in the *current* vector only (lines 6-15); a miss
   means the packet is dropped with probability ``P_d``.
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.core.bitvector import BitVector
-from repro.core.hashing import make_hash_family
+from repro.core.hashing import HashIndexMemo, make_hash_family
 from repro.net.packet import Direction, SocketPair
 
 
@@ -46,6 +48,30 @@ class FieldMode(enum.Enum):
 
     STRICT = "strict"
     HOLE_PUNCHING = "hole-punching"
+
+
+def socket_key(
+    pair, direction: Direction, hole_punching: bool
+) -> Tuple[int, ...]:
+    """The key fields of a packet, as a plain tuple: the hash input of the
+    bitmap and counting filters and the timer key of the naive one.
+
+    For inbound packets the paper hashes the *inverse* pair, which in
+    hole-punching mode is {protocol, destination-address,
+    destination-port, source-address} of the inbound packet — i.e. the
+    inner host's address/port plus the remote address.  Inbound pairs are
+    inverted field by field, without building an inverse
+    :class:`SocketPair`, so both directions yield the same
+    outbound-oriented key; in hole-punching mode the remote port is
+    omitted (see :class:`FieldMode`).
+    """
+    if direction is Direction.INBOUND:
+        if hole_punching:
+            return (pair[0], pair[3], pair[4], pair[1])
+        return (pair[0], pair[3], pair[4], pair[1], pair[2])
+    if hole_punching:
+        return (pair[0], pair[1], pair[2], pair[3])
+    return tuple(pair)
 
 
 @dataclass
@@ -142,6 +168,10 @@ class BitmapFilter:
         self.family = make_hash_family(
             self.config.hashes, self.config.size, seed=self.config.seed
         )
+        #: Socket key → hash-indices LRU shared by the per-packet and the
+        #: batched path; a pure function of the hash family, so it is not
+        #: part of :meth:`snapshot` and survives :meth:`reset`.
+        self.hash_memo = HashIndexMemo(self.family)
         self.idx = 0  # index of the *current* bit vector
         self.stats = BitmapFilterStats()
         self._rng = rng or random.Random(self.config.seed)
@@ -149,32 +179,6 @@ class BitmapFilter:
         # Rotation phase (offset of the schedule within Δt) carried over
         # from a restored snapshot; consumed by the first advance_to call.
         self._restored_phase: Optional[float] = None
-
-    # ------------------------------------------------------------------
-    # Field selection (section 4.2, hole-punching discussion)
-    # ------------------------------------------------------------------
-
-    def _key_fields(self, pair: SocketPair, direction: Direction) -> Tuple[int, ...]:
-        """Map a packet's socket pair to hash-input fields.
-
-        For inbound packets the paper hashes the *inverse* pair, which in
-        hole-punching mode is {protocol, destination-address,
-        destination-port, source-address} of the inbound packet — i.e. the
-        inner host's address/port plus the remote address.  Writing both
-        branches in terms of the *outbound-oriented* pair keeps them
-        symmetric: inbound packets are inverted first.
-        """
-        if direction is Direction.INBOUND:
-            pair = pair.inverse
-        if self.config.field_mode is FieldMode.HOLE_PUNCHING:
-            return (pair.protocol, pair.src_addr, pair.src_port, pair.dst_addr)
-        return (
-            pair.protocol,
-            pair.src_addr,
-            pair.src_port,
-            pair.dst_addr,
-            pair.dst_port,
-        )
 
     # ------------------------------------------------------------------
     # Algorithm 1 — b.rotate
@@ -235,14 +239,18 @@ class BitmapFilter:
 
     def mark_outbound(self, pair: SocketPair) -> None:
         """Record an outbound packet: set its bits in *all* vectors."""
-        indices = self.family.indices(self._key_fields(pair, Direction.OUTBOUND))
+        hole_punching = self.config.field_mode is FieldMode.HOLE_PUNCHING
+        key = socket_key(pair, Direction.OUTBOUND, hole_punching)
+        indices = self.hash_memo.get(key)
         for vector in self.vectors:
             vector.set_many(indices)
         self.stats.outbound_marked += 1
 
     def lookup_inbound(self, pair: SocketPair) -> bool:
         """Test an inbound packet against the *current* vector only."""
-        indices = self.family.indices(self._key_fields(pair, Direction.INBOUND))
+        hole_punching = self.config.field_mode is FieldMode.HOLE_PUNCHING
+        key = socket_key(pair, Direction.INBOUND, hole_punching)
+        indices = self.hash_memo.get(key)
         hit = self.vectors[self.idx].test_all(indices)
         if hit:
             self.stats.inbound_hits += 1

@@ -210,8 +210,9 @@ class HashIndexMemo:
     """Bounded LRU cache of key fields → hash-index tuples.
 
     Traffic is heavily flow-repetitive — a long transfer presents the same
-    socket pair thousands of times — so the batched replay path memoizes
-    each distinct key's ``m`` bit positions and hashes it exactly once.
+    socket pair thousands of times — so the bitmap filter memoizes each
+    distinct key's ``m`` bit positions and hashes it once while resident,
+    on the per-packet and the batched path alike.
     The bound keeps worst-case memory flat under address-scanning traffic;
     eviction is least-recently-used so live flows stay resident.
     """

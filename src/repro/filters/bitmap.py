@@ -31,14 +31,15 @@ class BitmapPacketFilter(PacketFilter):
         super().__init__()
         self.core = BitmapFilter(config, rng=rng or random.Random(0))
         self.drop_controller = drop_controller or DropController.always_drop()
-        #: Socket-pair → hash-indices LRU shared by every batched replay of
-        #: this filter; a pure function of the hash family, so it survives
-        #: :meth:`reset` and repeated batches.
-        self.hash_memo = HashIndexMemo(self.core.family)
 
     @property
     def config(self) -> BitmapFilterConfig:
         return self.core.config
+
+    @property
+    def hash_memo(self) -> HashIndexMemo:
+        """The core's hash-index memo, one cache for both replay paths."""
+        return self.core.hash_memo
 
     def decide(self, packet: Packet) -> Verdict:
         now = packet.timestamp
@@ -95,6 +96,5 @@ class BitmapPacketFilter(PacketFilter):
         PacketFilter.__init__(filt)
         filt.core = BitmapFilter.restore(snapshot["core"], clock=clock)
         filt.drop_controller = DropController.restore(snapshot["controller"])
-        filt.hash_memo = HashIndexMemo(filt.core.family)
         filt.stats = FilterStats.restore(snapshot["stats"])
         return filt

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.bitmap_filter import BitmapFilterConfig, FieldMode
+from repro.core.bitmap_filter import BitmapFilterConfig, FieldMode, socket_key
 from repro.core.counting_bloom import CountingBloomFilter
 from repro.filters.base import (
     FilterStats,
@@ -38,7 +38,7 @@ from repro.filters.base import (
 )
 from repro.filters.policy import DropController
 from repro.net.inet import IPPROTO_TCP
-from repro.net.packet import Direction, Packet, SocketPair
+from repro.net.packet import Direction, Packet
 
 
 class CountingBitmapFilter(PacketFilter):
@@ -72,13 +72,6 @@ class CountingBitmapFilter(PacketFilter):
         self.deleted_on_close = 0
 
     # ------------------------------------------------------------------
-
-    def _key(self, pair: SocketPair, direction: Direction) -> Tuple[int, ...]:
-        if direction is Direction.INBOUND:
-            pair = pair.inverse
-        if self.config.field_mode is FieldMode.HOLE_PUNCHING:
-            return (pair.protocol, pair.src_addr, pair.src_port, pair.dst_addr)
-        return tuple(pair)
 
     def rotate(self, count: int = 1) -> int:
         """Run ``count`` rotations, clearing each vacated column once."""
@@ -117,7 +110,8 @@ class CountingBitmapFilter(PacketFilter):
     def decide(self, packet: Packet) -> Verdict:
         now = packet.timestamp
         self.advance_to(now)
-        key = self._key(packet.pair, packet.direction)
+        key = socket_key(packet.pair, packet.direction,
+                         self.config.field_mode is FieldMode.HOLE_PUNCHING)
 
         if packet.direction is Direction.OUTBOUND:
             for column in self.columns:

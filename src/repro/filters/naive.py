@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional, Tuple
 
-from repro.core.bitmap_filter import FieldMode
+from repro.core.bitmap_filter import FieldMode, socket_key
 from repro.filters.base import PacketFilter, Verdict
 from repro.filters.policy import DropController
 from repro.net.packet import Direction, Packet, SocketPair
@@ -59,19 +59,11 @@ class NaiveTimerFilter(PacketFilter):
     def tracked_pairs(self) -> int:
         return len(self._deadlines)
 
-    def _key(self, pair: SocketPair, direction: Direction) -> Tuple[int, ...]:
-        """Outbound-oriented key, honouring the hole-punching field choice
-        exactly as :class:`repro.core.bitmap_filter.BitmapFilter` does."""
-        if direction is Direction.INBOUND:
-            pair = pair.inverse
-        if self.field_mode is FieldMode.HOLE_PUNCHING:
-            return (pair.protocol, pair.src_addr, pair.src_port, pair.dst_addr)
-        return tuple(pair)
-
     def decide(self, packet: Packet) -> Verdict:
         now = packet.timestamp
         self._maybe_gc(now)
-        key = self._key(packet.pair, packet.direction)
+        key = socket_key(packet.pair, packet.direction,
+                         self.field_mode is FieldMode.HOLE_PUNCHING)
 
         if packet.direction is Direction.OUTBOUND:
             self._deadlines[key] = now + self.expiry
@@ -90,7 +82,8 @@ class NaiveTimerFilter(PacketFilter):
 
     def knows(self, pair: SocketPair, direction: Direction, now: float) -> bool:
         """Non-mutating membership check (for tests and cross-validation)."""
-        deadline = self._deadlines.get(self._key(pair, direction))
+        key = socket_key(pair, direction, self.field_mode is FieldMode.HOLE_PUNCHING)
+        deadline = self._deadlines.get(key)
         return deadline is not None and now <= deadline
 
     def _maybe_gc(self, now: float) -> None:

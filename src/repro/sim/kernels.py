@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.bitmap_filter import FieldMode
+from repro.core.bitmap_filter import FieldMode, socket_key
 from repro.core.dropper import RedDropPolicy, StaticDropPolicy
 from repro.filters.base import CODE_PASS, PacketFilter, Verdict
 from repro.filters.bitmap import BitmapPacketFilter
@@ -51,7 +51,6 @@ __all__ = [
     "register_kernel",
     "kernel_for",
     "table_rows",
-    "socket_key",
 ]
 
 #: ``kernel(filter, table, rows, out, block)`` — see the module docstring.
@@ -91,24 +90,6 @@ def table_rows(table: PacketTable):
     """Every row of ``table`` as the row tuples a batch function walks."""
     return zip(range(len(table)), table.timestamps, table.sizes,
                table.outbound, table.pair_ids, table.flags)
-
-
-def socket_key(
-    pair, direction: Direction, hole_punching: bool
-) -> Tuple[int, ...]:
-    """The hash-input fields of a packet, as a plain tuple.
-
-    Mirrors :meth:`BitmapFilter._key_fields` without constructing an
-    intermediate inverse :class:`SocketPair`: inbound packets are inverted
-    field-by-field, and in hole-punching mode the remote port is omitted.
-    """
-    if direction is Direction.INBOUND:
-        if hole_punching:
-            return (pair[0], pair[3], pair[4], pair[1])
-        return (pair[0], pair[3], pair[4], pair[1], pair[2])
-    if hole_punching:
-        return (pair[0], pair[1], pair[2], pair[3])
-    return tuple(pair)
 
 
 def _flow_keys(table: PacketTable, hole_punching: bool):
@@ -151,8 +132,9 @@ def bitmap_kernel(flt: BitmapPacketFilter, table, rows, out, block) -> None:
     """Algorithm 2 on the vectors' byte buffers, with flow-level caches.
 
     * each flow is hashed at most **once per direction per table**
-      (:func:`_flow_keys` + :meth:`HashIndexMemo.get_many`), so the memo's
-      hit counter measures cross-chunk flow reuse, not per-packet repeats;
+      (:func:`_flow_keys` + the core's :meth:`HashIndexMemo.get_many`), so
+      on this path the memo's hit counter measures cross-chunk flow reuse,
+      not per-packet repeats;
     * an outbound flow **marks once per rotation window** — marking is
       idempotent while no vector rotates (stats still count every packet);
     * an inbound flow that tested *hit* stays a hit until the next
@@ -169,7 +151,7 @@ def bitmap_kernel(flt: BitmapPacketFilter, table, rows, out, block) -> None:
     )
     idx_out: List[Tuple[int, ...]] = [()] * len(table.pairs)
     idx_in: List[Tuple[int, ...]] = [()] * len(table.pairs)
-    for slot, indices in zip(slots, flt.hash_memo.get_many(keys)):
+    for slot, indices in zip(slots, core.hash_memo.get_many(keys)):
         if slot & 1:
             idx_out[slot >> 1] = indices
         else:

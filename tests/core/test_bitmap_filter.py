@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig, FieldMode
+from repro.core.bitmap_filter import (
+    BitmapFilter,
+    BitmapFilterConfig,
+    FieldMode,
+    socket_key,
+)
+from repro.core.hashing import HashIndexMemo
 from repro.net.inet import IPPROTO_TCP, IPPROTO_UDP
 from repro.net.packet import Direction, SocketPair
 
@@ -315,6 +321,64 @@ class TestFieldModes:
         filt.rotate()
         hop = SocketPair(IPPROTO_TCP, REMOTE_ADDR, 50999, CLIENT_ADDR, 6881)
         assert filt.lookup_inbound(hop)
+
+
+class TestHashMemo:
+    """Marks and lookups resolve their indices through the core's memo."""
+
+    def test_inverse_lookup_hits_the_marked_key(self):
+        filt = small_filter()
+        pair = tcp_pair()
+        filt.mark_outbound(pair)
+        assert filt.lookup_inbound(pair.inverse)
+        assert (filt.hash_memo.misses, filt.hash_memo.hits) == (1, 1)
+        # Strict mode: the inbound key is the outbound key.
+        assert socket_key(pair.inverse, Direction.INBOUND, False) == \
+            socket_key(pair, Direction.OUTBOUND, False)
+
+    @pytest.mark.parametrize("mode", list(FieldMode))
+    def test_mark_sets_the_family_indices_of_the_fields(self, mode):
+        filt = small_filter(field_mode=mode)
+        pair = tcp_pair(sport=4000, dport=6881)
+        filt.mark_outbound(pair)
+        fields = (IPPROTO_TCP, CLIENT_ADDR, 4000, REMOTE_ADDR, 6881)
+        if mode is FieldMode.HOLE_PUNCHING:
+            fields = fields[:4]
+        expected = sorted(set(filt.family.indices(fields)))
+        for vector in filt.vectors:
+            marked = [i for i in range(vector.size) if vector.test(i)]
+            assert marked == expected
+
+    def test_eviction_never_changes_a_verdict(self):
+        rng = random.Random(17)
+        pairs = [
+            SocketPair(IPPROTO_TCP, rng.getrandbits(32), rng.getrandbits(16),
+                       rng.getrandbits(32), rng.getrandbits(16))
+            for _ in range(5000)
+        ]
+        bounded, default = small_filter(size=2 ** 18), small_filter(size=2 ** 18)
+        bounded.hash_memo = HashIndexMemo(bounded.family, capacity=1024)
+        for filt in (bounded, default):
+            for pair in pairs:
+                filt.mark_outbound(pair)
+        assert len(bounded.hash_memo) == 1024
+        assert all(bounded.lookup_inbound(pair.inverse) for pair in pairs)
+        for pair in pairs:
+            default.lookup_inbound(pair.inverse)
+        assert bounded.stats.as_dict() == default.stats.as_dict()
+        assert [v.to_bytes() for v in bounded.vectors] == \
+            [v.to_bytes() for v in default.vectors]
+
+    def test_reset_keeps_the_memo_and_snapshots_leave_it_out(self):
+        filt = small_filter()
+        memo = filt.hash_memo
+        filt.mark_outbound(tcp_pair())
+        filt.reset()
+        assert filt.hash_memo is memo and len(memo) == 1
+        assert "hash_memo" not in filt.snapshot()
+        restored = BitmapFilter.restore(filt.snapshot())
+        assert restored.hash_memo is not memo
+        assert restored.hash_memo.family is restored.family
 
 
 class TestPenetration:

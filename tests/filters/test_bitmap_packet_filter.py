@@ -1,9 +1,16 @@
 """Tests for the bitmap filter behind the PacketFilter interface."""
 
-from repro.core.bitmap_filter import BitmapFilterConfig
+import random
+
+import pytest
+
+from repro.core.bitmap_filter import BitmapFilterConfig, FieldMode
+from repro.core.hashing import HashIndexMemo
 from repro.filters.base import Verdict
 from repro.filters.bitmap import BitmapPacketFilter
 from repro.filters.policy import DropController
+from repro.sim.replay import replay
+from repro.workload.generator import TraceConfig, TraceGenerator
 
 from tests.conftest import in_packet, out_packet, tcp_pair
 
@@ -89,3 +96,51 @@ class TestHousekeeping:
         filt = BitmapPacketFilter()
         assert filt.config.size == 2 ** 20
         assert filt.memory_bytes == 512 * 1024
+
+
+class TestHashMemo:
+    """One memo per filter, shared by the per-packet and batched paths."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return TraceGenerator(
+            TraceConfig(duration=30.0, connection_rate=8.0, seed=3)
+        ).packet_list()
+
+    def test_one_memo_per_filter(self):
+        filt = small_bitmap()
+        assert filt.hash_memo is filt.core.hash_memo
+        filt.process(out_packet(t=0.0))
+        restored = BitmapPacketFilter.restore(filt.snapshot())
+        assert restored.hash_memo is restored.core.hash_memo
+
+    def test_sequential_replay_hashes_each_connection_once(self, trace):
+        filt = small_bitmap()
+        replay(trace, filt, batched=False)
+        assert filt.hash_memo.hits > filt.hash_memo.misses
+
+    @pytest.mark.parametrize("mode", list(FieldMode))
+    @pytest.mark.parametrize("red", [False, True])
+    def test_capacity_one_memo_replays_identically(self, trace, mode, red):
+        def build():
+            controller = (DropController.red_mbps(0.5, 2.0) if red
+                          else DropController.always_drop())
+            return BitmapPacketFilter(
+                BitmapFilterConfig(size=2 ** 14, vectors=4, hashes=3,
+                                   rotate_interval=5.0, field_mode=mode),
+                drop_controller=controller, rng=random.Random(11),
+            )
+
+        default, bounded = build(), build()
+        bounded.core.hash_memo = HashIndexMemo(bounded.core.family, capacity=1)
+        results = [
+            replay(trace, filt, batched=False, record_fingerprint=True)
+            for filt in (default, bounded)
+        ]
+        assert results[0].fingerprint == results[1].fingerprint
+        assert default.stats.as_dict() == bounded.stats.as_dict()
+        assert default.core.stats.as_dict() == bounded.core.stats.as_dict()
+        assert [v.to_bytes() for v in default.core.vectors] == \
+            [v.to_bytes() for v in bounded.core.vectors]
+        assert len(bounded.hash_memo) == 1
+        assert default.core.stats.inbound_dropped > 0

@@ -8,7 +8,7 @@ across seeds and configurations and require exact agreement.
 
 import pytest
 
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig, FieldMode
+from repro.core.bitmap_filter import BitmapFilterConfig, FieldMode, socket_key
 from repro.core.hashing import HashIndexMemo, make_hash_family
 from repro.filters.base import Verdict
 from repro.filters.bitmap import BitmapPacketFilter
@@ -17,7 +17,7 @@ from repro.filters.policy import DropController
 from repro.filters.spi import SPIFilter
 from repro.net.packet import Direction
 from repro.net.table import PacketTable
-from repro.sim.kernels import kernel_for, socket_key
+from repro.sim.kernels import kernel_for
 from repro.sim.replay import replay
 from repro.sim.router import EdgeRouter
 from repro.workload.generator import TraceConfig, TraceGenerator
@@ -198,16 +198,19 @@ class TestHashingBatchHelpers:
             HashIndexMemo(make_hash_family(2, 2 ** 10), capacity=0)
 
     def test_socket_key_matches_key_fields(self):
-        filt_strict = BitmapFilter(BitmapFilterConfig(size=2 ** 10))
-        filt_hole = BitmapFilter(
-            BitmapFilterConfig(size=2 ** 10, field_mode=FieldMode.HOLE_PUNCHING)
-        )
+        # The key is outbound-oriented: an inbound packet's pair is read
+        # inverted, and hole-punching drops the remote port.
         for pair in (tcp_pair(), udp_pair(), tcp_pair().inverse):
-            for direction in (Direction.OUTBOUND, Direction.INBOUND):
-                assert socket_key(pair, direction, False) == \
-                    tuple(filt_strict._key_fields(pair, direction))
-                assert socket_key(pair, direction, True) == \
-                    tuple(filt_hole._key_fields(pair, direction))
+            proto, src, sport, dst, dport = pair
+            expected = {
+                (Direction.OUTBOUND, False): (proto, src, sport, dst, dport),
+                (Direction.OUTBOUND, True): (proto, src, sport, dst),
+                (Direction.INBOUND, False): (proto, dst, dport, src, sport),
+                (Direction.INBOUND, True): (proto, dst, dport, src),
+            }
+            for (direction, hole_punching), fields in expected.items():
+                key = socket_key(pair, direction, hole_punching)
+                assert type(key) is tuple and key == fields
 
 
 class TestFrontDoor:

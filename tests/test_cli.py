@@ -55,9 +55,31 @@ class TestAnalyze:
         assert "connections" in out
         assert "upload share" in out
 
-    def test_missing_file_fails(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+    def test_missing_file_fails(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["analyze", str(tmp_path / "nope.pcap")])
+        assert exit_info.value.code == 2
+        assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{pcap}"],
+    ["filter", "{pcap}"],
+    ["figures", "{pcap}"],
+    ["serve", "--source", "pcap", "--pcap", "{pcap}"],
+    ["feed", "unix:/nonexistent.sock", "--pcap", "{pcap}"],
+    ["fleet", "serve", "--pcap", "{pcap}"],
+])
+def test_missing_input_pcap_is_a_usage_error(tmp_path, capsys, argv):
+    # Every command that reads an input pcap stores it in ``args.pcap``;
+    # main() checks it once, before any handler runs.
+    missing = str(tmp_path / "missing.pcap")
+    with pytest.raises(SystemExit) as exit_info:
+        main([arg.format(pcap=missing) for arg in argv])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"repro: error: cannot read {missing}" in err
+    assert "Traceback" not in err
 
 
 class TestFilter:
