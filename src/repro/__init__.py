@@ -4,8 +4,8 @@ Client Networks* (Chun-Ying Huang and Chin-Laung Lei, DSN 2007).
 The package implements the paper's {k×N}-bitmap filter together with every
 substrate its evaluation depends on:
 
-* :mod:`repro.core` — the bitmap filter, Bloom filters, drop policies,
-  throughput meters and the closed-form false-positive model.
+* :mod:`repro.core` — the bitmap filter and its two column types, drop
+  policies, throughput meters and the closed-form false-positive model.
 * :mod:`repro.net` — packets, IPv4/TCP/UDP codecs, pcap I/O, flow tracking.
 * :mod:`repro.analyzer` — the section-3 traffic analyzer (L7 patterns,
   port fallback, connection statistics, out-in delay measurement).
@@ -28,7 +28,6 @@ Quickstart::
 from repro.core import (
     BitmapFilter,
     BitmapFilterConfig,
-    BloomFilter,
     FieldMode,
     RedDropPolicy,
     StaticDropPolicy,
@@ -58,7 +57,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BitmapFilter",
     "BitmapFilterConfig",
-    "BloomFilter",
     "FieldMode",
     "RedDropPolicy",
     "StaticDropPolicy",

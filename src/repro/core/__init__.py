@@ -7,7 +7,6 @@ paper: bound P2P upload traffic *without* deep packet inspection.
 
 from repro.core.hashing import HashFamily, make_hash_family
 from repro.core.bitvector import BitVector
-from repro.core.bloom import BloomFilter
 from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig, FieldMode
 from repro.core.dropper import (
     DropPolicy,
@@ -28,7 +27,6 @@ __all__ = [
     "HashFamily",
     "make_hash_family",
     "BitVector",
-    "BloomFilter",
     "BitmapFilter",
     "BitmapFilterConfig",
     "FieldMode",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.bitvector import BitVector
 from repro.core.hashing import HashIndexMemo, make_hash_family
@@ -154,7 +154,15 @@ class BitmapFilter:
     same object serves live operation, trace replay and unit tests.
     Dropping randomness comes from an injectable :class:`random.Random` for
     reproducibility.
+
+    The class attribute :attr:`vector_type` is the column storage: any
+    type with ``set_many`` / ``test_all`` / ``clear`` and ``utilization``.
+    The close-aware counting filter's core is a subclass over
+    :class:`~repro.core.bitvector.CounterVector` cells; clock, hashing,
+    memo, coin and stats are this class's for both.
     """
+
+    vector_type = BitVector
 
     def __init__(
         self,
@@ -162,8 +170,8 @@ class BitmapFilter:
         rng: Optional[random.Random] = None,
     ) -> None:
         self.config = config or BitmapFilterConfig()
-        self.vectors: List[BitVector] = [
-            BitVector(self.config.size) for _ in range(self.config.vectors)
+        self.vectors = [
+            self.vector_type(self.config.size) for _ in range(self.config.vectors)
         ]
         self.family = make_hash_family(
             self.config.hashes, self.config.size, seed=self.config.seed
@@ -275,10 +283,18 @@ class BitmapFilter:
             return True
         if self.lookup_inbound(pair):
             return True
-        if drop_probability >= 1.0 or self._rng.random() < drop_probability:
+        return not self.drop(drop_probability)
+
+    def drop(self, probability: float) -> bool:
+        """Toss the ``P_d`` coin for an inbound miss: True = DROP.
+
+        The draw is unguarded — any ``P_d`` below 1 consumes one RNG draw,
+        even 0 — so both filters on this core keep their recorded streams.
+        """
+        if probability >= 1.0 or self._rng.random() < probability:
             self.stats.inbound_dropped += 1
-            return False
-        return True
+            return True
+        return False
 
     # ------------------------------------------------------------------
     # Introspection

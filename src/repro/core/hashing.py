@@ -3,10 +3,11 @@
 The paper requires ``m`` hash functions that "should only output an n-bit
 value.  An output that exceeds n-bit should be truncated."  We provide a
 family built from double hashing (Kirsch & Mitzenmacher: two independent
-base hashes combine into arbitrarily many), with FNV-1a and a multiply-shift
-mix as the bases.  Double hashing preserves Bloom-filter false-positive
-asymptotics while costing two real hash evaluations per key regardless of
-``m`` — important because the filter runs per packet.
+base hashes combine into arbitrarily many), with two differently seeded
+splitmix64 mixes of the key's fields as the bases.  Double hashing
+preserves Bloom-filter false-positive asymptotics while costing two real
+hash evaluations per key regardless of ``m`` — important because the
+filter runs per packet.
 """
 
 from __future__ import annotations
@@ -19,22 +20,11 @@ from repro.net.table import _numpy
 #: 64-bit FNV-1a offset basis — also the seed (and hence the empty value)
 #: of the replay layer's running verdict fingerprint.
 FNV64_OFFSET = 0xCBF29CE484222325
-_FNV_OFFSET = FNV64_OFFSET
-_FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # Odd 64-bit constants for the multiply-shift mixer (splitmix64 finalizer).
 _MIX_MUL1 = 0xBF58476D1CE4E5B9
 _MIX_MUL2 = 0x94D049BB133111EB
-
-
-def fnv1a_64(data: bytes, seed: int = 0) -> int:
-    """64-bit FNV-1a over ``data``, optionally seeded."""
-    value = (_FNV_OFFSET ^ seed) & _MASK64
-    for byte in data:
-        value ^= byte
-        value = (value * _FNV_PRIME) & _MASK64
-    return value
 
 
 def splitmix64(value: int) -> int:
@@ -130,25 +120,6 @@ class HashFamily:
         """The two independent 64-bit base hashes of a key."""
         return mix_tuple(fields, self._seed1), mix_tuple(fields, self._seed2)
 
-    def base_hashes_many(
-        self, keys: Sequence[Sequence[int]]
-    ) -> List[Tuple[int, int]]:
-        """Batch form of :meth:`base_hashes`, numpy-vectorized when enabled.
-
-        Same values as ``[self.base_hashes(k) for k in keys]`` bit for bit;
-        ragged or non-integer key sets fall back to the scalar loop.
-        """
-        np = _numpy() if len(keys) >= _NP_MIN_KEYS else None
-        if np is not None:
-            columns = _key_matrix(np, keys)
-            if columns is not None:
-                h1 = _mix_tuple_np(np, columns, self._seed1).tolist()
-                h2 = _mix_tuple_np(np, columns, self._seed2).tolist()
-                return list(zip(h1, h2))
-        seed1 = self._seed1
-        seed2 = self._seed2
-        return [(mix_tuple(k, seed1), mix_tuple(k, seed2)) for k in keys]
-
     def indices(self, fields: Sequence[int]) -> List[int]:
         """The m bit positions (n-bit truncated) for a key."""
         h1, h2 = self.base_hashes(fields)
@@ -194,13 +165,6 @@ class HashFamily:
             h2 = mix_tuple(fields, seed2) | 1
             append(tuple((h1 + i * h2) & mask for i in steps))
         return out
-
-    def indices_bytes(self, data: bytes) -> List[int]:
-        """As :meth:`indices` but for byte-string keys."""
-        h1 = fnv1a_64(data, self._seed1)
-        h2 = fnv1a_64(data, self._seed2) | 1
-        mask = self.mask
-        return [(h1 + i * h2) & mask for i in range(self.m)]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"HashFamily(m={self.m}, n_bits={self.n_bits}, seed={self.seed})"

@@ -8,9 +8,11 @@ penetration probability, Equation 2) between rotations.
 
 Design:
 
-* ``k`` rotating :class:`CountingBloomFilter` columns replace the bit
-  vectors; marks increment all columns, lookups test the current column,
-  rotation clears the oldest — identical geometry to the paper's filter.
+* The paper's rotating core (:class:`~repro.core.bitmap_filter.BitmapFilter`)
+  over :class:`~repro.core.bitvector.CounterVector` columns of 4-bit
+  cells: marks increment all columns, lookups test the current column,
+  rotation clears the oldest, and the clock, hash memo, ``P_d`` coin and
+  stats are the core's — only the cells differ from the paper's filter.
 * On an outbound RST, the pair is deleted from every column immediately.
 * On FIN, full deletion waits for the *second* FIN (an orderly close is
   bidirectional).  Half-closed pairs are tracked in a small exact table —
@@ -26,8 +28,13 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.bitmap_filter import BitmapFilterConfig, FieldMode, socket_key
-from repro.core.counting_bloom import CountingBloomFilter
+from repro.core.bitmap_filter import (
+    BitmapFilter,
+    BitmapFilterConfig,
+    FieldMode,
+    socket_key,
+)
+from repro.core.bitvector import CounterVector
 from repro.filters.base import (
     FilterStats,
     PacketFilter,
@@ -39,6 +46,12 @@ from repro.filters.base import (
 from repro.filters.policy import DropController
 from repro.net.inet import IPPROTO_TCP
 from repro.net.packet import Direction, Packet
+
+
+class CountingCore(BitmapFilter):
+    """The rotating bitmap core over 4-bit counter columns."""
+
+    vector_type = CounterVector
 
 
 class CountingBitmapFilter(PacketFilter):
@@ -55,47 +68,30 @@ class CountingBitmapFilter(PacketFilter):
         half_close_timeout: float = 60.0,
     ) -> None:
         super().__init__()
-        self.config = config or BitmapFilterConfig()
         if half_close_timeout <= 0:
             raise ValueError(f"half_close_timeout must be positive: {half_close_timeout}")
-        self.columns: List[CountingBloomFilter] = [
-            CountingBloomFilter(self.config.size, self.config.hashes, seed=self.config.seed)
-            for _ in range(self.config.vectors)
-        ]
-        self.idx = 0
+        self.core = CountingCore(config, rng=rng)
         self.drop_controller = drop_controller or DropController.always_drop()
-        self._rng = rng or random.Random(self.config.seed)
-        self._next_rotation: Optional[float] = None
         #: Pairs that sent one FIN, awaiting the reverse FIN.
         self._half_closed: Dict[Tuple[int, ...], float] = {}
         self.half_close_timeout = half_close_timeout
         self.deleted_on_close = 0
 
+    @property
+    def config(self) -> BitmapFilterConfig:
+        return self.core.config
+
+    @property
+    def columns(self) -> List[CounterVector]:
+        return self.core.vectors
+
     # ------------------------------------------------------------------
 
-    def rotate(self, count: int = 1) -> int:
-        """Run ``count`` rotations, clearing each vacated column once."""
-        k = self.config.vectors
-        for step in range(min(count, k)):
-            self.columns[(self.idx + step) % k].clear()
-        self.idx = (self.idx + count) % k
-        return self.idx
-
     def advance_to(self, now: float) -> int:
-        """Run the rotations due by ``now``, clearing each column at most
-        once however long the gap; returns how many ran."""
-        if self._next_rotation is None:
-            self._next_rotation = now + self.config.rotate_interval
-            return 0
-        interval = self.config.rotate_interval
-        next_rotation = self._next_rotation
-        ran = 0
-        while now >= next_rotation:
-            next_rotation += interval
-            ran += 1
+        """Run the core's rotations due by ``now``, then age out stale
+        half-closes; returns how many rotations ran."""
+        ran = self.core.advance_to(now)
         if ran:
-            self.rotate(ran)
-            self._next_rotation = next_rotation
             self._expire_half_closed(now)
         return ran
 
@@ -110,38 +106,36 @@ class CountingBitmapFilter(PacketFilter):
     def decide(self, packet: Packet) -> Verdict:
         now = packet.timestamp
         self.advance_to(now)
-        key = socket_key(packet.pair, packet.direction,
-                         self.config.field_mode is FieldMode.HOLE_PUNCHING)
+        core = self.core
 
         if packet.direction is Direction.OUTBOUND:
-            for column in self.columns:
-                column.add(key)
+            core.mark_outbound(packet.pair)
             self.drop_controller.record_upload(now, packet.size)
-            self._track_close(packet, key, now)
+            self._track_close(packet, now)
             return Verdict.PASS
 
-        hit = key in self.columns[self.idx]
-        if hit:
-            self._track_close(packet, key, now)
+        if core.lookup_inbound(packet.pair):
+            self._track_close(packet, now)
             return Verdict.PASS
-        probability = self.drop_controller.probability(now)
-        if probability >= 1.0 or self._rng.random() < probability:
+        # P_d is read on a miss only: the rate meter's lazy eviction on
+        # each read shows in this filter's snapshot document.
+        if core.drop(self.drop_controller.probability(now)):
             return Verdict.DROP
         return Verdict.PASS
 
-    def _track_close(self, packet: Packet, key: Tuple[int, ...], now: float) -> None:
-        if packet.pair.protocol != IPPROTO_TCP:
+    def _track_close(self, packet: Packet, now: float) -> None:
+        if packet.pair.protocol != IPPROTO_TCP or not (packet.is_rst or packet.is_fin):
             return
+        key = socket_key(packet.pair, packet.direction,
+                         self.config.field_mode is FieldMode.HOLE_PUNCHING)
         if packet.is_rst:
             self._delete(key)
             self._half_closed.pop(key, None)
-            return
-        if packet.is_fin:
-            if key in self._half_closed:
-                del self._half_closed[key]
-                self._delete(key)
-            else:
-                self._half_closed[key] = now
+        elif key in self._half_closed:
+            del self._half_closed[key]
+            self._delete(key)
+        else:
+            self._half_closed[key] = now
 
     def _delete(self, key: Tuple[int, ...]) -> None:
         """Remove the pair from every column.
@@ -149,9 +143,10 @@ class CountingBitmapFilter(PacketFilter):
         Each outbound packet of the flow incremented the counters, so one
         decrement per column leaves residue; decrement until the key stops
         testing positive in that column (bounded by the 15-saturation)."""
+        indices = self.core.hash_memo.get(key)
         for column in self.columns:
             for _ in range(16):
-                if not column.remove(key):
+                if not column.remove_many(indices):
                     break
         self.deleted_on_close += 1
 
@@ -159,7 +154,7 @@ class CountingBitmapFilter(PacketFilter):
 
     @property
     def current_utilization(self) -> float:
-        return self.columns[self.idx].utilization
+        return self.core.current_utilization
 
     @property
     def memory_bytes(self) -> int:
@@ -172,15 +167,13 @@ class CountingBitmapFilter(PacketFilter):
 
     def reset(self) -> None:
         super().reset()
-        for column in self.columns:
-            column.clear()
-        self.idx = 0
-        self._next_rotation = None
+        self.core.reset()
         self._half_closed.clear()
         self.deleted_on_close = 0
 
     def snapshot(self) -> dict:
         """Column cells + counters, rotation clock, half-close table, RNG."""
+        core = self.core
         return {
             "kind": self.name,
             "config": {
@@ -191,11 +184,11 @@ class CountingBitmapFilter(PacketFilter):
                 "field_mode": self.config.field_mode.value,
                 "seed": self.config.seed,
             },
-            "idx": self.idx,
-            "next_rotation": self._next_rotation,
+            "idx": core.idx,
+            "next_rotation": core._next_rotation,
             "half_close_timeout": self.half_close_timeout,
             "deleted_on_close": self.deleted_on_close,
-            "rng": rng_state(self._rng),
+            "rng": rng_state(core._rng),
             "controller": self.drop_controller.snapshot(),
             "stats": self.stats.snapshot(),
             "columns": [
@@ -214,32 +207,53 @@ class CountingBitmapFilter(PacketFilter):
 
     @classmethod
     def restore(cls, snapshot: dict, clock: str = "resume") -> "CountingBitmapFilter":
+        """Rebuild a filter from :meth:`snapshot` output.
+
+        Resume-only: the half-close table holds absolute timestamps, so
+        the rotation clock cannot be rebased onto a new one.  A document
+        whose column count, cell count or index disagrees with its config
+        is rejected before any state is built.
+        """
         if snapshot.get("kind") not in (None, cls.name):
             raise ValueError(
                 f"snapshot is for filter kind {snapshot['kind']!r}, not {cls.name!r}"
             )
         check_resume_clock(clock, cls.name)
         config_doc = snapshot["config"]
-        filt = cls(
-            config=BitmapFilterConfig(
-                size=config_doc["size"],
-                vectors=config_doc["vectors"],
-                hashes=config_doc["hashes"],
-                rotate_interval=config_doc["rotate_interval"],
-                field_mode=FieldMode(config_doc["field_mode"]),
-                seed=config_doc["seed"],
-            ),
-            half_close_timeout=snapshot["half_close_timeout"],
+        config = BitmapFilterConfig(
+            size=config_doc["size"],
+            vectors=config_doc["vectors"],
+            hashes=config_doc["hashes"],
+            rotate_interval=config_doc["rotate_interval"],
+            field_mode=FieldMode(config_doc["field_mode"]),
+            seed=config_doc["seed"],
         )
-        for column, column_doc in zip(filt.columns, snapshot["columns"]):
+        columns = snapshot["columns"]
+        if len(columns) != config.vectors:
+            raise ValueError(
+                f"snapshot columns: {len(columns)} columns, config says "
+                f"{config.vectors}"
+            )
+        cell_bytes = config.size // 2
+        for position, column_doc in enumerate(columns):
+            if len(column_doc["cells"]) != cell_bytes:
+                raise ValueError(
+                    f"snapshot cells of column {position}: "
+                    f"{len(column_doc['cells'])} bytes, expected {cell_bytes}"
+                )
+        if not 0 <= snapshot["idx"] < config.vectors:
+            raise ValueError(f"snapshot idx out of range: {snapshot['idx']}")
+        filt = cls(config=config, half_close_timeout=snapshot["half_close_timeout"])
+        core = filt.core
+        for column, column_doc in zip(filt.columns, columns):
             column._cells[:] = bytearray(column_doc["cells"])
             column.added = column_doc["added"]
             column.removed = column_doc["removed"]
             column.saturations = column_doc["saturations"]
-        filt.idx = snapshot["idx"]
-        filt._next_rotation = snapshot["next_rotation"]
+        core.idx = snapshot["idx"]
+        core._next_rotation = snapshot["next_rotation"]
+        core._rng = restore_rng_state(snapshot["rng"])
         filt.deleted_on_close = snapshot["deleted_on_close"]
-        filt._rng = restore_rng_state(snapshot["rng"])
         filt.drop_controller = DropController.restore(snapshot["controller"])
         filt.stats = FilterStats.restore(snapshot["stats"])
         filt._half_closed = {

@@ -8,8 +8,8 @@ of the filter's reference ``decide`` and nothing more:
   outbound, pair_id, flags)`` tuples (:func:`table_rows`), either every
   row of the table or the survivors of the blocked-σ gate;
 * it updates only that filter's state and its filter-specific counters
-  (bitmap core stats, SPI ``peak_flows``, counting ``added`` /
-  ``saturations`` / ``deleted_on_close``);
+  (bitmap and counting core stats, SPI ``peak_flows``, counting
+  ``added`` / ``saturations`` / ``deleted_on_close``);
 * it writes one verdict code per row it sees into ``out`` —
   :data:`~repro.filters.base.CODE_PASS` (1) or
   :data:`~repro.filters.base.CODE_DROP` (0) — and calls ``block(pair_id,
@@ -319,37 +319,36 @@ def spi_kernel(flt: SPIFilter, table, rows, out, block) -> None:
 
 
 # ----------------------------------------------------------------------
-# Counting Bloom — rotating 4-bit columns with close-aware deletion
+# Counting — the rotating core over 4-bit cells, close-aware deletion
 # ----------------------------------------------------------------------
 
 
 @register_kernel(CountingBitmapFilter)
 def counting_kernel(flt: CountingBitmapFilter, table, rows, out, block) -> None:
-    """4-bit nibble arithmetic directly on the columns' cell bytearrays.
+    """4-bit nibble arithmetic directly on the core's cell bytearrays.
 
-    Each flow hashes at most once per direction per table (all columns
-    share one hash geometry).  Per-column ``added``/``saturations``
-    counters are staged locally and flushed *before* every rotation so
-    the vacated column's ``clear()`` zeroes exactly what the per-packet
-    path would have zeroed.  Deletion (FIN/RST) is rare and runs inline
-    against the staged cells, reusing the flow's cached indices.
+    Each flow hashes at most once per direction per table through the
+    core's hash memo (all columns share one hash geometry).  Per-column
+    ``added``/``saturations`` counters are staged locally and flushed
+    *before* every rotation so the vacated column's ``clear()`` zeroes
+    exactly what the per-packet path would have zeroed; the core's mark,
+    hit, miss and drop counts land once per table.  Deletion (FIN/RST) is
+    rare and runs inline against the staged cells, reusing the flow's
+    cached indices.
     """
-    config = flt.config
-    k = config.vectors
+    core = flt.core
+    k = core.config.vectors
     pairs = table.pairs
     n_pairs = len(pairs)
     keys, slots = _flow_keys(
-        table, config.field_mode is FieldMode.HOLE_PUNCHING
+        table, core.config.field_mode is FieldMode.HOLE_PUNCHING
     )
     key_out: List[Optional[Tuple[int, ...]]] = [None] * n_pairs
     key_in: List[Optional[Tuple[int, ...]]] = [None] * n_pairs
     idx_out: List[Tuple[int, ...]] = [()] * n_pairs
     idx_in: List[Tuple[int, ...]] = [()] * n_pairs
     tcp_flags = bytearray(n_pairs)
-    columns = flt.columns
-    for slot, key, indices in zip(
-        slots, keys, columns[0].family.indices_many(keys)
-    ):
+    for slot, key, indices in zip(slots, keys, core.hash_memo.get_many(keys)):
         pid = slot >> 1
         tcp_flags[pid] = 1 if pairs[pid][0] == IPPROTO_TCP else 0
         if slot & 1:
@@ -359,19 +358,20 @@ def counting_kernel(flt: CountingBitmapFilter, table, rows, out, block) -> None:
             key_in[pid] = key
             idx_in[pid] = indices
 
+    columns = core.vectors
     cells_list = [column._cells for column in columns]
     half_closed = flt._half_closed
-    rng_random = flt._rng.random
+    rng_random = core._rng.random
     controller = flt.drop_controller
     record_upload = controller.meter.record
     static_p = _static_probability(controller.policy)
     probability_at = controller.probability
-    next_rotation = flt._next_rotation
-    current_cells = cells_list[flt.idx]
+    next_rotation = core._next_rotation
+    current_cells = cells_list[core.idx]
 
     added = [0] * k
     saturations = [0] * k
-    deleted = 0
+    marked = hits = misses = dropped = deleted = 0
 
     def flush_counts() -> None:
         for position in range(k):
@@ -383,7 +383,7 @@ def counting_kernel(flt: CountingBitmapFilter, table, rows, out, block) -> None:
                 saturations[position] = 0
 
     def delete_key(indices: Tuple[int, ...]) -> None:
-        # CountingBitmapFilter._delete + CountingBloomFilter.remove,
+        # CountingBitmapFilter._delete + CounterVector.remove_many,
         # reusing the cached indices: decrement until the key stops
         # testing positive in each column (saturated cells untouched).
         nonlocal deleted
@@ -424,12 +424,12 @@ def counting_kernel(flt: CountingBitmapFilter, table, rows, out, block) -> None:
 
     for i, now, size, is_out, pid, fl in rows:
         # CountingBitmapFilter.advance_to — rare; staged counters must
-        # land before rotate() clears the vacated column.
+        # land before the core's rotate() clears the vacated column.
         if next_rotation is None or now >= next_rotation:
             flush_counts()
             flt.advance_to(now)
-            next_rotation = flt._next_rotation
-            current_cells = cells_list[flt.idx]
+            next_rotation = core._next_rotation
+            current_cells = cells_list[core.idx]
 
         if is_out:
             indices = idx_out[pid]
@@ -454,6 +454,7 @@ def counting_kernel(flt: CountingBitmapFilter, table, rows, out, block) -> None:
                 added[position] += 1
                 if sat:
                     saturations[position] += sat
+            marked += 1
             record_upload(now, size)
             if tcp_flags[pid] and fl & 0x05:
                 track_close(indices, key_out[pid], fl, now)
@@ -468,15 +469,17 @@ def counting_kernel(flt: CountingBitmapFilter, table, rows, out, block) -> None:
                 hit = False
                 break
         if hit:
+            hits += 1
             if tcp_flags[pid] and fl & 0x05:
                 track_close(indices, key_in[pid], fl, now)
             out[i] = 1
             continue
+        misses += 1
         probability = static_p if static_p is not None else probability_at(now)
-        # Unguarded draw — the counting filter's historical consumption
-        # order draws even at P_d = 0 (unlike SPI/RED's guarded form);
-        # the kernel reproduces it draw-for-draw.
+        # The core's unguarded coin (BitmapFilter.drop): a draw even at
+        # P_d = 0, unlike SPI/RED's guarded form.
         if probability >= 1.0 or rng_random() < probability:
+            dropped += 1
             out[i] = 0
             if block is not None:
                 block(pid, now)
@@ -485,6 +488,11 @@ def counting_kernel(flt: CountingBitmapFilter, table, rows, out, block) -> None:
 
     flush_counts()
     flt.deleted_on_close += deleted
+    stats = core.stats
+    stats.outbound_marked += marked
+    stats.inbound_hits += hits
+    stats.inbound_misses += misses
+    stats.inbound_dropped += dropped
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from repro.core.bitmap_filter import (
     FieldMode,
     socket_key,
 )
+from repro.core.analysis import exact_penetration_probability
 from repro.core.hashing import HashIndexMemo
 from repro.net.inet import IPPROTO_TCP, IPPROTO_UDP
 from repro.net.packet import Direction, SocketPair
@@ -346,7 +347,7 @@ class TestHashMemo:
             fields = fields[:4]
         expected = sorted(set(filt.family.indices(fields)))
         for vector in filt.vectors:
-            marked = [i for i in range(vector.size) if vector.test(i)]
+            marked = [i for i in range(vector.size) if vector.test_all([i])]
             assert marked == expected
 
     def test_eviction_never_changes_a_verdict(self):
@@ -417,6 +418,9 @@ class TestPenetration:
             for _ in range(probes)
         )
         assert hits / probes == pytest.approx(predicted, rel=0.25, abs=0.01)
+        # The closed form for 300 distinct pairs, not only U^m measured.
+        assert hits / probes == pytest.approx(
+            exact_penetration_probability(300, 2 ** 12, 3), rel=0.25, abs=0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -1,37 +1,40 @@
-"""Tests for the bit-vector substrate (one bitmap column)."""
+"""Tests for the two column types of the rotating filter core."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.core.bitvector import BitVector, vector_stats
+from repro.core.bitvector import COUNTER_MAX, BitVector, CounterVector
+from repro.core.hashing import make_hash_family
 
 
 class TestBitVectorBasics:
     def test_starts_empty(self):
         vector = BitVector(64)
         assert vector.popcount() == 0
-        assert not vector.test(0)
-        assert not vector.test(63)
+        assert not vector.test_all([0])
+        assert not vector.test_all([63])
 
     def test_set_and_test(self):
         vector = BitVector(64)
-        vector.set(5)
-        assert vector.test(5)
-        assert not vector.test(4)
-        assert not vector.test(6)
+        vector.set_many([5])
+        assert vector.test_all([5])
+        assert not vector.test_all([4])
+        assert not vector.test_all([6])
 
     def test_set_many(self):
         vector = BitVector(128)
         vector.set_many([0, 64, 127])
-        assert vector.test(0) and vector.test(64) and vector.test(127)
+        assert vector.test_all([0, 64, 127])
         assert vector.popcount() == 3
 
     def test_set_idempotent(self):
         vector = BitVector(32)
-        vector.set(10)
-        vector.set(10)
+        vector.set_many([10])
+        vector.set_many([10])
         assert vector.popcount() == 1
 
     def test_test_all(self):
@@ -59,15 +62,17 @@ class TestBitVectorBasics:
 class TestBitVectorBounds:
     def test_negative_index(self):
         with pytest.raises(IndexError):
-            BitVector(8).set(-1)
+            BitVector(8).set_many([-1])
 
     def test_index_at_size(self):
         with pytest.raises(IndexError):
-            BitVector(8).set(8)
+            BitVector(8).set_many([8])
 
     def test_test_out_of_range(self):
+        # At or beyond the size reads as unmarked; negative is an error.
+        assert not BitVector(8).test_all([8])
         with pytest.raises(IndexError):
-            BitVector(8).test(8)
+            BitVector(8).test_all([-1])
 
     def test_set_many_out_of_range(self):
         with pytest.raises(IndexError):
@@ -87,56 +92,17 @@ class TestBitVectorSerde:
 
     def test_from_bytes_rejects_overflow(self):
         vector = BitVector(16)
-        vector.set(15)
+        vector.set_many([15])
         with pytest.raises(ValueError):
             BitVector.from_bytes(vector.to_bytes(), 8)
 
-    def test_copy_is_independent(self):
-        vector = BitVector(16)
-        vector.set(3)
-        clone = vector.copy()
-        clone.set(4)
-        assert not vector.test(4)
-        assert clone.test(3)
-
-    def test_union_update(self):
-        a = BitVector(16)
-        b = BitVector(16)
-        a.set(1)
-        b.set(2)
-        a.union_update(b)
-        assert a.test(1) and a.test(2)
-
-    def test_union_size_mismatch(self):
-        with pytest.raises(ValueError):
-            BitVector(8).union_update(BitVector(16))
-
-    def test_iter_set_bits(self):
-        vector = BitVector(40)
-        vector.set_many([3, 17, 39])
-        assert list(vector.iter_set_bits()) == [3, 17, 39]
-
     def test_equality(self):
         a, b = BitVector(8), BitVector(8)
-        a.set(2)
-        b.set(2)
+        a.set_many([2])
+        b.set_many([2])
         assert a == b
-        b.set(3)
+        b.set_many([3])
         assert a != b
-
-
-class TestVectorStats:
-    def test_summary(self):
-        vectors = [BitVector(10) for _ in range(3)]
-        vectors[0].set_many([0, 1])
-        stats = vector_stats(vectors)
-        assert stats["count"] == 3
-        assert stats["max_utilization"] == pytest.approx(0.2)
-        assert stats["min_utilization"] == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            vector_stats([])
 
 
 @given(st.sets(st.integers(min_value=0, max_value=255), max_size=64))
@@ -145,7 +111,7 @@ def test_popcount_matches_set_size(indices):
     vector = BitVector(256)
     vector.set_many(indices)
     assert vector.popcount() == len(indices)
-    assert set(vector.iter_set_bits()) == indices
+    assert all(vector.test_all([index]) == (index in indices) for index in range(256))
 
 
 @given(st.sets(st.integers(min_value=0, max_value=127), min_size=1, max_size=30))
@@ -169,11 +135,150 @@ def test_popcount_fallback_matches_bit_count(indices):
     assert popcount_bytes(vector.to_bytes()) == len(indices)
 
 
+# -- CounterVector: 4-bit saturating cells over indices --------------------
+
+FAMILY = make_hash_family(3, 2 ** 14)
+
+
+def cells_of(key: int):
+    """The three cell indices of one key, from a 2^14-cell hash family."""
+    return FAMILY.indices((key,))
+
+
+class TestCounterVectorBasics:
+    def test_add_then_member(self):
+        cells = CounterVector(1024)
+        cells.set_many([3, 500, 1023])
+        assert cells.test_all([3, 500, 1023])
+
+    def test_absent_not_member(self):
+        cells = CounterVector(1024)
+        cells.set_many([3, 500, 1023])
+        assert not cells.test_all([3, 500, 1022])
+        assert not cells.test_all([1024])  # beyond the size reads as zero
+
+    def test_remove_deletes(self):
+        cells = CounterVector(1024)
+        cells.set_many([1, 2, 3])
+        assert cells.remove_many([1, 2, 3])
+        assert not cells.test_all([1, 2, 3])
+        assert not any(cells._cells)
+
+    def test_remove_absent_is_safe_noop(self):
+        cells = CounterVector(1024)
+        cells.set_many([4, 5, 6])
+        assert not cells.remove_many([4, 5, 7])
+        assert cells.test_all([4, 5, 6])
+        assert cells.removed == 0
+
+    def test_multiset_semantics(self):
+        cells = CounterVector(1024)
+        cells.set_many([7, 8, 9])
+        cells.set_many([7, 8, 9])
+        cells.remove_many([7, 8, 9])
+        assert cells.test_all([7, 8, 9])  # one copy remains
+        cells.remove_many([7, 8, 9])
+        assert not cells.test_all([7, 8, 9])
+
+    def test_remove_does_not_disturb_others(self):
+        cells = CounterVector(2 ** 14)
+        keys = [cells_of(key) for key in range(100)]
+        for indices in keys:
+            cells.set_many(indices)
+        for indices in keys[:50]:
+            assert cells.remove_many(indices)
+        assert all(cells.test_all(indices) for indices in keys[50:])
+
+    def test_set_many_out_of_range(self):
+        cells = CounterVector(8)
+        with pytest.raises(IndexError):
+            cells.set_many([3, 8])
+        with pytest.raises(IndexError):
+            cells.set_many([-1])
+        assert not any(cells._cells) and cells.added == 0
+
+
+class TestCounterVectorCounters:
+    def test_saturation(self):
+        cells = CounterVector(64)
+        for _ in range(COUNTER_MAX + 5):
+            cells.set_many([9])
+        assert cells.saturations == 5
+        assert cells.test_all([9])
+
+    def test_saturated_cell_never_decremented(self):
+        cells = CounterVector(64)
+        for _ in range(COUNTER_MAX + 5):
+            cells.set_many([8, 9])
+        for _ in range(COUNTER_MAX + 5):
+            cells.remove_many([8, 9])
+        # Saturated cells are stranded at COUNTER_MAX — still a member.
+        assert cells.test_all([8, 9])
+        assert cells._cells[4] == (COUNTER_MAX << 4) | COUNTER_MAX
+
+    def test_added_and_removed_counts(self):
+        cells = CounterVector(64)
+        for _ in range(5):
+            cells.set_many([1, 2])
+        assert cells.remove_many([1, 2])
+        assert not cells.remove_many([3])  # absent: not counted
+        assert (cells.added, cells.removed) == (5, 1)
+
+    def test_clear(self):
+        cells = CounterVector(1024)
+        for _ in range(COUNTER_MAX + 1):
+            cells.set_many([1, 2])
+        cells.remove_many([1, 2])
+        cells.clear()
+        assert not cells.test_all([1])
+        assert (cells.added, cells.removed, cells.saturations) == (0, 0, 0)
+        assert not any(cells._cells)
+
+    def test_utilization(self):
+        cells = CounterVector(1024)
+        assert cells.utilization == 0.0
+        cells.set_many([0, 1, 513])
+        cells.set_many([0])
+        assert cells.utilization == 3 / 1024
+
+    def test_memory_is_half_size_bytes(self):
+        assert CounterVector(2 ** 10).memory_bytes == 2 ** 9
+
+    def test_zero_size_rejected(self):
+        with pytest.raises(ValueError):
+            CounterVector(0)
+
+
+class TestCounterVectorDeletion:
+    def test_utilization_drops_after_removals(self):
+        rng = random.Random(7)
+        cells = CounterVector(2 ** 14)
+        keys = [cells_of(rng.getrandbits(48)) for _ in range(600)]
+        for indices in keys:
+            cells.set_many(indices)
+        before = cells.utilization
+        for indices in keys[:500]:
+            cells.remove_many(indices)
+        assert cells.utilization < before * 0.3
+
+
+@given(st.sets(st.integers(min_value=0, max_value=2 ** 48), min_size=1, max_size=40))
+@settings(max_examples=100)
+def test_counter_add_remove_roundtrip_property(keys):
+    cells = CounterVector(2 ** 14)
+    for key in keys:
+        cells.set_many(cells_of(key))
+    assert all(cells.test_all(cells_of(key)) for key in keys)
+    for key in keys:
+        assert cells.remove_many(cells_of(key))
+    # With distinct adds/removes and no saturation, everything clears.
+    assert cells.utilization == 0.0
+
+
 # -- model-based: BitVector against a Python set ---------------------------
 
 #: Not a multiple of 8, so the last byte is only partly inside the vector.
 MODEL_SIZE = 77
-in_range = st.integers(min_value=0, max_value=MODEL_SIZE - 1)
 any_index = st.integers(min_value=-3, max_value=MODEL_SIZE + 10)
 
 
@@ -188,15 +293,6 @@ class BitVectorModel(RuleBasedStateMachine):
         self.vector = BitVector(MODEL_SIZE)
         self.model = set()
 
-    @rule(index=any_index)
-    def set_one(self, index):
-        if 0 <= index < MODEL_SIZE:
-            self.vector.set(index)
-            self.model.add(index)
-        else:
-            with pytest.raises(IndexError):
-                self.vector.set(index)
-
     @rule(indices=st.lists(any_index, max_size=6))
     def set_many(self, indices):
         if all(0 <= index < MODEL_SIZE for index in indices):
@@ -206,14 +302,6 @@ class BitVectorModel(RuleBasedStateMachine):
             # All or nothing: the in-range indices stay unmarked too.
             with pytest.raises(IndexError):
                 self.vector.set_many(indices)
-
-    @rule(index=any_index)
-    def test_one(self, index):
-        if 0 <= index < MODEL_SIZE:
-            assert self.vector.test(index) == (index in self.model)
-        else:
-            with pytest.raises(IndexError):
-                self.vector.test(index)
 
     @rule(indices=st.lists(st.integers(min_value=0, max_value=MODEL_SIZE + 40),
                            max_size=4))
@@ -226,22 +314,6 @@ class BitVectorModel(RuleBasedStateMachine):
     def clear(self):
         self.vector.clear()
         self.model.clear()
-
-    @rule()
-    def copy_is_independent(self):
-        clone = self.vector.copy()
-        assert clone == self.vector
-        clone.set(0)
-        clone.set(MODEL_SIZE - 1)
-        assert self.vector.test(0) == (0 in self.model)
-        assert self.vector.test(MODEL_SIZE - 1) == (MODEL_SIZE - 1 in self.model)
-
-    @rule(other=st.sets(in_range, max_size=10))
-    def union_update(self, other):
-        vector = BitVector(MODEL_SIZE)
-        vector.set_many(other)
-        self.vector.union_update(vector)
-        self.model |= other
 
     @rule()
     def bytes_roundtrip(self):
@@ -258,7 +330,6 @@ class BitVectorModel(RuleBasedStateMachine):
     @invariant()
     def agrees_with_model(self):
         assert self.vector.popcount() == len(self.model)
-        assert list(self.vector.iter_set_bits()) == sorted(self.model)
         # Byte-identical to the int-backed layout snapshots were written in.
         assert self.vector.to_bytes() == int_layout(self.model)
 

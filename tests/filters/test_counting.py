@@ -5,6 +5,7 @@ import time
 import pytest
 
 from repro.core.bitmap_filter import BitmapFilterConfig
+from repro.core.hashing import HashFamily, HashIndexMemo
 from repro.filters.base import Verdict
 from repro.filters.counting import CountingBitmapFilter
 from repro.net.headers import TCPFlags
@@ -119,12 +120,65 @@ class TestMemoryAndReset:
             CountingBitmapFilter(half_close_timeout=0.0)
 
 
+def reachable(root, kind) -> list:
+    """Every distinct ``kind`` instance reachable through attributes and
+    containers from ``root``."""
+    found, seen, stack = {}, set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, kind):
+            found[id(obj)] = obj
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            stack.extend(getattr(obj, name) for name in getattr(type(obj), "__slots__", ())
+                         if hasattr(obj, name))
+    return list(found.values())
+
+
+class TestSharedCore:
+    """Hashing, memo and clock are the bitmap core's, one of each."""
+
+    def test_sequential_replay_reuses_the_hash_memo(self, small_trace):
+        filt = small()
+        for packet in small_trace:
+            filt.process(packet)
+        memo = filt.core.hash_memo
+        assert memo.hits > memo.misses
+
+    def test_p_d_is_read_on_a_miss_only(self):
+        # Each read may evict meter samples, which the snapshot document
+        # records; unlike the bitmap wrapper, counting reads on misses.
+        filt = small()
+        reads = []
+        probability = filt.drop_controller.probability
+        filt.drop_controller.probability = lambda now: reads.append(now) or probability(now)
+        filt.process(out_packet(t=0.0))
+        assert filt.process(in_packet(t=0.5)) is Verdict.PASS
+        assert filt.process(in_packet(pair=udp_pair().inverse, t=1.0)) is Verdict.DROP
+        assert reads == [1.0]
+
+    def test_one_hash_family_and_one_memo(self):
+        filt = small()
+        filt.process(out_packet(t=0.0))
+        assert reachable(filt, HashFamily) == [filt.core.family]
+        assert reachable(filt, HashIndexMemo) == [filt.core.hash_memo]
+        assert filt.core.hash_memo.family is filt.core.family
+
+
 def rotate_per_interval(filt: CountingBitmapFilter, now: float) -> int:
-    """Reference clock: one :meth:`CountingBitmapFilter.rotate` per Δt."""
+    """Reference clock: one core :meth:`BitmapFilter.rotate` per Δt."""
+    core = filt.core
     ran = 0
-    while now >= filt._next_rotation:
-        filt.rotate()
-        filt._next_rotation += filt.config.rotate_interval
+    while now >= core._next_rotation:
+        core.rotate()
+        core._next_rotation += filt.config.rotate_interval
         ran += 1
     if ran:
         filt._expire_half_closed(now)
@@ -152,8 +206,8 @@ class TestRotationGaps:
         capped, reference = closing_filter(2 ** 10), closing_filter(2 ** 10)
         now = 19.1 + gap
         assert capped.advance_to(now) == rotate_per_interval(reference, now)
-        assert capped.idx == reference.idx
-        assert capped._next_rotation == reference._next_rotation
+        assert capped.core.idx == reference.core.idx
+        assert capped.core._next_rotation == reference.core._next_rotation
         assert capped._half_closed == reference._half_closed
         for mine, theirs in zip(capped.columns, reference.columns):
             assert bytes(mine._cells) == bytes(theirs._cells)

@@ -139,3 +139,14 @@ def test_counting_filter_matches_bitmap_without_close_signals(seed):
             f"divergence at t={packet.timestamp:.3f} {packet.direction}"
         )
     assert counting.deleted_on_close == 0
+    # One hash family and one clock: the same counters, and every
+    # column's non-zero cells are exactly the bitmap vector's set bits.
+    assert counting.core.stats.as_dict() == bitmap.core.stats.as_dict()
+    for column, vector in zip(counting.columns, bitmap.core.vectors):
+        nonzero = {2 * position + high
+                   for position, byte in enumerate(column._cells) if byte
+                   for high in (0, 1) if (byte >> 4 if high else byte & 0x0F)}
+        marked = {8 * position + bit
+                  for position, byte in enumerate(vector.to_bytes()) if byte
+                  for bit in range(8) if byte >> bit & 1}
+        assert nonzero == marked

@@ -101,8 +101,8 @@ class TestRoundTrip:
         resumed = restore_filter(json.loads(json.dumps(flt.snapshot())))
         assert [bytes(c._cells) for c in resumed.columns] == \
             [bytes(c._cells) for c in flt.columns]
-        assert resumed.idx == flt.idx
-        assert resumed._next_rotation == flt._next_rotation
+        assert resumed.core.idx == flt.core.idx
+        assert resumed.core._next_rotation == flt.core._next_rotation
         assert resumed.deleted_on_close == flt.deleted_on_close
         assert resumed._half_closed == flt._half_closed
 
@@ -136,6 +136,20 @@ class TestRefusals:
         snapshot = FACTORIES["spi"]().snapshot()
         with pytest.raises(ValueError, match="snapshot is for filter kind"):
             TokenBucketFilter.restore(snapshot)
+
+    @pytest.mark.parametrize("field, mutate", [
+        ("columns", lambda doc: doc["columns"].__delitem__(slice(2, None))),
+        ("cells", lambda doc: doc["columns"][1]["cells"].pop()),
+        ("idx", lambda doc: doc.__setitem__("idx", doc["config"]["vectors"])),
+    ], ids=["columns", "cells", "idx"])
+    def test_malformed_counting_snapshot_rejected(self, field, mutate):
+        flt = FACTORIES["counting-bitmap"]()
+        for packet in trace(seed=9, duration=8.0):
+            flt.process(packet)
+        document = json.loads(json.dumps(flt.snapshot()))
+        mutate(document)
+        with pytest.raises(ValueError, match=field):
+            restore_filter(document)
 
     @pytest.mark.parametrize("name", sorted(FACTORIES))
     def test_reanchor_clock_rejected(self, name):

@@ -59,6 +59,12 @@ def offline_result():
     )
 
 
+def chunks_in_latest_snapshot(directory):
+    """``chunks_done`` of the newest snapshot, or -1 when none exists."""
+    path = latest_snapshot(directory)
+    return -1 if path is None else read_snapshot(path)["chunks_done"]
+
+
 def run_in_thread(service):
     """Run a service's event loop in a daemon thread; returns (thread, box)
     where ``box["result"]``/``box["error"]`` is filled on exit."""
@@ -294,7 +300,10 @@ class TestPeriodicSnapshots:
             )
             run_task = asyncio.create_task(service.run())
             deadline = asyncio.get_running_loop().time() + 5.0
-            while latest_snapshot(str(tmp_path)) is None:
+            # The snapshotter also fires while the first chunk is still
+            # being generated (a cold generator takes longer than one
+            # interval), so wait for a snapshot taken after a chunk.
+            while chunks_in_latest_snapshot(str(tmp_path)) < 1:
                 if asyncio.get_running_loop().time() > deadline:
                     break
                 await asyncio.sleep(0.02)

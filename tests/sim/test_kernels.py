@@ -168,8 +168,9 @@ class TestRngConsumption:
 
     SPI and the RED policer guard the draw with ``probability > 0.0`` —
     a no-drop phase must not consume from the stream.  The counting
-    filter's historical form draws on every miss regardless; the kernels
-    reproduce each form draw-for-draw rather than normalizing them.
+    filter tosses the bitmap core's coin, which draws on every miss
+    regardless; the kernels reproduce each form draw-for-draw rather than
+    normalizing them.
     """
 
     def run_both(self, make):
@@ -208,7 +209,7 @@ class TestRngConsumption:
         for flt in self.run_both(lambda: CountingBitmapFilter(
                 SMALL_CONFIG, drop_controller=DropController.never_drop(),
                 rng=random.Random(7))):
-            assert flt._rng.getstate() != pristine
+            assert flt.core._rng.getstate() != pristine
             assert flt.stats.as_dict()["dropped_inbound"] == 0
 
     def test_spi_and_red_guarded_forms_agree(self):
