@@ -96,6 +96,13 @@ class BitmapFilterConfig:
             raise ValueError(f"need k >= 2 vectors, got {self.vectors}")
         if self.hashes < 1:
             raise ValueError(f"need m >= 1 hash functions, got {self.hashes}")
+        if self.hashes > self.size:
+            # h_i = h1 + i·h2 mod N with h2 odd repeats a cell only once
+            # i reaches N: a key's m cells are distinct exactly when m <= N.
+            raise ValueError(
+                f"need m <= N so a key's cells are distinct, got "
+                f"m={self.hashes}, N={self.size}"
+            )
         if self.rotate_interval <= 0:
             raise ValueError(f"Δt must be positive, got {self.rotate_interval}")
 

@@ -16,7 +16,7 @@ filter, "Summary Cache", 1998).
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Dict, Iterable
 
 _BYTE_POPCOUNT = bytes(bin(i).count("1") for i in range(256))
 
@@ -36,6 +36,18 @@ else:  # pragma: no cover - exercised on Python 3.9 only
 def _popcount_fallback(data) -> int:
     """Per-byte table popcount, kept importable for tests/benchmarks."""
     return sum(data.translate(_BYTE_POPCOUNT))
+
+
+_ZEROS: Dict[int, bytes] = {}
+
+
+def _zeros(length: int) -> bytes:
+    """One shared all-zero buffer per length: a column wipe copies it in
+    place rather than allocating ``length`` fresh bytes per rotation."""
+    zeros = _ZEROS.get(length)
+    if zeros is None:
+        zeros = _ZEROS[length] = bytes(length)
+    return zeros
 
 
 class BitVector:
@@ -78,7 +90,7 @@ class BitVector:
 
     def clear(self) -> None:
         """Reset every bit to zero in place (``b.rotate``'s per-vector wipe)."""
-        self._buf[:] = bytes(len(self._buf))
+        self._buf[:] = _zeros(len(self._buf))
 
     def popcount(self) -> int:
         """Number of marked bits — the ``b`` of Equation 2's ``U = b/N``."""
@@ -206,7 +218,7 @@ class CounterVector:
 
     def clear(self) -> None:
         """Zero every cell and the three counters, in place."""
-        self._cells[:] = bytes(len(self._cells))
+        self._cells[:] = _zeros(len(self._cells))
         self.added = 0
         self.removed = 0
         self.saturations = 0

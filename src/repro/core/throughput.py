@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, Optional, Sequence, Tuple
 
 
 class ThroughputMeter(ABC):
@@ -22,6 +22,13 @@ class ThroughputMeter(ABC):
     @abstractmethod
     def record(self, timestamp: float, size_bytes: int) -> None:
         """Account one packet of ``size_bytes`` at ``timestamp`` seconds."""
+
+    def record_many(self, timestamps: Sequence[float], sizes: Sequence[int]) -> None:
+        """Account a batch of packets: the same as :meth:`record` on each
+        ``(timestamp, size)`` pair in order."""
+        record = self.record
+        for timestamp, size_bytes in zip(timestamps, sizes):
+            record(timestamp, size_bytes)
 
     @abstractmethod
     def rate_bps(self, now: float) -> float:
@@ -72,6 +79,25 @@ class SlidingWindowMeter(ThroughputMeter):
         self._entries.append((timestamp, size_bytes))
         self._total_bytes += size_bytes
         self._evict(timestamp)
+
+    def record_many(self, timestamps: Sequence[float], sizes: Sequence[int]) -> None:
+        """Append the batch, then evict once at its largest horizon.
+
+        Equal to a :meth:`record` loop in any timestamp order: the sample
+        with the largest timestamp sets the largest horizon, is never
+        evicted by it, and so shields every sample appended behind it.
+        A negative size is rejected before anything changes.
+        """
+        if not timestamps:
+            return
+        if min(sizes) < 0:
+            negative = next(size for size in sizes if size < 0)
+            raise ValueError(f"negative size: {negative}")
+        if self._first_time is None:
+            self._first_time = timestamps[0]
+        self._entries.extend(zip(timestamps, sizes))
+        self._total_bytes += sum(sizes)
+        self._evict(max(timestamps))
 
     def _evict(self, now: float) -> None:
         horizon = now - self.window

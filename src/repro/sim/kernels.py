@@ -15,6 +15,16 @@ of the filter's reference ``decide`` and nothing more:
   :data:`~repro.filters.base.CODE_DROP` (0) — and calls ``block(pair_id,
   now)`` on an inbound drop when a blocklist is attached.
 
+Outbound samples bound for a filter's uplink meter are staged in two
+local lists and land through one :meth:`ThroughputMeter.record_many
+<repro.core.throughput.ThroughputMeter.record_many>` call before every
+rate read that decides a verdict, and at table end.  A rate read that
+decides nothing — a static policy's, or the bitmap filter's on a hit
+under a policy that only maps the rate — only evicts samples, so it is
+skipped and its time noted; the meter is evicted to the latest such time
+at table end (:func:`_settle_meter`), or as soon as a row's timestamp
+goes back before it.  Every path therefore leaves the same meter.
+
 Everything around the filter — the blocked-σ gate
 (:meth:`~repro.filters.blocklist.BlockedConnectionStore.gate`), the
 offered/passed series and drop windows (:func:`repro.sim.metrics.record_rows`)
@@ -32,10 +42,11 @@ hold it to.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.bitmap_filter import FieldMode, socket_key
-from repro.core.dropper import RedDropPolicy, StaticDropPolicy
+from repro.core.dropper import RedDropPolicy, StaticDropPolicy, SteppedDropPolicy
 from repro.filters.base import CODE_PASS, PacketFilter, Verdict
 from repro.filters.bitmap import BitmapPacketFilter
 from repro.filters.chain import FilterChain
@@ -116,10 +127,40 @@ def _static_probability(policy) -> Optional[float]:
     """A static policy's constant ``P_d``, else None.
 
     A static policy ignores the measured rate, so the per-packet
-    ``rate_bps`` read (pure: its lazy eviction never changes a later
-    reading) is skipped and the constant hoisted out of the loop.
+    ``rate_bps`` read is skipped (its eviction is deferred, see
+    :func:`_settle_meter`) and the constant hoisted out of the loop.
     """
     return policy.probability(0.0) if isinstance(policy, StaticDropPolicy) else None
+
+
+def _pure_policy(policy) -> bool:
+    """True when ``P_d`` is a pure function of the rate, so a read whose
+    value decides nothing may be skipped.  A stateful policy (the
+    integrating :class:`~repro.core.autotune.TargetRateController`) must
+    see every read its filter's ``decide`` makes."""
+    return isinstance(policy, (StaticDropPolicy, RedDropPolicy, SteppedDropPolicy))
+
+
+def _land_uploads(meter, times: List[float], sizes: List[int]) -> None:
+    """Record the staged outbound samples in one batch and empty the stage."""
+    if times:
+        meter.record_many(times, sizes)
+        times.clear()
+        sizes.clear()
+
+
+def _settle_meter(meter, times: List[float], sizes: List[int], skipped: float) -> None:
+    """Land the staged samples, then evict as the skipped rate read at
+    ``skipped`` would have (``-inf``: none is pending).
+
+    Eviction pops the oldest samples below a horizon, so while
+    timestamps do not go back, one eviction at the latest skipped read
+    leaves what evicting at each of them did; a kernel settles early
+    when a row's timestamp goes back before ``skipped``.
+    """
+    _land_uploads(meter, times, sizes)
+    if skipped > -inf:
+        meter.rate_bps(skipped)
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +184,9 @@ def bitmap_kernel(flt: BitmapPacketFilter, table, rows, out, block) -> None:
       RNG, keeping the draw order intact.
 
     Rotation wipes a vector in place, so the buffer references stay valid
-    for the whole table.
+    for the whole table.  ``decide`` reads the uplink rate on every
+    inbound packet; only a miss under a non-static policy needs its value,
+    and only a stateful policy needs the read on a hit.
     """
     core = flt.core
     keys, slots = _flow_keys(
@@ -160,11 +203,19 @@ def bitmap_kernel(flt: BitmapPacketFilter, table, rows, out, block) -> None:
     bufs = [vector._buf for vector in core.vectors]
     rng_random = core._rng.random
     controller = flt.drop_controller
-    record_upload = controller.meter.record
+    meter = controller.meter
     static_p = _static_probability(controller.policy)
+    read_on_hit = not _pure_policy(controller.policy)
     probability_at = controller.probability
+    up_times: List[float] = []
+    up_sizes: List[int] = []
+    stage_time = up_times.append
+    stage_size = up_sizes.append
+    skipped = -inf  # time of the latest rate read not yet applied
     marked = hits = misses = dropped = 0
     next_rotation = core._next_rotation
+    if next_rotation is None:
+        next_rotation = -inf  # unanchored: the first row anchors the clock
     current = bufs[core.idx]
 
     # Rotation generation: flow caches are valid exactly while no vector
@@ -176,11 +227,15 @@ def bitmap_kernel(flt: BitmapPacketFilter, table, rows, out, block) -> None:
     hit_get = hit_gen.get
 
     for i, now, size, is_out, pid, _ in rows:
-        if next_rotation is None or now >= next_rotation:
-            if core.advance_to(now):
-                generation += 1
-            next_rotation = core._next_rotation
-            current = bufs[core.idx]
+        if not skipped <= now < next_rotation:
+            if now < skipped:
+                _settle_meter(meter, up_times, up_sizes, skipped)
+                skipped = -inf
+            if now >= next_rotation:
+                if core.advance_to(now):
+                    generation += 1
+                next_rotation = core._next_rotation
+                current = bufs[core.idx]
 
         if is_out:
             if marked_get(pid) != generation:
@@ -191,7 +246,8 @@ def bitmap_kernel(flt: BitmapPacketFilter, table, rows, out, block) -> None:
                     for buf in bufs:
                         buf[byte] |= bit
             marked += 1
-            record_upload(now, size)
+            stage_time(now)
+            stage_size(size)
             out[i] = 1
             continue
 
@@ -203,7 +259,13 @@ def bitmap_kernel(flt: BitmapPacketFilter, table, rows, out, block) -> None:
                     break
             if not hit:
                 misses += 1
-                probability = static_p if static_p is not None else probability_at(now)
+                if static_p is None:
+                    if up_times:
+                        _land_uploads(meter, up_times, up_sizes)
+                    probability = probability_at(now)
+                else:
+                    probability = static_p
+                    skipped = now
                 if probability >= 1.0 or rng_random() < probability:
                     dropped += 1
                     out[i] = 0
@@ -214,8 +276,15 @@ def bitmap_kernel(flt: BitmapPacketFilter, table, rows, out, block) -> None:
                 continue
             hit_gen[pid] = generation
         hits += 1
+        if read_on_hit:
+            if up_times:
+                _land_uploads(meter, up_times, up_sizes)
+            probability_at(now)
+        else:
+            skipped = now
         out[i] = 1
 
+    _settle_meter(meter, up_times, up_sizes, skipped)
     stats = core.stats
     stats.outbound_marked += marked
     stats.inbound_hits += hits
@@ -232,7 +301,8 @@ def bitmap_kernel(flt: BitmapPacketFilter, table, rows, out, block) -> None:
 def spi_kernel(flt: SPIFilter, table, rows, out, block) -> None:
     """Inlines :meth:`SPIFilter.decide`: GC clock, flow install/refresh,
     TCP close tracking and the guarded ``P_d`` draw.  The canonical pair
-    (the flow key) is computed once per interned flow."""
+    (the flow key) is computed once per interned flow; the uplink rate is
+    read on a miss."""
     pairs = table.pairs
     canon_keys: List[Optional[object]] = [None] * len(pairs)
     tcp_flags = bytearray(len(pairs))
@@ -243,26 +313,37 @@ def spi_kernel(flt: SPIFilter, table, rows, out, block) -> None:
     peak_flows = flt.peak_flows
     rng_random = flt._rng.random
     controller = flt.drop_controller
-    record_upload = controller.meter.record
+    meter = controller.meter
     static_p = _static_probability(controller.policy)
     probability_at = controller.probability
+    up_times: List[float] = []
+    up_sizes: List[int] = []
+    stage_time = up_times.append
+    stage_size = up_sizes.append
+    skipped = -inf  # time of the latest rate read not yet applied
     idle = flt.idle_timeout
     time_wait = flt.time_wait
     gc_interval = flt._gc_interval
     next_gc = flt._next_gc
+    if next_gc is None:
+        next_gc = -inf  # unanchored: the first row anchors the GC clock
 
     for i, now, size, is_out, pid, fl in rows:
-        # Inlined SPIFilter._maybe_gc.
-        if next_gc is None:
-            next_gc = now + gc_interval
-        elif now >= next_gc:
-            next_gc = now + gc_interval
-            for stale_key in [
-                key for key, state in flow_table.items()
-                if (now > state.expires_at if state.expires_at is not None
-                    else now - state.last_seen > idle)
-            ]:
-                del flow_table[stale_key]
+        if not skipped <= now < next_gc:
+            if now < skipped:
+                _settle_meter(meter, up_times, up_sizes, skipped)
+                skipped = -inf
+            # Inlined SPIFilter._maybe_gc.
+            if next_gc == -inf:
+                next_gc = now + gc_interval
+            elif now >= next_gc:
+                next_gc = now + gc_interval
+                for stale_key in [
+                    key for key, state in flow_table.items()
+                    if (now > state.expires_at if state.expires_at is not None
+                        else now - state.last_seen > idle)
+                ]:
+                    del flow_table[stale_key]
 
         key = canon_keys[pid]
         if key is None:
@@ -286,7 +367,8 @@ def spi_kernel(flt: SPIFilter, table, rows, out, block) -> None:
                     state.fin_fwd = True
                     if state.fin_rev:
                         state.expires_at = now + time_wait
-            record_upload(now, size)
+            stage_time(now)
+            stage_size(size)
             out[i] = 1
             continue
 
@@ -306,7 +388,13 @@ def spi_kernel(flt: SPIFilter, table, rows, out, block) -> None:
                 out[i] = 1
                 continue
             del flow_table[key]
-        probability = static_p if static_p is not None else probability_at(now)
+        if static_p is None:
+            if up_times:
+                _land_uploads(meter, up_times, up_sizes)
+            probability = probability_at(now)
+        else:
+            probability = static_p
+            skipped = now
         if probability >= 1.0 or (probability > 0.0 and rng_random() < probability):
             out[i] = 0
             if block is not None:
@@ -314,7 +402,8 @@ def spi_kernel(flt: SPIFilter, table, rows, out, block) -> None:
         else:
             out[i] = 1
 
-    flt._next_gc = next_gc
+    _settle_meter(meter, up_times, up_sizes, skipped)
+    flt._next_gc = None if next_gc == -inf else next_gc
     flt.peak_flows = peak_flows
 
 
@@ -328,13 +417,21 @@ def counting_kernel(flt: CountingBitmapFilter, table, rows, out, block) -> None:
     """4-bit nibble arithmetic directly on the core's cell bytearrays.
 
     Each flow hashes at most once per direction per table through the
-    core's hash memo (all columns share one hash geometry).  Per-column
-    ``added``/``saturations`` counters are staged locally and flushed
-    *before* every rotation so the vacated column's ``clear()`` zeroes
-    exactly what the per-packet path would have zeroed; the core's mark,
-    hit, miss and drop counts land once per table.  Deletion (FIN/RST) is
-    rare and runs inline against the staged cells, reusing the flow's
-    cached indices.
+    core's hash memo (all columns share one hash geometry).
+
+    An outbound packet whose m cells in the *current* column are all
+    non-zero only counts one more deferred increment for its flow; any
+    other applies its increments to all k columns at once.  Deferral is
+    exact: saturating increments commute (n of them take a cell at c to
+    min(c + n, 15) with max(0, c + n − 15) saturations), a lookup reads
+    only whether a current cell is non-zero, which a deferred increment
+    cannot change, and a deletion is the only reader of counts.  So the
+    deferred increments land before a rotation clears a column, before a
+    deletion for the flows sharing a cell with the deleted key, and at
+    table end.  Per-column ``added`` / ``saturations`` are staged and land
+    with them; the core's mark, hit, miss and drop counts land once per
+    table.  Deletion (FIN/RST) runs inline, in closed form, reusing the
+    flow's cached indices.
     """
     core = flt.core
     k = core.config.vectors
@@ -363,52 +460,94 @@ def counting_kernel(flt: CountingBitmapFilter, table, rows, out, block) -> None:
     half_closed = flt._half_closed
     rng_random = core._rng.random
     controller = flt.drop_controller
-    record_upload = controller.meter.record
+    meter = controller.meter
     static_p = _static_probability(controller.policy)
     probability_at = controller.probability
+    up_times: List[float] = []
+    up_sizes: List[int] = []
+    stage_time = up_times.append
+    stage_size = up_sizes.append
+    skipped = -inf  # time of the latest rate read not yet applied
     next_rotation = core._next_rotation
+    if next_rotation is None:
+        next_rotation = -inf  # unanchored: the first row anchors the clock
     current_cells = cells_list[core.idx]
 
-    added = [0] * k
+    #: Outbound flow → increments deferred since its current cells were
+    #: all found non-zero.
+    pending: Dict[int, int] = {}
+    pending_get = pending.get
+    #: Cell → flows that started deferring on it (some since landed), so
+    #: a deletion finds the deferred flows sharing one of its cells.
+    sharers: Dict[int, List[int]] = {}
+    sharers_get = sharers.get
     saturations = [0] * k
-    marked = hits = misses = dropped = deleted = 0
+    marked = landed = hits = misses = dropped = deleted = 0
 
-    def flush_counts() -> None:
+    def increment(indices: Tuple[int, ...], count: int) -> None:
         for position in range(k):
-            if added[position]:
-                columns[position].added += added[position]
-                added[position] = 0
-            if saturations[position]:
-                columns[position].saturations += saturations[position]
-                saturations[position] = 0
+            cells = cells_list[position]
+            sat = 0
+            for index in indices:
+                byte_pos = index >> 1
+                byte = cells[byte_pos]
+                if index & 1:
+                    total = (byte >> 4) + count
+                    if total > 15:
+                        sat += total - 15
+                        total = 15
+                    cells[byte_pos] = (byte & 0x0F) | (total << 4)
+                else:
+                    total = (byte & 0x0F) + count
+                    if total > 15:
+                        sat += total - 15
+                        total = 15
+                    cells[byte_pos] = (byte & 0xF0) | total
+            if sat:
+                saturations[position] += sat
+
+    def land(added: int) -> None:
+        # Every deferred increment and staged counter, before a rotation
+        # clears a column and at table end.
+        for pid, count in pending.items():
+            increment(idx_out[pid], count)
+        pending.clear()
+        sharers.clear()
+        for position, column in enumerate(columns):
+            column.added += added
+            column.saturations += saturations[position]
+            saturations[position] = 0
 
     def delete_key(indices: Tuple[int, ...]) -> None:
-        # CountingBitmapFilter._delete + CounterVector.remove_many,
-        # reusing the cached indices: decrement until the key stops
-        # testing positive in each column (saturated cells untouched).
+        # CountingBitmapFilter._delete in closed form.  Its loop takes one
+        # from each non-saturated cell per round until one reaches zero;
+        # a key's cells are distinct (m <= N), so that is R rounds, R the
+        # smallest non-saturated count (the loop's cap of 16 when every
+        # cell is saturated).
         nonlocal deleted
+        for index in indices:
+            for pid in sharers.pop(index, ()):
+                count = pending.pop(pid, 0)
+                if count:
+                    increment(idx_out[pid], count)
         for column, cells in zip(columns, cells_list):
-            for _ in range(16):
-                member = True
-                for index in indices:
-                    byte = cells[index >> 1]
-                    if not (byte >> 4 if index & 1 else byte & 0x0F):
-                        member = False
-                        break
-                if not member:
-                    break
-                for index in indices:
-                    position = index >> 1
-                    byte = cells[position]
-                    if index & 1:
-                        count = byte >> 4
-                        if count < 15:
-                            cells[position] = (byte & 0x0F) | ((count - 1) << 4)
-                    else:
-                        count = byte & 0x0F
-                        if count < 15:
-                            cells[position] = (byte & 0xF0) | (count - 1)
-                column.removed += 1
+            rounds = 16
+            for index in indices:
+                byte = cells[index >> 1]
+                count = byte >> 4 if index & 1 else byte & 0x0F
+                if count < rounds and count < 15:
+                    rounds = count
+            if not rounds:
+                continue
+            for index in indices:
+                position = index >> 1
+                byte = cells[position]
+                if index & 1:
+                    if byte >> 4 < 15:
+                        cells[position] = byte - (rounds << 4)
+                elif byte & 0x0F < 15:
+                    cells[position] = byte - rounds
+            column.removed += rounds
         deleted += 1
 
     def track_close(indices, key, fl, now) -> None:
@@ -423,41 +562,43 @@ def counting_kernel(flt: CountingBitmapFilter, table, rows, out, block) -> None:
                 half_closed[key] = now
 
     for i, now, size, is_out, pid, fl in rows:
-        # CountingBitmapFilter.advance_to — rare; staged counters must
-        # land before the core's rotate() clears the vacated column.
-        if next_rotation is None or now >= next_rotation:
-            flush_counts()
-            flt.advance_to(now)
-            next_rotation = core._next_rotation
-            current_cells = cells_list[core.idx]
+        if not skipped <= now < next_rotation:
+            if now < skipped:
+                _settle_meter(meter, up_times, up_sizes, skipped)
+                skipped = -inf
+            if now >= next_rotation:
+                # CountingBitmapFilter.advance_to: deferred increments and
+                # staged counters land before rotate() clears a column.
+                land(marked - landed)
+                landed = marked
+                flt.advance_to(now)
+                next_rotation = core._next_rotation
+                current_cells = cells_list[core.idx]
 
         if is_out:
-            indices = idx_out[pid]
-            for position in range(k):
-                cells = cells_list[position]
-                sat = 0
+            count = pending_get(pid)
+            if count:
+                pending[pid] = count + 1
+            else:
+                indices = idx_out[pid]
                 for index in indices:
-                    byte_pos = index >> 1
-                    byte = cells[byte_pos]
-                    if index & 1:
-                        count = byte >> 4
-                        if count < 15:
-                            cells[byte_pos] = (byte & 0x0F) | ((count + 1) << 4)
+                    byte = current_cells[index >> 1]
+                    if not (byte >> 4 if index & 1 else byte & 0x0F):
+                        increment(indices, 1)
+                        break
+                else:
+                    pending[pid] = 1
+                    for index in indices:
+                        flows = sharers_get(index)
+                        if flows is None:
+                            sharers[index] = [pid]
                         else:
-                            sat += 1
-                    else:
-                        count = byte & 0x0F
-                        if count < 15:
-                            cells[byte_pos] = (byte & 0xF0) | (count + 1)
-                        else:
-                            sat += 1
-                added[position] += 1
-                if sat:
-                    saturations[position] += sat
+                            flows.append(pid)
             marked += 1
-            record_upload(now, size)
+            stage_time(now)
+            stage_size(size)
             if tcp_flags[pid] and fl & 0x05:
-                track_close(indices, key_out[pid], fl, now)
+                track_close(idx_out[pid], key_out[pid], fl, now)
             out[i] = 1
             continue
 
@@ -475,7 +616,13 @@ def counting_kernel(flt: CountingBitmapFilter, table, rows, out, block) -> None:
             out[i] = 1
             continue
         misses += 1
-        probability = static_p if static_p is not None else probability_at(now)
+        if static_p is None:
+            if up_times:
+                _land_uploads(meter, up_times, up_sizes)
+            probability = probability_at(now)
+        else:
+            probability = static_p
+            skipped = now
         # The core's unguarded coin (BitmapFilter.drop): a draw even at
         # P_d = 0, unlike SPI/RED's guarded form.
         if probability >= 1.0 or rng_random() < probability:
@@ -486,7 +633,8 @@ def counting_kernel(flt: CountingBitmapFilter, table, rows, out, block) -> None:
         else:
             out[i] = 1
 
-    flush_counts()
+    land(marked - landed)
+    _settle_meter(meter, up_times, up_sizes, skipped)
     flt.deleted_on_close += deleted
     stats = core.stats
     stats.outbound_marked += marked
@@ -538,12 +686,14 @@ def red_policer_kernel(flt: RedPolicerFilter, table, rows, out, block) -> None:
     ``P_d`` is read from the meter *before* the verdict and the meter is
     fed only by passed policed-direction packets, so the probability
     trajectory depends on earlier drops — the loop stays strictly
-    sequential (no precomputed probability column).
+    sequential (no precomputed probability column).  A static policy's
+    reads only evict, so they are deferred to table end.
     """
     policy = flt.policy
     meter = flt.meter
     rate_bps = meter.rate_bps
     meter_record = meter.record
+    skipped = -inf  # time of the latest rate read not yet applied
     rng_random = flt._rng.random
     policed_out = 1 if flt.direction is Direction.OUTBOUND else 0
     static_p = _static_probability(policy)
@@ -560,6 +710,9 @@ def red_policer_kernel(flt: RedPolicerFilter, table, rows, out, block) -> None:
             continue
         if static_p is not None:
             probability = static_p
+            if now < skipped:
+                rate_bps(skipped)
+            skipped = now
         else:
             throughput = rate_bps(now)
             if red_low is not None:
@@ -579,6 +732,9 @@ def red_policer_kernel(flt: RedPolicerFilter, table, rows, out, block) -> None:
         else:
             meter_record(now, size)
             out[i] = 1
+
+    if skipped > -inf:
+        rate_bps(skipped)
 
 
 # ----------------------------------------------------------------------

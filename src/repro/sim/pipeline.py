@@ -46,13 +46,14 @@ downgrading.
 
 from __future__ import annotations
 
+import sys
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
-from repro.filters.base import PacketFilter, Verdict
+from repro.filters.base import CODE_DROP, CODE_PASS, PacketFilter, Verdict
 from repro.filters.blocklist import BlockedConnectionStore
 from repro.net.packet import Direction, Packet
 from repro.net.table import PacketTable
@@ -132,21 +133,68 @@ class PipelineConfig:
 FINGERPRINT_SEED = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _FNV_MASK = (1 << 64) - 1
+#: P⁸ mod 2⁶⁴: the multiplier of one eight-row block.
+_FNV_PRIME_8 = pow(_FNV_PRIME, 8, 1 << 64)
+#: Row code → 1 for a drop (CODE_DROP or CODE_UNSEEN), 0 for a pass.
+_DROP_BITS = bytes(code != CODE_PASS for code in range(256))
+#: Row code → 1 for a pass, 0 otherwise.
+_PASS_BITS = bytes(code == CODE_PASS for code in range(256))
+#: The one-row code buffers of a per-packet verdict.
+_PASS_CODE = bytes((CODE_PASS,))
+_DROP_CODE = bytes((CODE_DROP,))
+#: (block word | low-2-bit state << 1) → block constant; see
+#: :func:`_block_offsets`.
+_BLOCK_OFFSETS: Optional[Dict[int, int]] = None
 
 
-def fingerprint_verdicts(fingerprint: int, verdicts: Iterable[Verdict]) -> int:
-    """Fold a verdict sequence into a running 64-bit FNV-1a fingerprint.
+def _block_offsets() -> Dict[int, int]:
+    """The constant C of every eight-row fold: h′ = h·P⁸ + C (mod 2⁶⁴).
 
+    A fold XORs in 1 (pass) or 2 (drop), which touches only the low two
+    bits, and the FNV prime is odd, so those bits evolve on their own:
+    C is fixed by the block's drop pattern and h's low two bits.  The
+    key is the block's eight 0/1 drop bytes read as one native 64-bit
+    word (bits 1–2 always clear) OR'd with the state shifted left one.
+    Built on first use (1,024 entries), not at import.
+    """
+    global _BLOCK_OFFSETS
+    offsets: Dict[int, int] = {}
+    for pattern in range(256):
+        drops = bytes((pattern >> row) & 1 for row in range(8))
+        word = int.from_bytes(drops, sys.byteorder)
+        for state in range(4):
+            folded = state
+            for drop in drops:
+                folded = ((folded ^ (2 if drop else 1)) * _FNV_PRIME) & _FNV_MASK
+            offsets[word | state << 1] = (folded - state * _FNV_PRIME_8) & _FNV_MASK
+    _BLOCK_OFFSETS = offsets
+    return offsets
+
+
+def fingerprint_verdicts(fingerprint: int, codes) -> int:
+    """Fold verdict codes into a running 64-bit FNV-1a fingerprint.
+
+    ``codes`` holds one row code per verdict (a ``bytes``-like buffer:
+    :data:`~repro.filters.base.CODE_PASS` folds in 1, any other code 2).
     The fingerprint is a pure function of the verdict *sequence* —
     independent of chunking, batching or representation — so two replays
     of the same stream compare with one integer, and a service warm
     restart can persist the accumulator (a plain int) and keep folding.
-    Start from :data:`FINGERPRINT_SEED`.
+    Start from :data:`FINGERPRINT_SEED`.  Whole eight-row blocks fold in
+    one step each (:func:`_block_offsets`), the rest row by row.
     """
-    DROP = Verdict.DROP
-    for verdict in verdicts:
+    whole = len(codes) & -8
+    if whole:
+        offsets = _BLOCK_OFFSETS or _block_offsets()
+        drops = memoryview(codes.translate(_DROP_BITS))[:whole].cast("Q")
+        for word in drops:
+            fingerprint = (
+                fingerprint * _FNV_PRIME_8 + offsets[word | (fingerprint & 3) << 1]
+            ) & _FNV_MASK
+        codes = codes[whole:]
+    for code in codes:
         fingerprint = (
-            (fingerprint ^ (2 if verdict is DROP else 1)) * _FNV_PRIME
+            (fingerprint ^ (1 if code == CODE_PASS else 2)) * _FNV_PRIME
         ) & _FNV_MASK
     return fingerprint
 
@@ -243,14 +291,17 @@ class ReplayPipeline:
             if verdict is Verdict.DROP:
                 self.dropped += 1
         if self.fingerprint is not None:
-            self.fingerprint = fingerprint_verdicts(self.fingerprint, (verdict,))
+            self.fingerprint = fingerprint_verdicts(
+                self.fingerprint, _PASS_CODE if verdict is Verdict.PASS else _DROP_CODE
+            )
         return verdict
 
     # -- chunked traversal ----------------------------------------------
 
-    def process_table(self, table: PacketTable) -> List[Verdict]:
+    def process_table(self, table: PacketTable) -> bytearray:
         """Run a timestamp-ordered :class:`PacketTable` through all five
-        stages; identical to ``[self.process(p) for p in table]``.
+        stages; identical to ``[self.process(p) for p in table]``, as one
+        verdict code per row (see :meth:`EdgeRouter.process_table`).
 
         Without a scheduler the whole table goes through
         :meth:`EdgeRouter.process_table` in one piece.  With one, the
@@ -263,7 +314,7 @@ class ReplayPipeline:
         """
         total = len(table)
         if not total:
-            return []
+            return bytearray()
         timestamps = table.timestamps
         if self.first_ts is None:
             self.first_ts = timestamps[0]
@@ -271,7 +322,7 @@ class ReplayPipeline:
         scheduler = self.scheduler
         if scheduler is None:
             return self._run_table_chunk(table)
-        verdicts: List[Verdict] = []
+        codes = bytearray()
         position = 0
         while position < total:
             next_fire = scheduler.next_time()
@@ -285,28 +336,27 @@ class ReplayPipeline:
                     table if end - position == total
                     else table.slice(position, end)
                 )
-                verdicts.extend(self._run_table_chunk(segment))
+                codes += self._run_table_chunk(segment)
                 position = end
             if next_fire is None:
                 break
             if position < total:
                 scheduler.advance_to(timestamps[position])
-        return verdicts
+        return codes
 
-    def _run_table_chunk(self, chunk: PacketTable) -> List[Verdict]:
-        verdicts = self.router.process_table(chunk)
-        inbound = dropped = 0
-        DROP = Verdict.DROP
-        for is_out, verdict in zip(chunk.outbound, verdicts):
-            if not is_out:
-                inbound += 1
-                if verdict is DROP:
-                    dropped += 1
-        self.inbound += inbound
-        self.dropped += dropped
+    def _run_table_chunk(self, chunk: PacketTable) -> bytearray:
+        codes = self.router.process_table(chunk)
+        total = len(codes)
+        outbound = bytes(chunk.outbound)
+        # One byte per row, 1 when the row is outbound or passed: the
+        # zero bytes are the inbound drops.
+        kept = (int.from_bytes(outbound, "little")
+                | int.from_bytes(codes.translate(_PASS_BITS), "little"))
+        self.inbound += total - outbound.count(1)
+        self.dropped += kept.to_bytes(total, "little").count(0)
         if self.fingerprint is not None:
-            self.fingerprint = fingerprint_verdicts(self.fingerprint, verdicts)
-        return verdicts
+            self.fingerprint = fingerprint_verdicts(self.fingerprint, codes)
+        return codes
 
     # -- lane merging (parallel backend) --------------------------------
 
@@ -380,18 +430,20 @@ class ReplayStepper:
         self.per_packet = per_packet
         self._finished = False
 
-    def feed(self, chunk) -> List[Verdict]:
-        """Run one timestamp-ordered chunk through the open pipeline."""
+    def feed(self, chunk) -> bytearray:
+        """Run one timestamp-ordered chunk through the open pipeline;
+        returns one verdict code per row, as
+        :meth:`ReplayPipeline.process_table` does."""
         if self._finished:
             raise RuntimeError("stepper already finished")
         pipeline = self.pipeline
         if self.per_packet:
-            process = pipeline.process
-            return [process(packet) for packet in iter_packetlike(chunk)]
-        verdicts: List[Verdict] = []
+            process, PASS = pipeline.process, Verdict.PASS
+            return bytearray(process(packet) is PASS for packet in iter_packetlike(chunk))
+        codes = bytearray()
         for table in iter_chunks(chunk, self.chunk_size):
-            verdicts.extend(pipeline.process_table(table))
-        return verdicts
+            codes += pipeline.process_table(table)
+        return codes
 
     def finish(self) -> ReplayResult:
         """Close the pipeline and assemble the result (idempotent guard:

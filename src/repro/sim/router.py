@@ -14,16 +14,13 @@ one accounting pass over the whole table.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.filters.base import CODE_UNSEEN, PacketFilter, Verdict
 from repro.filters.blocklist import BlockedConnectionStore
 from repro.net.packet import Direction, Packet
 from repro.sim.kernels import kernel_for, table_rows
 from repro.sim.metrics import DropRateSampler, ThroughputSeries, record_rows
-
-#: Verdict of each row code (CODE_DROP, CODE_PASS, CODE_UNSEEN).
-_VERDICT_OF_CODE = (Verdict.DROP, Verdict.PASS, Verdict.DROP)
 
 
 class EdgeRouter:
@@ -64,13 +61,17 @@ class EdgeRouter:
             self.passed.record(packet)
         return verdict
 
-    def process_table(self, table) -> List[Verdict]:
+    def process_table(self, table) -> bytearray:
         """Run a timestamp-ordered :class:`~repro.net.table.PacketTable`
-        through the router.
+        through the router; returns one verdict code per row.
 
         Bit-identical to ``[self.forward(view) for view in
         table.iter_views()]``, which is what filters without a registered
-        batch function run.  Registered filters take four steps:
+        batch function run.  The codes are
+        :data:`~repro.filters.base.CODE_PASS` for a pass and
+        :data:`~repro.filters.base.CODE_DROP` or
+        :data:`~repro.filters.base.CODE_UNSEEN` (suppressed by the
+        blocked-σ gate) for a drop.  Registered filters take three steps:
 
         1. the blocked-σ gate (:meth:`BlockedConnectionStore.gate`) yields
            the rows the filter may see and supplies its ``block`` hook;
@@ -80,18 +81,18 @@ class EdgeRouter:
         3. one accounting pass: :func:`~repro.sim.metrics.record_rows`
            bins the series and drop windows, and
            :meth:`FilterStats.account_rows` counts the rows the filter
-           saw — both order-independent sums;
-        4. one :class:`Verdict` list.
+           saw — both order-independent sums.
         """
         flt = self.filter
         blocklist = self.blocklist
         kernel = kernel_for(flt, gated=blocklist is not None)
         if kernel is None:
-            return [self.forward(view) for view in table.iter_views()]
+            forward, PASS = self.forward, Verdict.PASS
+            return bytearray(forward(view) is PASS for view in table.iter_views())
         total = len(table)
         self.packets += total
         if not total:
-            return []
+            return bytearray()
         codes = bytearray((CODE_UNSEEN,)) * total
         rows = table_rows(table)
         block = None
@@ -101,7 +102,7 @@ class EdgeRouter:
         record_rows(self.offered, self.passed, self.inbound_drops,
                     table.timestamps, table.sizes, table.outbound, codes)
         flt.stats.account_rows(table.sizes, table.outbound, codes)
-        return list(map(_VERDICT_OF_CODE.__getitem__, codes))
+        return codes
 
     def merge_lane(self, lane) -> "EdgeRouter":
         """Fold one partitioned-replay lane's measurements into this router.

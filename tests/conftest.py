@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.filters.base import CODE_PASS, Verdict
 from repro.net.inet import IPPROTO_TCP, IPPROTO_UDP, parse_ipv4
 from repro.net.packet import Direction, Packet, SocketPair
 
@@ -27,6 +28,12 @@ def udp_pair(
     src=CLIENT_ADDR, sport=4444, dst=REMOTE_ADDR, dport=53
 ) -> SocketPair:
     return SocketPair(IPPROTO_UDP, src, sport, dst, dport)
+
+
+def verdicts_of(codes):
+    """The verdicts of batched row codes: CODE_PASS passes, any other
+    code (CODE_DROP, or CODE_UNSEEN behind the blocklist) drops."""
+    return [Verdict.PASS if code == CODE_PASS else Verdict.DROP for code in codes]
 
 
 def out_packet(pair=None, t=0.0, size=100, flags=0, payload=b"") -> Packet:

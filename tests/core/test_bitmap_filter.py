@@ -61,6 +61,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             BitmapFilterConfig(rotate_interval=0)
 
+    def test_more_hashes_than_cells_rejected(self):
+        # N = 2, m = 3 would hash a key to cells [0, 1, 0].
+        with pytest.raises(ValueError, match=r"m=3, N=2"):
+            BitmapFilterConfig(size=2, hashes=3)
+        assert BitmapFilterConfig(size=2, hashes=2).hashes == 2
+
 
 class TestMarkAndLookup:
     def test_marked_pair_is_found(self):

@@ -86,6 +86,18 @@ class TestHashFamily:
         with pytest.raises(ValueError):
             HashFamily(m=3, n_bits=33)
 
+    @pytest.mark.parametrize("n_bits", [1, 2, 3, 4])
+    def test_cells_distinct_while_m_at_most_n(self, n_bits):
+        # h2 is odd, so h1 + i·h2 mod 2^n repeats only once i reaches 2^n:
+        # counting deletion relies on a key's cells being distinct.
+        size = 1 << n_bits
+        rng = random.Random(n_bits)
+        for m in range(1, size + 1):
+            family = make_hash_family(m, size, seed=m)
+            for _ in range(50):
+                indices = family.indices((rng.getrandbits(32), rng.getrandbits(16)))
+                assert len(set(indices)) == m
+
     def test_n_bit_truncation(self):
         # The paper: outputs exceeding n bits are truncated.
         family = HashFamily(m=8, n_bits=4)

@@ -1,7 +1,7 @@
 """Tests for uplink-throughput estimators."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.throughput import (
@@ -9,6 +9,13 @@ from repro.core.throughput import (
     SlidingWindowMeter,
     from_mbps,
     mbps,
+)
+
+#: Few distinct times, so batches carry ties and cross the 1 s window.
+SAMPLES = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0, 1.5, 2.75, 4.0]),
+              st.integers(min_value=0, max_value=1500)),
+    max_size=30,
 )
 
 
@@ -147,3 +154,50 @@ def test_sliding_window_rate_never_negative(events):
     for timestamp, size in sorted(events):
         meter.record(timestamp, size)
         assert meter.rate_bps(timestamp) >= 0.0
+
+
+class TestRecordMany:
+    """``record_many`` against a ``record`` loop, compared by snapshot."""
+
+    @staticmethod
+    def both(prefill):
+        meters = SlidingWindowMeter(window=1.0), SlidingWindowMeter(window=1.0)
+        for meter in meters:
+            for timestamp, size in prefill:
+                meter.record(timestamp, size)
+        return meters
+
+    @given(prefill=SAMPLES, batch=SAMPLES, ordered=st.booleans())
+    @settings(max_examples=300)
+    # The prefill goes out; (3.0, 10) shields every later sample.
+    @example(prefill=[(0.0, 100), (0.9, 200)], ordered=False,
+             batch=[(3.0, 10), (1.5, 20), (2.5, 30), (3.0, 40), (0.5, 50)])
+    @example(prefill=[(0.0, 100)], batch=[], ordered=False)
+    def test_matches_a_record_loop(self, prefill, batch, ordered):
+        if ordered:
+            batch = sorted(batch)
+        looped, batched = self.both(prefill)
+        for timestamp, size in batch:
+            looped.record(timestamp, size)
+        batched.record_many([t for t, _ in batch], [size for _, size in batch])
+        assert batched.snapshot() == looped.snapshot()
+        assert batched.rate_bps(4.0) == looped.rate_bps(4.0)
+
+    def test_negative_size_rejected_before_any_change(self):
+        meter, _ = self.both([(0.0, 100)])
+        before = meter.snapshot()
+        with pytest.raises(ValueError, match="negative size: -5"):
+            meter.record_many([0.5, 9.0, 9.5], [10, -5, 20])
+        assert meter.snapshot() == before
+
+    @given(prefill=SAMPLES, batch=SAMPLES)
+    @settings(max_examples=100)
+    def test_default_is_a_record_loop(self, prefill, batch):
+        looped, batched = EwmaThroughputMeter(tau=1.0), EwmaThroughputMeter(tau=1.0)
+        for meter in (looped, batched):
+            for timestamp, size in sorted(prefill):
+                meter.record(timestamp, size)
+        for timestamp, size in batch:
+            looped.record(timestamp, size)
+        batched.record_many([t for t, _ in batch], [size for _, size in batch])
+        assert batched.snapshot() == looped.snapshot()

@@ -33,6 +33,8 @@ from repro.service.state import _decode, _encode
 from repro.sim.router import EdgeRouter
 from repro.workload import TraceConfig, TraceGenerator
 
+from tests.conftest import verdicts_of
+
 DATA = Path(__file__).resolve().parent / "data"
 
 
@@ -136,7 +138,7 @@ def test_batched_continuation_matches(name):
     document = load_fixture(name)
     packets = fixture_trace()[document["cut"]:]
     resumed = restore_filter(_decode(document["snapshot"]))
-    tail = EdgeRouter(resumed).process_table(PacketTable.from_packets(packets))
+    tail = verdicts_of(EdgeRouter(resumed).process_table(PacketTable.from_packets(packets)))
     assert hashlib.sha256(verdict_string(tail).encode()).hexdigest() == \
         document["tail_verdicts_sha256"]
     assert digest(_encode(resumed.snapshot())) == document["final_snapshot_sha256"]

@@ -7,8 +7,11 @@ adversarial tables — zero-byte packets, timestamp ties, rows exactly on
 series-interval, drop-window and k·Δt boundaries, blocked pairs
 reappearing exactly at and just past a short retention, one-directional
 flows, long gaps — and feeds them at random chunk sizes, for all six
-registered filters plus an unregistered subclass, with the blocklist on
-and off and with the numpy accounting path on and off.
+registered filters (bitmap, counting and the RED policer in two
+configurations each) plus an unregistered subclass, with the blocklist
+on and off and with the numpy accounting path on and off.  Full filter
+snapshots are compared, drop controllers and their meters included; a
+second test lets timestamps go back, as a reordered capture does.
 """
 
 import random
@@ -18,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.net.table as table_module
+from repro.core.autotune import TargetRateController
 from repro.core.bitmap_filter import BitmapFilterConfig
 from repro.core.dropper import StaticDropPolicy
 from repro.filters.base import rng_state
@@ -33,6 +37,8 @@ from repro.net.packet import Direction, Packet, SocketPair
 from repro.net.table import PacketTable
 from repro.sim.kernels import kernel_for
 from repro.sim.router import EdgeRouter
+
+from tests.conftest import verdicts_of
 
 #: Series interval, drop window, Δt and retention are binary fractions, so
 #: sums of the time steps below land exactly on their boundaries.
@@ -62,6 +68,17 @@ events = st.lists(
     max_size=160,
 )
 chunk_sizes = st.lists(st.sampled_from([1, 2, 7, 64, 65, 500]), min_size=1, max_size=6)
+#: Steps that also go back in time.
+reordered_events = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, EPSILON, -0.25, -1.0, -2.0]),
+        st.integers(0, len(FLOWS) - 1),
+        st.booleans(),
+        st.sampled_from([0, 40, 1500]),
+        st.sampled_from([0x00, 0x02, 0x10, 0x01, 0x04]),
+    ),
+    max_size=120,
+)
 
 #: An inbound-only connection dropped at t=0, retried exactly at the
 #: retention horizon (still blocked: the stamp refreshes to 4.0), then
@@ -82,6 +99,22 @@ UPLOAD_BURST = [
 ] * 3
 
 
+#: A rate read at t = 2 (an inbound miss) evicts the upload at t = 0;
+#: the upload that follows at t = 0 must stay, as it does row by row.
+UPLOAD_AFTER_LATER_READ = [
+    (0.0, 0, True, 40, 0x02),
+    (2.0, ONLY_IN, False, 40, 0x02),
+    (-2.0, 0, True, 40, 0x10),
+]
+#: The same for the static RED policer: its draws pass, drop (a read
+#: with no upload), then pass.
+POLICED_AFTER_LATER_DROP = [
+    (0.0, 0, True, 40, 0x02),
+    (2.0, 0, True, 40, 0x10),
+    (-2.0, 0, True, 40, 0x10),
+]
+
+
 def build_packets(steps):
     now = 0.0
     packets = []
@@ -99,6 +132,11 @@ def build_packets(steps):
     return packets
 
 
+def target_rate():
+    """An integrating P_d: every rate read changes it."""
+    return DropController(TargetRateController(4000.0, gain=0.5))
+
+
 def coin():
     """A fractional static P_d: every miss consumes one draw."""
     return DropController(StaticDropPolicy(0.75))
@@ -111,6 +149,21 @@ def ramp():
 
 BITMAP = BitmapFilterConfig(size=2 ** 8, vectors=3, hashes=2,
                             rotate_interval=DELTA_T)
+#: Eight cells: the flows share them (flows 0 and 1 share cell 4), so
+#: counting deletions meet other flows' increments and saturated cells.
+TINY = BitmapFilterConfig(size=2 ** 3, vectors=3, hashes=2,
+                          rotate_interval=DELTA_T)
+
+#: More than 15 outbound packets within one Δt on the shared cell 4
+#: (most of them deferred), a FIN/FIN that deletes flow 0 from it, then
+#: an RST after a rotation.
+SHARED_CELL_CLOSES = (
+    [(0.0, 0, True, 40, 0x02)] + [(0.0, 0, True, 40, 0x10)] * 4
+    + [(0.0, 1, True, 40, 0x00)] * 20
+    + [(0.25, 0, True, 40, 0x11), (0.0, 0, False, 40, 0x11)]
+    + [(0.25, 1, True, 40, 0x00), (0.0, 0, True, 40, 0x02),
+       (0.0, 0, True, 40, 0x10), (0.0, 0, False, 40, 0x04)]
+)
 
 
 class UnregisteredBitmap(BitmapPacketFilter):
@@ -119,14 +172,20 @@ class UnregisteredBitmap(BitmapPacketFilter):
 
 FILTERS = {
     "bitmap": lambda: BitmapPacketFilter(BITMAP, coin(), rng=random.Random(1)),
+    "bitmap-target-rate": lambda: BitmapPacketFilter(
+        BITMAP, target_rate(), rng=random.Random(11)),
     "spi": lambda: SPIFilter(idle_timeout=3.0, time_wait=0.5,
                              drop_controller=ramp(), rng=random.Random(2),
                              gc_interval=1.0),
     "counting-bitmap": lambda: CountingBitmapFilter(
         BITMAP, drop_controller=coin(), rng=random.Random(3)),
+    "counting-tiny": lambda: CountingBitmapFilter(
+        TINY, drop_controller=ramp(), rng=random.Random(9)),
     "token-bucket": lambda: TokenBucketFilter(rate_mbps=0.01, burst_bytes=2000),
     "red-policer": lambda: RedPolicerFilter.mbps(0.0005, 0.01,
                                                  rng=random.Random(4)),
+    "red-policer-static": lambda: RedPolicerFilter(StaticDropPolicy(0.5),
+                                                   rng=random.Random(10)),
     "chain": lambda: FilterChain([
         SPIFilter(idle_timeout=3.0, drop_controller=coin(),
                   rng=random.Random(5), gc_interval=1.0),
@@ -150,19 +209,6 @@ def members(flt):
     return flt.filters if isinstance(flt, FilterChain) else [flt]
 
 
-def without_controllers(document):
-    """A filter snapshot minus its drop controllers.  The fused functions
-    skip a static policy's rate read, whose lazy eviction changes the
-    meter's stored samples but never a later reading; the verdicts and
-    RNG states pin the controllers' behavior instead."""
-    if isinstance(document, dict):
-        return {key: without_controllers(value)
-                for key, value in document.items() if key != "controller"}
-    if isinstance(document, list):
-        return [without_controllers(value) for value in document]
-    return document
-
-
 def state(router):
     """Everything the two drivers must agree on."""
     flt = router.filter
@@ -178,7 +224,7 @@ def state(router):
         "rng": [rng_state(getattr(member, "core", member)._rng)
                 for member in members(flt)
                 if hasattr(getattr(member, "core", member), "_rng")],
-        "filter": without_controllers(flt.snapshot()),
+        "filter": flt.snapshot(),
         "blocklist": (router.blocklist.snapshot()
                       if router.blocklist is not None else None),
     }
@@ -197,28 +243,43 @@ def test_every_shipped_filter_but_the_subclass_is_registered():
 @example(steps=RETRY_AT_HORIZON, sizes=[1])
 @example(steps=RETRY_AT_HORIZON * 8, sizes=[65])
 @example(steps=UPLOAD_BURST, sizes=[2])
+@example(steps=SHARED_CELL_CLOSES, sizes=[500])
+@example(steps=SHARED_CELL_CLOSES, sizes=[7, 1])
 def test_process_table_matches_forward(name, use_blocklist, numpy, steps, sizes):
     if numpy and not table_module.HAVE_NUMPY:
         pytest.skip("numpy is not installed")
+    saved = table_module._use_numpy
+    table_module._use_numpy = numpy
+    try:
+        assert_batched_matches_forward(name, use_blocklist, steps, sizes)
+    finally:
+        table_module._use_numpy = saved
+
+
+@pytest.mark.parametrize("name", sorted(FILTERS))
+@settings(max_examples=100, deadline=None)
+@given(steps=reordered_events, sizes=chunk_sizes)
+@example(steps=UPLOAD_AFTER_LATER_READ, sizes=[500])
+@example(steps=POLICED_AFTER_LATER_DROP, sizes=[500])
+def test_rows_going_back_in_time(name, steps, sizes):
+    # A skipped rate read's eviction must land before a row goes back
+    # past it, or the batched meter drops a sample the per-row one kept.
+    assert_batched_matches_forward(name, False, steps, sizes)
+
+
+def assert_batched_matches_forward(name, use_blocklist, steps, sizes):
     packets = build_packets(steps)
     table = PacketTable.from_packets(packets)
     reference = make_router(name, use_blocklist)
     expected = [reference.forward(packet) for packet in packets]
-
-    saved = table_module._use_numpy
-    table_module._use_numpy = numpy
-    try:
-        batched = make_router(name, use_blocklist)
-        got = []
-        start = 0
-        position = 0
-        while start < len(table):
-            stop = start + sizes[position % len(sizes)]
-            got.extend(batched.process_table(table.slice(start, stop)))
-            start = stop
-            position += 1
-    finally:
-        table_module._use_numpy = saved
-
-    assert got == expected
+    batched = make_router(name, use_blocklist)
+    got = []
+    start = 0
+    position = 0
+    while start < len(table):
+        stop = start + sizes[position % len(sizes)]
+        got.extend(batched.process_table(table.slice(start, stop)))
+        start = stop
+        position += 1
+    assert verdicts_of(got) == expected
     assert state(batched) == state(reference)

@@ -22,7 +22,7 @@ from repro.sim.replay import replay
 from repro.sim.router import EdgeRouter
 from repro.workload.generator import TraceConfig, TraceGenerator
 
-from tests.conftest import tcp_pair, udp_pair
+from tests.conftest import tcp_pair, udp_pair, verdicts_of
 
 
 def trace(seed, duration=40.0, rate=6.0):
@@ -68,7 +68,8 @@ class TestRouterBatchEquivalence:
         legacy_router = build_router(use_blocklist)
         batch_router = build_router(use_blocklist)
         legacy = [legacy_router.forward(p) for p in packets]
-        batched = batch_router.process_table(PacketTable.from_packets(packets))
+        batched = verdicts_of(
+            batch_router.process_table(PacketTable.from_packets(packets)))
         assert legacy == batched
         assert_routers_identical(legacy_router, batch_router)
 
@@ -80,7 +81,8 @@ class TestRouterBatchEquivalence:
         legacy_router = build_router(True, red=True)
         batch_router = build_router(True, red=True)
         legacy = [legacy_router.forward(p) for p in packets]
-        batched = batch_router.process_table(PacketTable.from_packets(packets))
+        batched = verdicts_of(
+            batch_router.process_table(PacketTable.from_packets(packets)))
         assert legacy == batched
         assert_routers_identical(legacy_router, batch_router)
 
@@ -89,7 +91,7 @@ class TestRouterBatchEquivalence:
         legacy_router = build_router(True, field_mode=FieldMode.HOLE_PUNCHING)
         batch_router = build_router(True, field_mode=FieldMode.HOLE_PUNCHING)
         assert [legacy_router.forward(p) for p in packets] == \
-            batch_router.process_table(PacketTable.from_packets(packets))
+            verdicts_of(batch_router.process_table(PacketTable.from_packets(packets)))
         assert_routers_identical(legacy_router, batch_router)
 
     @pytest.mark.parametrize("use_blocklist", [True, False])
@@ -109,7 +111,7 @@ class TestRouterBatchEquivalence:
             assert stats.dropped[Direction.OUTBOUND] == 0
         if not use_blocklist:
             router = build_router(False)
-            verdicts = router.process_table(PacketTable.from_packets(packets))
+            verdicts = verdicts_of(router.process_table(PacketTable.from_packets(packets)))
             for packet, verdict in zip(packets, verdicts):
                 if packet.direction is Direction.OUTBOUND:
                     assert verdict is Verdict.PASS
@@ -143,7 +145,7 @@ class TestRouterBatchEquivalence:
 
     def test_empty_batch(self):
         router = build_router(True)
-        assert router.process_table(PacketTable()) == []
+        assert router.process_table(PacketTable()) == bytearray()
         assert router.packets == 0
 
     def test_batches_compose(self):

@@ -13,9 +13,17 @@ a per-filter :func:`repro.sim.replay.replay`.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bitmap_filter import BitmapFilterConfig
-from repro.filters.base import AcceptAllFilter, Verdict
+from repro.filters.base import (
+    CODE_DROP,
+    CODE_PASS,
+    CODE_UNSEEN,
+    AcceptAllFilter,
+    Verdict,
+)
 from repro.filters.bitmap import BitmapPacketFilter
 from repro.filters.chain import FilterChain
 from repro.filters.counting import CountingBitmapFilter
@@ -28,10 +36,12 @@ from repro.sim.engine import EventScheduler
 from repro.sim.metrics import scatter_points
 from repro.sim.parallel import ParallelReplayResult
 from repro.sim.pipeline import (
+    FINGERPRINT_SEED,
     BatchedBackend,
     ParallelBackend,
     ReplayResult,
     SequentialBackend,
+    fingerprint_verdicts,
     select_backend,
 )
 from repro.sim.replay import compare_drop_rates, replay
@@ -492,3 +502,28 @@ class TestUnifiedResultShape:
         assert result.lanes
         counts = result.lane_packet_counts()
         assert sum(counts.values()) == result.packets
+
+
+def scalar_fold(fingerprint, codes):
+    """FNV-1a over the codes one row at a time: 1 for a pass, else 2."""
+    for code in codes:
+        fingerprint = ((fingerprint ^ (1 if code == CODE_PASS else 2))
+                       * 0x100000001B3) % 2 ** 64
+    return fingerprint
+
+
+CODES = st.lists(st.sampled_from([CODE_DROP, CODE_PASS, CODE_UNSEEN]), max_size=40)
+
+
+@pytest.mark.parametrize("tail", range(8))
+@settings(max_examples=60)
+@given(codes=CODES, start=st.integers(0, 2 ** 64 - 1) | st.just(FINGERPRINT_SEED))
+def test_block_fold_is_the_scalar_fold(tail, codes, start):
+    # Every length mod 8: whole eight-row blocks, then ``tail`` rows.
+    codes = bytearray(codes[:len(codes) & -8] + [CODE_UNSEEN, CODE_PASS] * 4)
+    codes = codes[:len(codes) - 8 + tail]
+    assert len(codes) % 8 == tail
+    for low_bits in range(4):  # the fold's state: the low two bits
+        start = start & ~3 | low_bits
+        assert fingerprint_verdicts(start, codes) == scalar_fold(start, codes)
+        assert fingerprint_verdicts(start, bytes(codes)) == scalar_fold(start, codes)
