@@ -1,10 +1,10 @@
 """The adversarial closed-loop swarm engine.
 
-Extends the connection-level heapq pattern of
-:mod:`repro.sim.closedloop` into a full discrete-event simulation: one
-heap interleaves packet deliveries with swarm *events* — tracker
-announces, choker rechokes, optimistic-unchoke rotations, upload bursts,
-evasion reactions, hole-punch probes, retune probes — and every packet
+Runs on the :class:`~repro.sim.closedloop.AdmissionLoop` of the
+connection-level closed loop: one heap interleaves packet deliveries
+with swarm *events* — tracker announces, choker rechokes,
+optimistic-unchoke rotations, upload bursts, evasion reactions,
+hole-punch probes, retune probes — by ``(time, seq)``, and every packet
 is adjudicated by the configured :class:`~repro.filters.base.PacketFilter`
 through the same :class:`~repro.sim.pipeline.ReplayPipeline` stages as
 open-loop replay.
@@ -30,7 +30,6 @@ including the pipeline's verdict fingerprint.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -40,6 +39,7 @@ from repro.filters.base import PacketFilter, Verdict
 from repro.net.headers import TCPFlags
 from repro.net.inet import IPPROTO_TCP
 from repro.net.packet import Direction, Packet, SocketPair
+from repro.sim.closedloop import AdmissionLoop, Connection
 from repro.sim.pipeline import PipelineConfig, ReplayPipeline, ReplayResult
 from repro.swarm.evasion import (
     ALL_TACTICS,
@@ -112,8 +112,9 @@ class SwarmConfig:
     link_lifetime: float = 45.0
     # Non-P2P background mix (collateral-damage probe).
     background_rate: float = 1.0  # connections/s across the client net
-    # Admission mechanics (same semantics as ClosedLoopSimulator).
-    admission_window: int = 3
+    # Admission is the closed loop's AdmissionLoop rule: a drop inside a
+    # connection's first ADMISSION_WINDOW (3) packets refuses it; upload
+    # bursts use window 0 and are never refused.
     throughput_interval: float = 1.0
     use_blocklist: bool = False
     evasion: EvasionPolicy = field(default_factory=EvasionPolicy)
@@ -125,10 +126,6 @@ class SwarmConfig:
             raise ValueError(f"clients must be >= 1: {self.clients}")
         if self.duration <= 0:
             raise ValueError(f"duration must be positive: {self.duration}")
-        if self.admission_window < 1:
-            raise ValueError(
-                f"admission_window must be >= 1: {self.admission_window}"
-            )
         if self.background_rate < 0:
             raise ValueError(
                 f"background_rate must be >= 0: {self.background_rate}"
@@ -256,23 +253,18 @@ class SwarmResult:
         }
 
 
-class _Live:
-    """A connection with packets still to deliver (one heap entry role)."""
+class _Role:
+    """What a swarm connection is: the tag of its loop ``Connection``."""
 
-    __slots__ = ("schedule", "position", "counted", "kind", "peer", "client",
-                 "tactic", "link", "window", "evasive")
+    __slots__ = ("kind", "peer", "client", "tactic", "link", "evasive")
 
-    def __init__(self, schedule, kind, window, peer=None, client=None,
-                 tactic="", link=None, evasive=False):
-        self.schedule = schedule
-        self.position = 0
-        self.counted = False
+    def __init__(self, kind, peer=None, client=None, tactic="", link=None,
+                 evasive=False):
         self.kind = kind  # "attempt" | "background" | "reverse" | "burst"
         self.peer = peer
         self.client = client
         self.tactic = tactic
         self.link = link
-        self.window = window
         self.evasive = evasive
 
 
@@ -362,7 +354,6 @@ class SwarmSimulator:
     def run(self) -> SwarmResult:
         config = self.config
         seed = config.seed
-        policy = config.evasion
         duration = config.duration
         pipeline = ReplayPipeline(PipelineConfig(
             packet_filter=self.filter,
@@ -381,76 +372,30 @@ class SwarmSimulator:
         self._peers = peers
         self._tracker = tracker
 
-        heap: List[tuple] = []
-        self._heap = heap
-        self._seq = 0
         self._attempt_id = 0
         self._link_id = 0
         self._window_bytes = 0
-
-        def push(when: float, item) -> None:
-            self._seq += 1
-            heapq.heappush(heap, (when, self._seq, item))
-
-        self._push = push
+        loop = self._loop = AdmissionLoop(
+            pipeline, self._on_admitted, self._on_refused, self._account_outbound
+        )
 
         # Bootstrap: staggered first announces, choker ticks, background
         # arrivals, retune probes.
         for client in clients:
-            push(0.2 + 0.1 * client.index, ("announce-client", client))
-            push(config.rechoke_interval + 0.01 * client.index,
-                 ("rechoke", client))
+            loop.at(0.2 + 0.1 * client.index, self._announce_client, client)
+            loop.at(config.rechoke_interval + 0.01 * client.index,
+                    self._rechoke, client)
         for peer in peers:
             jitter = peer.rng.uniform(0.0, min(5.0, duration / 4))
-            push(jitter, ("announce-peer", peer, False))
+            loop.at(jitter, self._announce_peer, peer, False)
         for spec in self._background_specs(clients, addresses):
-            push(spec.start, ("background", spec))
+            loop.at(spec.start, self._launch_background, spec)
         if self.retune is not None:
-            push(self.retune.interval, ("retune",))
-
-        admission_window = config.admission_window
-        OUTBOUND = Direction.OUTBOUND
-        PASS = Verdict.PASS
-
-        while heap:
-            when, ident, item = heapq.heappop(heap)
-            if not isinstance(item, _Live):
-                self._handle_event(when, item)
-                continue
-            live = item
-            packet = live.schedule[live.position]
-            verdict = pipeline.process(packet)
-            if verdict is PASS:
-                if packet.direction is OUTBOUND:
-                    self._account_outbound(live, packet)
-                live.position += 1
-                if live.position >= len(live.schedule):
-                    if not live.counted:
-                        live.counted = True
-                        self._on_admitted(live, packet.timestamp)
-                else:
-                    if live.position > live.window and not live.counted:
-                        live.counted = True
-                        self._on_admitted(live, packet.timestamp)
-                    heapq.heappush(
-                        heap,
-                        (live.schedule[live.position].timestamp, ident, live),
-                    )
-            else:
-                if live.position < live.window and not live.counted:
-                    # Admission refused: this connection never happens.
-                    self._on_refused(live, packet.timestamp, policy)
-                else:
-                    # Established (or window-less burst): recoverable loss.
-                    live.position += 1
-                    if live.position < len(live.schedule):
-                        heapq.heappush(
-                            heap,
-                            (live.schedule[live.position].timestamp, ident, live),
-                        )
+            loop.at(self.retune.interval, self._retune_probe)
+        loop.run()
 
         result.replay = pipeline.finalize()
-        result.uplink_mbps = pipeline.router.passed.series_mbps(OUTBOUND)
+        result.uplink_mbps = pipeline.router.passed.series_mbps(Direction.OUTBOUND)
         result.peers_penetrated = sum(1 for peer in peers if peer.penetrated)
         if self.retune is not None:
             result.retune_log = list(self.retune.log)
@@ -461,36 +406,39 @@ class SwarmSimulator:
 
     # -- packet accounting ----------------------------------------------
 
-    def _account_outbound(self, live: _Live, packet: Packet) -> None:
+    def _account_outbound(self, connection: Connection, packet: Packet) -> None:
         self._window_bytes += packet.size
         now, size = packet.timestamp, packet.size
-        if live.kind == "burst":
-            link = live.link
+        role = connection.tag
+        if role.kind == "burst":
+            link = role.link
             link.measure.update(now, size)
             link.peer.measure.update(now, size)
             self._result.burst_upload_bytes += size
-        elif live.kind == "reverse" and live.peer is not None:
-            live.peer.measure.update(now, size)
+        elif role.kind == "reverse" and role.peer is not None:
+            role.peer.measure.update(now, size)
             self._result.reverse_upload_bytes += size
 
     # -- admission outcomes ---------------------------------------------
 
-    def _on_admitted(self, live: _Live, now: float) -> None:
+    def _on_admitted(self, connection: Connection, now: float) -> None:
         result = self._result
-        if live.kind == "attempt":
-            peer, client = live.peer, live.client
+        role = connection.tag
+        if role.kind == "attempt":
+            peer, client = role.peer, role.client
             result.attempts_admitted += 1
-            result.tactic_successes[live.tactic] = (
-                result.tactic_successes.get(live.tactic, 0) + 1
+            result.tactic_successes[role.tactic] = (
+                result.tactic_successes.get(role.tactic, 0) + 1
             )
             peer.in_flight.pop(client.index, None)
+            first = connection.schedule[0]
             link = self._make_link(
-                client, peer, live.tactic, now,
+                client, peer, role.tactic, now,
                 outbound=False,
                 client_port=client.listen_port,
-                remote_port=live.schedule[0].pair.src_port
-                if live.schedule[0].direction is Direction.INBOUND
-                else live.schedule[0].pair.dst_port,
+                remote_port=first.pair.src_port
+                if first.direction is Direction.INBOUND
+                else first.pair.dst_port,
             )
             client.add_link(link)
             peer.links[client.index] = link
@@ -500,43 +448,43 @@ class SwarmSimulator:
             peer.refusals.pop(client.index, None)
             if client.free_slots() > 0:
                 link.unchoked = True
-                self._push(now + 0.1, ("burst", link))
+                self._loop.at(now + 0.1, self._launch_burst, link)
             lifetime = self.config.link_lifetime
             if lifetime > 0:
                 churn_at = now + lifetime * link.rng.uniform(0.75, 1.25)
                 if churn_at < self.config.duration:
-                    self._push(churn_at, ("disconnect", link))
-        elif live.kind == "reverse":
-            peer, client = live.peer, live.client
+                    self._loop.at(churn_at, self._disconnect, link)
+        elif role.kind == "reverse":
+            peer, client = role.peer, role.client
             result.reverse_connections += 1
-            if live.evasive:
+            if role.evasive:
                 result.tactic_successes[TACTIC_REANNOUNCE] = (
                     result.tactic_successes.get(TACTIC_REANNOUNCE, 0) + 1
                 )
             link = self._make_link(client, peer, TACTIC_REANNOUNCE if
-                                   live.evasive else TACTIC_INITIAL, now,
+                                   role.evasive else TACTIC_INITIAL, now,
                                    outbound=True)
             peer.links.setdefault(client.index, link)
-        elif live.kind == "background":
+        elif role.kind == "background":
             result.background_admitted += 1
 
-    def _on_refused(self, live: _Live, now: float, policy: EvasionPolicy) -> None:
+    def _on_refused(self, connection: Connection, now: float) -> None:
         result = self._result
-        live.counted = True  # terminal: never delivered, never admitted
-        if live.kind == "background":
+        role = connection.tag
+        if role.kind == "background":
             result.background_refused += 1
-            initiator = live.tactic  # carries the initiator label
+            initiator = role.tactic  # carries the initiator label
             result.background_refused_by_initiator[initiator] = (
                 result.background_refused_by_initiator.get(initiator, 0) + 1
             )
             result.background_refusal_times.append(now)
             return
-        if live.kind == "reverse":
+        if role.kind == "reverse":
             # Client-initiated dial refused (blocklist or chain member
             # dropping outbound) — rare; no evasion from the client side.
             return
         # Inbound swarm attempt.
-        peer, client = live.peer, live.client
+        peer, client = role.peer, role.client
         result.attempts_refused += 1
         result.refusal_times.append(now)
         if result.evasion_onset is None:
@@ -544,6 +492,7 @@ class SwarmSimulator:
         peer.in_flight.pop(client.index, None)
         refusals = peer.refusals.get(client.index, 0) + 1
         peer.refusals[client.index] = refusals
+        policy = self.config.evasion
         if not policy.any_enabled or refusals > policy.max_attempts:
             peer.abandoned[client.index] = True
             return
@@ -552,17 +501,18 @@ class SwarmSimulator:
         when = now + delay
         if when >= self.config.duration:
             return
+        at = self._loop.at
         if tactic == TACTIC_PORT_HOP:
-            self._push(when, ("attempt", peer, client, TACTIC_PORT_HOP, None))
+            at(when, self._launch_attempt, peer, client, TACTIC_PORT_HOP, None)
         elif tactic == TACTIC_REANNOUNCE:
             earliest = self._tracker.earliest_announce("peer", peer.index)
-            self._push(max(when, earliest), ("announce-peer", peer, True))
+            at(max(when, earliest), self._announce_peer, peer, True)
         elif tactic == TACTIC_HOLE_PUNCH:
-            self._push(when, ("punch", peer, client))
+            at(when, self._hole_punch, peer, client)
         elif tactic == TACTIC_PEX:
-            self._push(when, ("pex", peer, client))
+            at(when, self._pex_retry, peer, client)
         elif tactic == TACTIC_CHURN:
-            self._push(when, ("churn", peer, client))
+            at(when, self._churn, peer, client)
 
     def _make_link(self, client, peer, tactic, now, outbound,
                    client_port=0, remote_port=0) -> PeerLink:
@@ -578,53 +528,23 @@ class SwarmSimulator:
 
     # -- event handlers --------------------------------------------------
 
-    def _handle_event(self, now: float, item: tuple) -> None:
-        kind = item[0]
-        if kind == "attempt":
-            _, peer, client, tactic, remote_port = item
-            self._launch_attempt(now, peer, client, tactic, remote_port)
-        elif kind == "burst":
-            self._launch_burst(now, item[1])
-        elif kind == "rechoke":
-            self._rechoke(now, item[1])
-        elif kind == "announce-peer":
-            self._announce_peer(now, item[1], item[2])
-        elif kind == "announce-client":
-            self._announce_client(now, item[1])
-        elif kind == "connect":
-            self._connect(now, item[1], item[2])
-        elif kind == "punch":
-            self._hole_punch(now, item[1], item[2])
-        elif kind == "pex":
-            self._pex_retry(now, item[1], item[2])
-        elif kind == "churn":
-            self._churn(now, item[1], item[2])
-        elif kind == "disconnect":
-            self._disconnect(now, item[1])
-        elif kind == "reverse":
-            self._launch_reverse(now, item[1], item[2], item[3])
-        elif kind == "background":
-            self._launch_background(now, item[1])
-        elif kind == "retune":
-            self._retune_probe(now)
-
     # Tracker interactions.
 
     def _announce_peer(self, now: float, peer: SwarmPeer, evasive: bool) -> None:
         outcome = self._tracker.announce("peer", peer.index, now, evasive)
         if not outcome.accepted:
             if outcome.retry_at < self.config.duration:
-                self._push(outcome.retry_at, ("announce-peer", peer, evasive))
+                self._loop.at(outcome.retry_at, self._announce_peer, peer, evasive)
             return
         peer.evasive_announce = evasive
         for entry in outcome.sample:
             peer.learn(entry.index)
         tactic = TACTIC_REANNOUNCE if evasive else TACTIC_INITIAL
-        self._push(now + 0.2, ("connect", peer, tactic))
+        self._loop.at(now + 0.2, self._connect, peer, tactic)
         if not evasive:
             next_announce = now + outcome.interval
             if next_announce < self.config.duration:
-                self._push(next_announce, ("announce-peer", peer, False))
+                self._loop.at(next_announce, self._announce_peer, peer, False)
 
     def _announce_client(self, now: float, client: ClientPeer) -> None:
         outcome = self._tracker.announce("client", client.index, now)
@@ -640,17 +560,15 @@ class SwarmSimulator:
                     client.dialed[entry.index] = True
                     reverse_links += 1
                     peer = self._peers[entry.index]
-                    self._push(
-                        now + 0.3 * (position + 1),
-                        ("reverse", client, peer, peer.evasive_announce),
+                    self._loop.at(
+                        now + 0.3 * (position + 1), self._launch_reverse,
+                        client, peer, peer.evasive_announce,
                     )
-            next_announce = (
-                now + outcome.interval if outcome.accepted else now + 5.0
-            )
+            next_announce = now + outcome.interval
         else:
             next_announce = outcome.retry_at
         if next_announce < self.config.duration:
-            self._push(next_announce, ("announce-client", client))
+            self._loop.at(next_announce, self._announce_client, client)
 
     # Peer dialing.
 
@@ -663,9 +581,10 @@ class SwarmSimulator:
         if not targets:
             return
         target = peer.rng.choice(targets)
-        self._push(now, ("attempt", peer, self._clients[target], tactic, None))
+        self._loop.at(now, self._launch_attempt, peer, self._clients[target],
+                      tactic, None)
         if len(targets) > 1:
-            self._push(now + 2.0, ("connect", peer, tactic))
+            self._loop.at(now + 2.0, self._connect, peer, tactic)
 
     def _launch_attempt(
         self,
@@ -714,11 +633,9 @@ class SwarmSimulator:
         result.tactic_attempts[tactic] = (
             result.tactic_attempts.get(tactic, 0) + 1
         )
-        live = _Live(
-            schedule, "attempt", self.config.admission_window,
-            peer=peer, client=client, tactic=tactic,
+        self._loop.connect(
+            schedule, _Role("attempt", peer=peer, client=client, tactic=tactic)
         )
-        self._push(schedule[0].timestamp, live)
 
     # Evasion tactics.
 
@@ -751,9 +668,9 @@ class SwarmSimulator:
         # NAT rewrites source ports: the inbound connect *must* come from
         # a different ephemeral port than the probe advertised.
         connect_port = peer.next_port()
-        self._push(
-            now + self.config.evasion.hole_punch_delay,
-            ("attempt", peer, client, TACTIC_HOLE_PUNCH, connect_port),
+        self._loop.at(
+            now + self.config.evasion.hole_punch_delay, self._launch_attempt,
+            peer, client, TACTIC_HOLE_PUNCH, connect_port,
         )
 
     def _pex_retry(self, now: float, peer: SwarmPeer, client: ClientPeer) -> None:
@@ -776,7 +693,8 @@ class SwarmSimulator:
         if not targets:
             return
         target = peer.rng.choice(targets)
-        self._push(now, ("attempt", peer, self._clients[target], TACTIC_PEX, None))
+        self._loop.at(now, self._launch_attempt, peer, self._clients[target],
+                      TACTIC_PEX, None)
 
     def _churn(self, now: float, peer: SwarmPeer, client: ClientPeer) -> None:
         """Rotate the peer's own optimistic slot: try a *different* known
@@ -790,9 +708,8 @@ class SwarmSimulator:
         if not targets:
             return
         target = peer.rng.choice(targets)
-        self._push(
-            now, ("attempt", peer, self._clients[target], TACTIC_CHURN, None)
-        )
+        self._loop.at(now, self._launch_attempt, peer, self._clients[target],
+                      TACTIC_CHURN, None)
 
     # Reverse connections (client dials a tracker-advertised peer).
 
@@ -832,20 +749,19 @@ class SwarmSimulator:
             self._result.tactic_attempts[TACTIC_REANNOUNCE] = (
                 self._result.tactic_attempts.get(TACTIC_REANNOUNCE, 0) + 1
             )
-        live = _Live(
-            schedule, "reverse", config.admission_window,
-            peer=peer, client=client, evasive=evasive,
+        self._loop.connect(
+            schedule,
+            _Role("reverse", peer=peer, client=client, evasive=evasive),
         )
-        self._push(schedule[0].timestamp, live)
 
     # Choker.
 
     def _rechoke(self, now: float, client: ClientPeer) -> None:
         for link in client.rechoke(now):
-            self._push(now + 0.05, ("burst", link))
+            self._loop.at(now + 0.05, self._launch_burst, link)
         next_tick = now + self.config.rechoke_interval
         if next_tick < self.config.duration:
-            self._push(next_tick, ("rechoke", client))
+            self._loop.at(next_tick, self._rechoke, client)
 
     def _launch_burst(self, now: float, link: PeerLink) -> None:
         """One upload burst on an unchoked link, paced over the rechoke
@@ -881,10 +797,12 @@ class SwarmSimulator:
                     flags=ack, direction=Direction.INBOUND,
                 ))
         packets.sort(key=lambda packet: packet.timestamp)
-        live = _Live(packets, "burst", 0, peer=link.peer,
-                     client=link.client, link=link)
-        self._push(packets[0].timestamp, live)
-        self._push(now + span, ("burst", link))
+        self._loop.connect(
+            packets,
+            _Role("burst", peer=link.peer, client=link.client, link=link),
+            window=0,
+        )
+        self._loop.at(now + span, self._launch_burst, link)
 
     def _disconnect(self, now: float, link: PeerLink) -> None:
         """Swarm churn: the peer drops an established inbound link and,
@@ -897,7 +815,7 @@ class SwarmSimulator:
             del peer.links[client.index]
         redial_at = now + 1.0 + peer.rng.uniform(0.0, 2.0)
         if client.index not in peer.abandoned and redial_at < self.config.duration:
-            self._push(redial_at, ("connect", peer, TACTIC_INITIAL))
+            self._loop.at(redial_at, self._connect, peer, TACTIC_INITIAL)
 
     # Background mix.
 
@@ -912,11 +830,9 @@ class SwarmSimulator:
         if not schedule:
             return
         self._result.background_total += 1
-        live = _Live(
-            schedule, "background", self.config.admission_window,
-            tactic=spec.initiator.value,
+        self._loop.connect(
+            schedule, _Role("background", tactic=spec.initiator.value)
         )
-        self._push(schedule[0].timestamp, live)
 
     # Defense.
 
@@ -927,4 +843,4 @@ class SwarmSimulator:
         retune.probe(now, measured_bps)
         next_probe = now + retune.interval
         if next_probe <= self.config.duration:
-            self._push(next_probe, ("retune",))
+            self._loop.at(next_probe, self._retune_probe)
