@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.filters.base import CODE_PASS, Verdict
+from repro.filters.base import CODE_PASS, PacketFilter, Verdict
 from repro.net.inet import IPPROTO_TCP, IPPROTO_UDP, parse_ipv4
 from repro.net.packet import Direction, Packet, SocketPair
 
@@ -51,6 +51,25 @@ def in_packet(pair=None, t=0.0, size=100, flags=0, payload=b"") -> Packet:
         pair = tcp_pair().inverse
     return Packet(t, pair, size=size, flags=flags, payload=payload,
                   direction=Direction.INBOUND)
+
+
+class PassFirstPackets(PacketFilter):
+    """Pass each connection's first ``count`` packets (keyed by socket
+    pair, either direction) and drop the rest: a filter that drops only
+    after the handshake, as a rate limiter can."""
+
+    name = "pass-first"
+
+    def __init__(self, count: int = 3) -> None:
+        super().__init__()
+        self.count = count
+        self.seen = {}
+
+    def decide(self, packet: Packet) -> Verdict:
+        key = min(packet.pair, packet.pair.inverse)
+        seen = self.seen.get(key, 0)
+        self.seen[key] = seen + 1
+        return Verdict.PASS if seen < self.count else Verdict.DROP
 
 
 @pytest.fixture
