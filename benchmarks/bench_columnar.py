@@ -44,7 +44,7 @@ KERNEL_ENFORCED = ("spi", "counting")
 #: Parallel-generation floor at GEN_ENFORCED_WORKERS workers — only
 #: enforceable on hosts with at least that many cores (a 1-core host
 #: measures multiprocessing overhead, not scaling; the JSON records the
-#: honest numbers either way, like BENCH_parallel_replay.json does).
+#: honest numbers either way).
 GEN_TARGET_SPEEDUP = 2.5
 GEN_ENFORCED_WORKERS = 4
 GEN_WORKER_SET = (1, 2, 4, 8)

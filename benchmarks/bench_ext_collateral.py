@@ -7,8 +7,8 @@ destroys.  The bitmap filter gates only unsolicited inbound requests, so
 responses to client requests sail through; a token bucket or blanket RED
 policer cannot tell them apart.
 
-Metric: bytes passed on client-initiated connections (web-style traffic a
-customer would complain about losing) under each limiter.
+Metric: client-initiated connections (web-style traffic a customer would
+complain about losing) refused by each limiter.
 """
 
 from benchmarks.conftest import print_comparison
@@ -20,18 +20,6 @@ from repro.filters.ratelimit import TokenBucketFilter
 from repro.net.packet import Direction
 from repro.sim.closedloop import ClosedLoopSimulator
 from repro.workload.apps import Initiator
-
-
-def client_initiated_upload(result, specs):
-    """Bytes the client-initiated connections actually got through.
-
-    The closed-loop simulator reports per-direction totals; to isolate
-    client-initiated traffic we re-run per-population, so this helper
-    takes a result computed over a filtered spec list.
-    """
-    return result.passed.total_bytes(Direction.OUTBOUND) + result.passed.total_bytes(
-        Direction.INBOUND
-    )
 
 
 def test_ext_collateral_damage(benchmark, standard_specs):

@@ -102,11 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     filt.add_argument("--shard-bits", type=int, default=2,
                       help="with --workers > 1: split the client network "
                            "into 2^bits per-subnet shards (default: 4 shards)")
-    filt.add_argument("--transport", default="auto",
-                      choices=("auto", "shm", "pickle"),
-                      help="with --workers > 1: lane dispatch mechanism — "
-                           "shared-memory column buffers or pickled tables "
-                           "(auto prefers shared memory; identical results)")
     filt.set_defaults(handler=cmd_filter)
 
     figures = sub.add_parser(
@@ -189,9 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     feed.add_argument("--seed", type=int, default=7)
     feed.add_argument("--chunk-size", type=int, default=4096,
                       help="packets per frame")
-    feed.add_argument("--format", dest="wire_format", default="binary",
-                      choices=("binary", "json"),
-                      help="frame payload codec (json = legacy compat)")
     feed.add_argument("--workers", type=int, default=1,
                       help="worker processes for synthetic trace "
                            "materialization (byte-identical frames)")
@@ -523,14 +515,11 @@ def cmd_filter(args) -> int:
     if args.workers > 1:
         packet_filter, note = _build_sharded_filter(args, offered_up)
     else:
-        if args.transport != "auto":
-            raise SystemExit("--transport needs --workers > 1")
         packet_filter, note = _build_filter(args, offered_up)
     # batched=None lets each backend keep its default lane engine (the
     # parallel backend batches its lanes even without --batched).
     backend = select_backend(batched=True if args.batched else None,
-                             workers=args.workers,
-                             transport=args.transport)
+                             workers=args.workers)
     start = time.perf_counter()
     result = replay(packets, packet_filter,
                     use_blocklist=not args.no_blocklist, backend=backend)
@@ -826,7 +815,7 @@ def cmd_feed(args) -> int:
         connection.close()
         return 1
     stream = connection.makefile("wb")
-    writer = FrameWriter(stream, binary=args.wire_format == "binary")
+    writer = FrameWriter(stream)
     from repro.workload.progress import ProgressReporter
 
     reporter = ProgressReporter(
@@ -851,7 +840,7 @@ def cmd_feed(args) -> int:
             pass
         connection.close()
     print(f"fed {label}: {packets:,} packets in {writer.frames_sent} "
-          f"{args.wire_format} frames ({writer.bytes_sent:,} payload bytes)")
+          f"binary frames ({writer.bytes_sent:,} payload bytes)")
     return 0
 
 

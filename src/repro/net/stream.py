@@ -6,20 +6,16 @@ are ``!I``-prefixed: a 4-byte big-endian payload length followed by the
 payload.  An *empty* payload is a keepalive — it decodes to an empty
 chunk and carries no packets.
 
-Two payload codecs carry one :class:`~repro.net.table.PacketTable`
-chunk per frame:
+Every non-empty payload carries one :class:`~repro.net.table.PacketTable`
+chunk in the binary columnar codec (:class:`TableEncoder` /
+:func:`encode_table`): a versioned little-endian layout that ships the
+table's raw column buffers plus *pool deltas* — only the socket pairs
+and payloads the receiver has not seen yet — so a feed's ``pair_ids``
+stay stable across frames without re-interning, and encode/decode is
+bulk ``array`` I/O instead of per-row work.  A payload that does not
+start with :data:`MAGIC` raises :class:`FramingError`.
 
-* **Binary columnar** (the default, :class:`TableEncoder` /
-  :func:`encode_table`): a versioned little-endian layout that ships the
-  table's raw column buffers plus *pool deltas* — only the socket pairs
-  and payloads the receiver has not seen yet — so a feed's ``pair_ids``
-  stay stable across frames without re-interning, and encode/decode is
-  bulk ``array`` I/O instead of per-row work.
-* **JSON rows** (:func:`encode_table_json`, the legacy format): one
-  list per packet with base64 payloads.  Kept as a compat path; the
-  decoder recognizes both formats by sniffing the payload's first bytes.
-
-Binary frame payload layout (all multi-byte header fields big-endian,
+Frame payload layout (all multi-byte header fields big-endian,
 column data little-endian)::
 
     magic         4 bytes   0xAB 'R' 'P' 'T'
@@ -53,8 +49,6 @@ can raise :class:`FramingError`, never execute code.
 
 from __future__ import annotations
 
-import base64
-import json
 import struct
 import sys
 from array import array
@@ -69,8 +63,8 @@ _LENGTH = struct.Struct("!I")
 #: prefix must not trigger a multi-gigabyte allocation.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: First bytes of a binary table payload.  0xAB is not printable ASCII,
-#: so a binary frame can never be confused with the JSON-rows format.
+#: First bytes of a table payload.  0xAB is not printable ASCII, so a
+#: text payload (JSON, a stray protocol) is rejected at its first byte.
 MAGIC = b"\xabRPT"
 
 #: Binary table codec version carried in every frame.
@@ -161,7 +155,7 @@ def read_frame(stream: BinaryIO) -> Optional[bytes]:
 
 
 # ---------------------------------------------------------------------------
-# Pool packing (shared with the shared-memory worker transport)
+# Pool packing (shared with the shared-memory lane dispatch, repro.sim.shm)
 # ---------------------------------------------------------------------------
 
 
@@ -310,77 +304,28 @@ def encode_table(table: PacketTable) -> bytes:
     return TableEncoder().encode(table)
 
 
-def encode_table_json(table: PacketTable) -> bytes:
-    """The legacy JSON-rows payload (compat path; see module docs).
-
-    Row shape (one list per packet, timestamp-ordered)::
-
-        [timestamp, protocol, src_addr, src_port, dst_addr, dst_port,
-         size, flags, outbound, payload_b64]
-    """
-    rows = []
-    for position in range(len(table)):
-        pair = table.pairs[table.pair_ids[position]]
-        payload = table.payloads[table.payload_ids[position]]
-        rows.append([
-            table.timestamps[position],
-            pair.protocol, pair.src_addr, pair.src_port,
-            pair.dst_addr, pair.dst_port,
-            table.sizes[position], table.flags[position],
-            table.outbound[position],
-            base64.b64encode(payload).decode("ascii") if payload else "",
-        ])
-    return json.dumps(rows, separators=(",", ":")).encode("utf-8")
-
-
 def decode_table(payload: bytes, pool: Optional[PacketTable] = None) -> PacketTable:
-    """Rebuild a table chunk from any supported frame payload.
+    """Rebuild a table chunk from a frame payload.
 
-    Sniffs the format: empty payloads are keepalives (an empty chunk),
-    :data:`MAGIC` selects the binary columnar codec, a ``[`` selects the
-    legacy JSON-rows codec, and anything else raises
-    :class:`FramingError`.
+    Empty payloads are keepalives (an empty chunk); anything not starting
+    with :data:`MAGIC` raises :class:`FramingError`.
 
     ``pool`` makes the chunk share a long-lived table's interned
     flow/payload pools (:meth:`PacketTable.spawn`), so a feed's
     ``pair_ids`` stay stable across frames — appended in place on the
-    binary lockstep path, re-interned for JSON and standalone binary
-    frames.
+    lockstep path, re-interned for standalone frames.
     """
     if not payload:
         return pool.spawn() if pool is not None else PacketTable()
     head = payload[:1]
-    if head == MAGIC[:1]:
-        if payload[:4] != MAGIC:
-            raise FramingError(f"bad magic: {payload[:4]!r}")
-        return _decode_binary(payload, pool)
-    if head == b"[":
-        return _decode_json(payload, pool)
-    raise FramingError(
-        f"unrecognized table payload (first byte {head!r} is neither the "
-        f"binary magic nor JSON rows)"
-    )
-
-
-def _decode_json(payload: bytes, pool: Optional[PacketTable]) -> PacketTable:
-    table = pool.spawn() if pool is not None else PacketTable()
-    append_row = table.append_row
-    try:
-        rows = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as error:
-        raise FramingError(f"corrupt JSON table payload: {error}") from None
-    for row in rows:
-        (timestamp, protocol, src_addr, src_port, dst_addr, dst_port,
-         size, flags, outbound, payload_b64) = row
-        append_row(
-            timestamp,
-            SocketPair(protocol, src_addr, src_port, dst_addr, dst_port),
-            size,
-            flags,
-            base64.b64decode(payload_b64) if payload_b64 else b"",
-            outbound,
+    if head != MAGIC[:1]:
+        raise FramingError(
+            f"unrecognized table payload (first byte {head!r} is not the "
+            f"binary magic)"
         )
-    return table
+    if payload[:4] != MAGIC:
+        raise FramingError(f"bad magic: {payload[:4]!r}")
+    return _decode_binary(payload, pool)
 
 
 def _decode_binary(payload: bytes, pool: Optional[PacketTable]) -> PacketTable:
@@ -470,8 +415,8 @@ def _decode_binary(payload: bytes, pool: Optional[PacketTable]) -> PacketTable:
         pair_count, payload_count = len(pool.pairs), len(pool.payloads)
     elif standalone:
         # A full-pool frame against an already-populated pool: re-intern
-        # (the JSON decoder's semantics) so independent feeders can share
-        # one receiver pool at the cost of an id remap.
+        # so independent feeders can share one receiver pool at the cost
+        # of an id remap.
         remap_pair = array("l", (pool._pair_id(pair) for pair in new_pairs))
         remap_payload = array("l", [0])
         remap_payload.extend(pool._payload_id(blob) for blob in new_payloads)
@@ -513,22 +458,18 @@ class FrameWriter:
 
     Wraps a writable binary stream (typically ``socket.makefile("wb")``)
     and encodes each chunk with one long-lived :class:`TableEncoder`, so
-    a pool-sharing chunk stream ships pool deltas.  ``binary=False``
-    selects the legacy JSON-rows payload for old receivers.
+    a pool-sharing chunk stream ships pool deltas.
     """
 
-    def __init__(self, stream: BinaryIO, binary: bool = True) -> None:
+    def __init__(self, stream: BinaryIO) -> None:
         self.stream = stream
-        self._encoder: Optional[TableEncoder] = TableEncoder() if binary else None
+        self._encoder = TableEncoder()
         self.frames_sent = 0
         self.bytes_sent = 0
 
     def send(self, table: PacketTable) -> int:
         """Encode and write one chunk; returns the payload byte count."""
-        if self._encoder is not None:
-            payload = self._encoder.encode(table)
-        else:
-            payload = encode_table_json(table)
+        payload = self._encoder.encode(table)
         write_frame(self.stream, payload)
         self.frames_sent += 1
         self.bytes_sent += len(payload)

@@ -12,9 +12,11 @@ sharded replay therefore decomposes exactly:
    ``default_verdict``.
 2. **Replay each lane in its own worker process**, each driving the
    lane filter's fused kernel (:mod:`repro.sim.kernels` — any registered
-   filter type, not just bitmap) over its sub-stream.  Lane processes
-   live under a :class:`~repro.shard.lifecycle.WorkerPool`; the serial
-   (``workers=1``) path isolates each lane through a
+   filter type, not just bitmap) over its sub-stream with the batched
+   backend.  Lane processes live under a
+   :class:`~repro.shard.lifecycle.WorkerPool` and read their lane's
+   columns from one shared-memory segment (:mod:`repro.sim.shm`); the
+   serial (``workers=1``) path isolates each lane through a
    :class:`~repro.shard.lifecycle.MemberLane` instead.  Every lane's
    filter carries its own RNG (seeded deterministically at
    construction), so verdicts are independent of worker scheduling.
@@ -97,32 +99,31 @@ ParallelReplayResult = ReplayResult
 
 
 def _replay_lane(task) -> LaneResult:
-    """Worker entry point: replay one lane's sub-stream, record everything.
+    """Worker entry point: batched replay of one lane, record everything.
 
-    Runs in a child process; ``task`` and the returned :class:`LaneResult`
-    cross the process boundary by pickling.  ``packets`` is either the
-    lane table itself (pickle transport / in-process) or a
-    :class:`~repro.sim.shm.ShmLane` reference, in which case the worker
-    maps the parent's column bytes in place and replays the zero-copy
-    view table.
+    ``task`` and the returned :class:`LaneResult` cross the process
+    boundary by pickling.  ``lane_input`` is the lane table itself on the
+    in-process path, or a :class:`~repro.sim.shm.ShmLane` reference, in
+    which case the worker maps the parent's column bytes in place and
+    replays the zero-copy view table.
     """
     from repro.sim.replay import replay
     from repro.sim.shm import ShmLane, attach_lane
 
-    (lane, lane_filter, packets, use_blocklist, throughput_interval,
-     drop_window, batched, record_fingerprint) = task
+    (lane, lane_filter, lane_input, use_blocklist, throughput_interval,
+     drop_window, record_fingerprint) = task
     attachment = None
-    if isinstance(packets, ShmLane):
-        attachment = attach_lane(packets)
-        packets = attachment.table
+    if isinstance(lane_input, ShmLane):
+        attachment = attach_lane(lane_input)
+        lane_input = attachment.table
     try:
         result = replay(
-            packets,
+            lane_input,
             lane_filter,
             use_blocklist=use_blocklist,
             throughput_interval=throughput_interval,
             drop_window=drop_window,
-            batched=batched,
+            batched=True,
             record_fingerprint=record_fingerprint,
         )
     finally:
@@ -179,17 +180,15 @@ def parallel_replay(
     use_blocklist: bool = True,
     throughput_interval: float = 1.0,
     drop_window: float = 10.0,
-    batched: bool = True,
-    transport: str = "auto",
     record_fingerprint: bool = False,
 ) -> ParallelReplayResult:
     """Replay a packet stream through a sharded filter, one worker per lane.
 
     ``packets`` may be a packet list, a :class:`PacketTable`, or an
-    iterable of either (a stream of generator chunks is merged into one
-    table first).  Columnar input partitions by interned flow
+    iterable of either; it becomes one table at the front door
+    (:func:`~repro.net.table.as_table`), partitions by interned flow
     (:meth:`ShardedFilter.partition_table`) into pool-sharing lane
-    tables, and each lane replays columnar end to end.
+    tables, and each lane replays through the batched backend.
 
     Produces the same merged verdict counts, throughput-series bins,
     drop-rate windows and per-shard statistics as
@@ -198,18 +197,9 @@ def parallel_replay(
     decision ever depends on another lane's state.  ``workers`` bounds
     concurrent processes (default: ``os.cpu_count()``); ``workers=1``
     runs the lanes serially in-process with zero multiprocessing overhead
-    but the same merge path.  ``batched`` selects each lane's engine —
-    the columnar batched backend by default, the sequential per-packet
-    backend with ``batched=False`` — with bit-identical merged results
-    either way.
-
-    ``transport`` picks the lane dispatch mechanism: ``"shm"`` publishes
-    column buffers into one shared-memory segment and ships workers only
-    offsets (:mod:`repro.sim.shm`; object-shaped input is columnarized
-    first), ``"pickle"`` serializes lane tables through the pipe, and
-    ``"auto"`` (the default) uses shared memory whenever the dispatch is
-    multiprocess, the input columnar and the platform capable.  Verdicts
-    and merged statistics are identical across transports.
+    but the same merge path.  A multiprocess dispatch publishes every
+    lane's columns into one shared-memory segment and ships workers only
+    offsets (:mod:`repro.sim.shm`).
 
     ``record_fingerprint`` records each lane's own FNV-1a verdict
     fingerprint (``result.lanes[i].fingerprint``) and sets
@@ -220,21 +210,12 @@ def parallel_replay(
     independent daemons can reproduce, and the offline reference the
     fleet smoke verifies against.
     """
-    from repro.sim.shm import HAVE_SHARED_MEMORY, SharedTableArena
+    from repro.sim.shm import SharedTableArena
 
     if not isinstance(packet_filter, ShardedFilter):
         raise ValueError(
             "parallel replay needs a ShardedFilter — only sharded state "
             f"partitions across processes (got {type(packet_filter).__name__})"
-        )
-    if transport not in ("auto", "shm", "pickle"):
-        raise ValueError(
-            f"transport must be 'auto', 'shm' or 'pickle': {transport!r}"
-        )
-    if transport == "shm" and not HAVE_SHARED_MEMORY:
-        raise ValueError(
-            "transport='shm' needs multiprocessing.shared_memory, which "
-            "this platform lacks"
         )
     _check_rng_isolation(packet_filter)
     if workers is None:
@@ -242,87 +223,48 @@ def parallel_replay(
     if workers < 1:
         raise ValueError(f"workers must be >= 1: {workers}")
 
-    if transport == "shm" and not isinstance(packets, PacketTable):
-        # The shared-memory transport ships column buffers; coerce
-        # object-shaped input through the exact columnar converter.
-        packets = as_table(packets)
-    if not isinstance(packets, (list, PacketTable)):
-        materialized = list(packets)
-        if materialized and isinstance(materialized[0], PacketTable):
-            # A stream of generator chunks: merge into one table (exact
-            # re-interning converter) and partition columnar.
-            packets = as_table(materialized)
-        else:
-            packets = materialized
-    if isinstance(packets, PacketTable):
-        span = (
-            (packets.timestamps[0], packets.timestamps[-1])
-            if len(packets) else None
-        )
-        lanes, default_lane = packet_filter.partition_table(packets)
-    else:
-        span = (
-            (packets[0].timestamp, packets[-1].timestamp) if packets else None
-        )
-        lanes, default_lane = packet_filter.partition_packets(packets)
+    table = as_table(packets)
+    span = (table.timestamps[0], table.timestamps[-1]) if len(table) else None
+    lanes, default_lane = packet_filter.partition_table(table)
 
-    lane_work: List[Tuple[int, object, object]] = []  # (lane, filter, packets)
-    for position, lane_packets in enumerate(lanes):
-        if not len(lane_packets):
-            continue
-        lane_work.append(
-            (position, packet_filter.members[position], lane_packets)
-        )
+    lane_work: List[Tuple[int, object, PacketTable]] = []
+    for position, lane_table in enumerate(lanes):
+        if len(lane_table):
+            lane_work.append(
+                (position, packet_filter.members[position], lane_table)
+            )
     if len(default_lane):
         lane_work.append(
             (-1, DefaultLaneFilter(packet_filter.default_verdict), default_lane)
         )
 
-    in_process = workers <= 1 or len(lane_work) <= 1
-    columnar = all(
-        isinstance(lane_packets, PacketTable) for _, _, lane_packets in lane_work
-    )
-    use_shm = (
-        not in_process
-        and columnar
-        and bool(lane_work)
-        and HAVE_SHARED_MEMORY
-        and transport != "pickle"
-    )
-
-    arena = None
-    if use_shm:
-        arena = SharedTableArena.publish(
-            [(lane, lane_packets) for lane, _, lane_packets in lane_work]
-        )
-        payloads = arena.lanes
-    else:
-        payloads = [lane_packets for _, _, lane_packets in lane_work]
-
-    tasks: List[Tuple] = []
-    for (lane, lane_filter, _), payload in zip(lane_work, payloads):
-        if in_process:
-            # The in-process path replays the parent's own filter objects;
-            # a MemberLane isolates each (deep copy on launch) so the
-            # parent's filter only accumulates the merged statistics
-            # afterwards.  Multiprocess dispatch skips this — pickling
-            # into the worker is already a copy, and a parent-side
-            # deepcopy would just double the dispatch cost.
+    options = (use_blocklist, throughput_interval, drop_window,
+               record_fingerprint)
+    if workers <= 1 or len(lane_work) <= 1:
+        # The in-process path replays the parent's own filter objects; a
+        # MemberLane isolates each (deep copy on launch) so the parent's
+        # filter only accumulates the merged statistics afterwards.
+        # Multiprocess dispatch skips this — pickling into the worker is
+        # already a copy, and a parent-side deepcopy would just double
+        # the dispatch cost.
+        records = []
+        for lane, lane_filter, lane_table in lane_work:
             member = MemberLane(lane, lane_filter, isolate=True)
             member.launch()
-            lane_filter = member.filter
-        tasks.append((lane, lane_filter, payload, use_blocklist,
-                      throughput_interval, drop_window, batched,
-                      record_fingerprint))
-
-    try:
-        if in_process:
-            records = [_replay_lane(task) for task in tasks]
-        else:
+            records.append(
+                _replay_lane((lane, member.filter, lane_table, *options))
+            )
+    else:
+        arena = SharedTableArena.publish(
+            [(lane, lane_table) for lane, _, lane_table in lane_work]
+        )
+        try:
+            tasks = [(lane, lane_filter, ref, *options)
+                     for (lane, lane_filter, _), ref in zip(lane_work,
+                                                           arena.lanes)]
             with WorkerPool(min(workers, len(tasks))) as pool:
                 records = pool.map(_replay_lane, tasks)
-    finally:
-        if arena is not None:
+        finally:
             arena.dispose()
 
     return _merge(packet_filter, span, records, workers,

@@ -33,8 +33,8 @@ the stages:
   chunks are split at event boundaries so probes fire at exactly the
   per-packet moments.
 * :class:`ParallelBackend` — multiprocess sharded lanes
-  (:mod:`repro.sim.parallel`), each lane itself driven by the batched or
-  sequential backend.
+  (:mod:`repro.sim.parallel`), each lane itself driven by the batched
+  backend over a shared-memory view of its columns.
 
 All backends are bit-identical by contract: same verdicts, same
 statistics, same RNG consumption (``tests/sim/test_pipeline.py`` holds
@@ -530,29 +530,19 @@ class ParallelBackend(ExecutionBackend):
     """Multiprocess sharded traversal (:mod:`repro.sim.parallel`).
 
     The stream partitions into per-shard lanes; each worker process
-    drives one lane through the batched backend (``lane_batched=False``
-    selects the sequential backend per lane — same merged result, useful
-    for isolating fast-path regressions), and the per-lane records merge
-    back through the shared pipeline finalize hook.
+    drives one lane through the batched backend, and the per-lane
+    records merge back through the shared pipeline finalize hook.
     """
 
     name = "parallel"
 
-    def __init__(self, workers: int, lane_batched: bool = True,
-                 transport: str = "auto") -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1: {workers}")
-        if transport not in ("auto", "shm", "pickle"):
-            raise ValueError(
-                f"transport must be 'auto', 'shm' or 'pickle': {transport!r}"
-            )
         self.workers = workers
-        self.lane_batched = lane_batched
-        self.transport = transport
 
     def describe(self) -> str:
-        suffix = "" if self.transport == "auto" else f" ({self.transport})"
-        return f"parallel x{self.workers}{suffix}"
+        return f"parallel x{self.workers}"
 
     def stepper(self, config: PipelineConfig) -> ReplayStepper:
         raise NotImplementedError(
@@ -576,8 +566,6 @@ class ParallelBackend(ExecutionBackend):
             use_blocklist=config.use_blocklist,
             throughput_interval=config.throughput_interval,
             drop_window=config.drop_window,
-            batched=self.lane_batched,
-            transport=self.transport,
             # Parallel lanes record per-lane fingerprints, combined
             # lane-keyed — not the interleaved-stream value (replay()'s
             # front door still refuses the ambiguous combination).
@@ -590,7 +578,6 @@ def select_backend(
     workers: int = 1,
     scheduler: Optional[EventScheduler] = None,
     chunk_size: Optional[int] = None,
-    transport: str = "auto",
 ) -> ExecutionBackend:
     """Map the ``(batched, workers, scheduler)`` knobs onto one backend.
 
@@ -607,21 +594,24 @@ def select_backend(
     True     1       set       batched, chunks split at event boundaries
     None     >1      None      parallel, batched lanes
     True     >1      None      parallel, batched lanes
-    False    >1      None      parallel, sequential lanes
+    False    >1      any       **ValueError** (parallel lanes are always
+                               batched)
     any      >1      set       **ValueError** (probes cannot interleave
                                across worker processes)
     any      <1      any       **ValueError**
     ======== ======= ========= ==========================================
 
     ``chunk_size`` is only meaningful for the batched backend; asking for
-    it anywhere else is an error, not a silent ignore.  ``transport``
-    (``auto``/``shm``/``pickle``) picks the parallel backend's lane
-    dispatch mechanism; a non-default value anywhere else is likewise an
-    error.
+    it anywhere else is an error, not a silent ignore.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1: {workers}")
     if workers > 1:
+        if batched is False:
+            raise ValueError(
+                "parallel lanes always replay batched; batched=False needs "
+                "workers=1"
+            )
         if scheduler is not None:
             raise ValueError(
                 "parallel replay cannot drive a scheduler — its probes "
@@ -632,13 +622,7 @@ def select_backend(
                 "chunk_size applies to the batched backend only; the "
                 "parallel backend batches whole lanes"
             )
-        return ParallelBackend(
-            workers, lane_batched=batched is not False, transport=transport
-        )
-    if transport != "auto":
-        raise ValueError(
-            "transport applies to the parallel backend only (workers > 1)"
-        )
+        return ParallelBackend(workers)
     if batched:
         return BatchedBackend(chunk_size=chunk_size)
     if chunk_size is not None:

@@ -48,7 +48,6 @@ def replay(
     chunk_size: Optional[int] = None,
     backend: Optional[ExecutionBackend] = None,
     record_fingerprint: bool = False,
-    transport: str = "auto",
 ) -> ReplayResult:
     """Replay a timestamp-ordered packet stream through a filter.
 
@@ -73,25 +72,21 @@ def replay(
     lanes under the parallel engine.  With a scheduler attached the
     batched engine splits chunks at event boundaries, so probes fire at
     exactly the per-packet moments; ``batched=False`` forces the
-    per-packet loop everywhere, including parallel lanes.
+    per-packet loop and needs ``workers=1``.
 
     ``workers > 1`` dispatches to the multiprocess sharded engine
     (:class:`~repro.sim.pipeline.ParallelBackend` /
     :func:`repro.sim.parallel.parallel_replay`): the stream is
-    partitioned by shard ownership, one worker process replays each lane,
-    and the merged result carries the same aggregate counts, series bins
-    and per-shard statistics as a single-process run.  Requires a
+    partitioned by shard ownership, one worker process replays each lane
+    batched over a shared-memory view of its columns, and the merged
+    result carries the same aggregate counts, series bins and per-shard
+    statistics as a single-process run.  Requires a
     :class:`~repro.filters.sharded.ShardedFilter` and no scheduler
     (incoherent combinations raise —
     see :func:`~repro.sim.pipeline.select_backend` for the full matrix).
 
     An explicit ``backend`` bypasses the knob dispatch entirely (and is
     mutually exclusive with ``batched``/``workers``/``chunk_size``).
-
-    ``transport`` (``auto``/``shm``/``pickle``) picks the parallel
-    backend's lane dispatch mechanism — shared-memory column buffers or
-    pickled lane tables (see :func:`repro.sim.parallel.parallel_replay`);
-    it is only meaningful with ``workers > 1``.
 
     ``record_fingerprint`` maintains a running 64-bit FNV-1a fingerprint
     of the verdict sequence (``result.fingerprint``) — the cheap
@@ -102,13 +97,12 @@ def replay(
     if backend is None:
         backend = select_backend(
             batched=batched, workers=workers, scheduler=scheduler,
-            chunk_size=chunk_size, transport=transport,
+            chunk_size=chunk_size,
         )
-    elif (batched is not None or workers != 1 or chunk_size is not None
-          or transport != "auto"):
+    elif batched is not None or workers != 1 or chunk_size is not None:
         raise ValueError(
-            "pass either backend= or the batched/workers/chunk_size/"
-            "transport knobs, not both"
+            "pass either backend= or the batched/workers/chunk_size "
+            "knobs, not both"
         )
     if record_fingerprint and backend.name == "parallel":
         raise ValueError(

@@ -1,13 +1,8 @@
-"""Shared-memory lane transport for the parallel backend.
+"""Shared-memory lane dispatch for the parallel backend.
 
-The pickle dispatch path serializes every lane table — columns, interned
-pool, the lot — through the ``multiprocessing`` pipe, byte-copies it in
-the parent, byte-copies it again in the child, and rebuilds every object.
-On a one-socket host that costs more than the replay itself
-(BENCH_parallel_replay.json: workers=2 at 0.25x of workers=1).
-
-This module moves the bulk bytes out of the pipe.  The parent *publishes*
-every lane's columns plus the shared interned pool into one
+A multiprocess :func:`~repro.sim.parallel.parallel_replay` never pickles
+a lane table.  The parent *publishes* every lane's columns plus the
+shared interned pool into one
 :class:`multiprocessing.shared_memory.SharedMemory` segment; what crosses
 the pipe per lane is a :class:`ShmLane` — a name and a handful of
 offsets.  Workers attach the segment, decode the (small) pool once per
@@ -32,6 +27,7 @@ worker decodes offsets and raw numbers, never unpickles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.packet import SocketPair
@@ -42,15 +38,6 @@ from repro.net.stream import (
     unpack_payloads,
 )
 from repro.net.table import PacketTable
-
-try:  # pragma: no cover - absent only on minimal builds
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None
-
-#: True when ``multiprocessing.shared_memory`` is importable; the
-#: parallel transport falls back to pickle when it is not.
-HAVE_SHARED_MEMORY = _shared_memory is not None
 
 
 @dataclass
@@ -134,7 +121,7 @@ def _attach_segment(name: str, pair_span, payload_span):
     if cached is not None:
         return cached
     _evict_cache()
-    shm = _shared_memory.SharedMemory(name=name)
+    shm = shared_memory.SharedMemory(name=name)
     # Attaching registers the segment with the resource tracker on
     # CPython < 3.13 (bpo-38119).  Under spawn each worker runs its own
     # tracker, which would unlink the segment out from under the parent
@@ -161,8 +148,6 @@ def _attach_segment(name: str, pair_span, payload_span):
 
 def attach_lane(ref: ShmLane) -> ShmAttachment:
     """Map one lane's columns as a zero-copy view table (worker side)."""
-    if _shared_memory is None:  # pragma: no cover - gated by the caller
-        raise RuntimeError("multiprocessing.shared_memory is unavailable")
     shm, pairs, payloads = _attach_segment(
         ref.shm_name, ref.pair_span, ref.payload_span
     )
@@ -203,8 +188,6 @@ class SharedTableArena:
         output contract) — the pool is stored once and every lane's id
         columns index it unchanged.
         """
-        if _shared_memory is None:
-            raise RuntimeError("multiprocessing.shared_memory is unavailable")
         if not lane_tables:
             raise ValueError("nothing to publish")
         pool_owner = lane_tables[0][1]
@@ -228,7 +211,7 @@ class SharedTableArena:
                 offset += view.nbytes
             plans.append((lane, table, buffers, spans))
 
-        shm = _shared_memory.SharedMemory(create=True, size=max(offset, 1))
+        shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
         try:
             target = shm.buf
             target[:len(pair_blob)] = pair_blob

@@ -118,6 +118,15 @@ class TestHashMemo:
         filt = small_bitmap()
         replay(trace, filt, batched=False)
         assert filt.hash_memo.hits > filt.hash_memo.misses
+        # The batched path at the chunk size live feeds use: flows that
+        # span chunks must hit the memo the previous chunk filled.  A memo
+        # cleared per chunk still hits within a chunk (a strict-mode
+        # two-way flow's inbound key equals its outbound key) but misses
+        # every flow again in each new chunk, so its hits stay below its
+        # misses.
+        filt = small_bitmap()
+        replay(trace, filt, batched=True, chunk_size=4096)
+        assert filt.hash_memo.hits > filt.hash_memo.misses
 
     @pytest.mark.parametrize("mode", list(FieldMode))
     @pytest.mark.parametrize("red", [False, True])

@@ -16,7 +16,6 @@ from repro.net.stream import (
     TableEncoder,
     decode_table,
     encode_table,
-    encode_table_json,
     read_frame,
     write_frame,
 )
@@ -171,24 +170,9 @@ class TestBinaryCodec:
         # are strictly smaller than their standalone encodings.
         assert len(frames[-1]) < len(standalone[-1])
 
-    def test_json_binary_equivalence(self):
-        """Property: both codecs decode every chunk to the same packets."""
-        for chunk in self.stream_chunks(seed=11):
-            via_json = decode_table(encode_table_json(chunk))
-            via_binary = decode_table(encode_table(chunk))
-            assert len(via_json) == len(via_binary) == len(chunk)
-            for name in ("timestamps", "sizes", "flags", "outbound"):
-                assert list(getattr(via_json, name)) == \
-                    list(getattr(via_binary, name))
-            for position in range(len(chunk)):
-                assert via_json.pair(position) == via_binary.pair(position) \
-                    == chunk.pair(position)
-                assert (via_json.payloads[via_json.payload_ids[position]]
-                        == via_binary.payloads[via_binary.payload_ids[position]])
-
     def test_standalone_frame_reinterns_into_populated_pool(self):
         """A full-pool frame from an independent feeder decodes against an
-        already-populated receiver pool by re-interning, like JSON."""
+        already-populated receiver pool by re-interning."""
         first, second = self.stream_chunks()[:2]
         pool = PacketTable()
         decoded_first = decode_table(encode_table(first), pool=pool)
@@ -244,15 +228,6 @@ class TestBinaryCodec:
         for source, decoded in zip(chunks, received):
             assert list(decoded.pair_ids) == list(source.pair_ids)
 
-    def test_frame_writer_json_mode(self):
-        buffer = io.BytesIO()
-        writer = FrameWriter(buffer, binary=False)
-        writer.send(sample_table())
-        buffer.seek(0)
-        payload = read_frame(buffer)
-        assert payload.startswith(b"[")
-        assert len(decode_table(payload)) == 3
-
 
 class TestCorruptFrames:
     """A corrupt or hostile payload raises FramingError, never worse."""
@@ -263,6 +238,13 @@ class TestCorruptFrames:
     def test_unrecognized_first_byte(self):
         with pytest.raises(FramingError, match="unrecognized"):
             decode_table(b"\x00\x01\x02")
+
+    def test_json_rows_payload_rejected(self):
+        """Table payloads are binary only: a JSON list of packet rows is
+        an unrecognized payload, not a chunk."""
+        rows = b'[[1.0,6,167837698,4000,3405803786,80,100,2,1,""]]'
+        with pytest.raises(FramingError, match="unrecognized"):
+            decode_table(rows)
 
     def test_bad_magic(self):
         corrupt = self.frame()

@@ -7,7 +7,10 @@ replayed offline through :func:`repro.sim.replay.replay`.
 """
 
 import asyncio
+import json
 import os
+import socket
+import struct
 import threading
 import time
 
@@ -16,12 +19,14 @@ import pytest
 from repro.core.bitmap_filter import BitmapFilterConfig
 from repro.filters.bitmap import BitmapPacketFilter
 from repro.filters.policy import DropController
+from repro.net.stream import FrameWriter, encode_table, write_frame
 from repro.service import (
     ControlClient,
     FilterService,
     GeneratorSource,
     IdleSource,
     ServiceError,
+    SocketSource,
     TableSource,
     latest_snapshot,
     read_snapshot,
@@ -397,3 +402,64 @@ class TestValidation:
         )
         result = service.run_forever()
         assert result.fingerprint == offline_result().fingerprint
+
+
+class TestBadFrames:
+    """A feed that turns bad mid-stream ends the service promptly with a
+    named error, having filtered exactly the good frames before it."""
+
+    GOOD_FRAMES = 4
+
+    @staticmethod
+    def json_rows(chunk):
+        """One packet row as JSON, a text payload that is no table frame."""
+        pair = chunk.pair(0)
+        return json.dumps([[
+            chunk.timestamps[0], pair.protocol, pair.src_addr, pair.src_port,
+            pair.dst_addr, pair.dst_port, chunk.sizes[0], chunk.flags[0],
+            chunk.outbound[0], "",
+        ]]).encode()
+
+    @staticmethod
+    def cut_off(chunk):
+        """A length prefix promising the whole frame, then half of it."""
+        payload = encode_table(chunk)
+        return struct.pack("!I", len(payload)) + payload[:len(payload) // 2]
+
+    @pytest.mark.parametrize("bad_frame", ["json-rows", "cut-off"])
+    def test_bad_frame_ends_service_with_framing_error(self, tmp_path,
+                                                       bad_frame):
+        chunks = list(TraceGenerator(
+            TraceConfig(duration=20.0, connection_rate=6.0, seed=4)
+        ).iter_tables(CHUNK))
+        good = chunks[:self.GOOD_FRAMES]
+        path = str(tmp_path / "feed.sock")
+        service = FilterService(SocketSource.unix(path), make_filter())
+        thread, box = run_in_thread(service)
+
+        connection = socket.socket(socket.AF_UNIX)
+        connection.connect(path)
+        stream = connection.makefile("wb")
+        try:
+            writer = FrameWriter(stream)
+            for chunk in good:
+                writer.send(chunk)
+            following = chunks[self.GOOD_FRAMES]
+            if bad_frame == "json-rows":
+                write_frame(stream, self.json_rows(following))
+            else:
+                stream.write(self.cut_off(following))
+                stream.flush()
+        finally:
+            stream.close()
+            connection.close()
+
+        thread.join(timeout=30.0)
+        assert not thread.is_alive(), "service hung on a bad frame"
+        assert "error" not in box
+        assert str(service.ingest_error).startswith("FramingError")
+        reference = replay(iter(good), make_filter(), batched=True,
+                           record_fingerprint=True)
+        result = box["result"]
+        assert result.packets == reference.packets == CHUNK * len(good)
+        assert result.fingerprint == reference.fingerprint

@@ -184,20 +184,29 @@ class TestFeedbackBeatsReplay:
         specs = [spec(Initiator.REMOTE, start=float(i), sport=3000 + i, upload=200_000)
                  for i in range(10)]
 
-        # Open-loop: replay the fixed packet stream with blocklist.
         packets = sorted(
             (p for i, s in enumerate(specs) for p in connection_packets(s, random.Random(i))),
             key=lambda p: p.timestamp,
         )
-        open_loop = replay(packets, bitmap_filter(), use_blocklist=True)
-        # Closed-loop: the same connections with admission feedback.
-        closed = ClosedLoopSimulator(bitmap_filter()).run(specs)
 
-        # Open-loop cannot stop the outbound upload packets (they are in
-        # the trace and outbound always passes the filter; only the σ
-        # blocklist catches some).  Closed-loop stops all of it.
-        assert closed.passed.total_bytes(Direction.OUTBOUND) == 0
-        assert open_loop.passed.total_bytes(Direction.OUTBOUND) >= 0
+        def uploaded(result):
+            return result.passed.total_bytes(Direction.OUTBOUND)
+
+        # Without the blocklist (the closed loop's default) open replay
+        # passes every upload packet in the trace: outbound always passes
+        # the filter.  The closed loop refuses each connection at its
+        # SYN, so the upload it would have triggered is never sent.
+        open_loop = replay(packets, bitmap_filter(), use_blocklist=False)
+        closed = ClosedLoopSimulator(bitmap_filter()).run(specs)
+        assert uploaded(closed) == 0
+        assert uploaded(closed) < uploaded(open_loop)
+
+        # The σ blocklist also suppresses a refused connection's later
+        # outbound packets, so here open replay stops the upload too and
+        # the scenario cannot show a gap; feedback still never passes more.
+        open_loop = replay(packets, bitmap_filter(), use_blocklist=True)
+        closed = ClosedLoopSimulator(bitmap_filter(), use_blocklist=True).run(specs)
+        assert uploaded(closed) <= uploaded(open_loop)
 
 
 class TestRetries:

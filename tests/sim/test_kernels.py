@@ -3,8 +3,8 @@
 Every registered kernel (:mod:`repro.sim.kernels`) must be bit-identical
 to the sequential per-packet reference — same verdict fingerprints, same
 filter statistics, same blocklist contents, same RNG end-state — across
-backends (sequential / batched / parallel workers 2 and 4), transports
-(pickle / shm) and seeds.  Registration is by exact type: subclasses
+backends (sequential / batched / parallel workers 2 and 4, whose lanes
+read shared memory) and seeds.  Registration is by exact type: subclasses
 with overridden hooks must fall back to the generic path and keep their
 overrides honored.
 """
@@ -232,20 +232,18 @@ def make_sharded(name, shard_count=4):
 
 
 class TestParallelMatrix:
-    """Every kernel × workers {2,4} × transport {pickle,shm} × two seeds."""
+    """Every kernel × workers {2,4} × two seeds, lanes over shared memory."""
 
     @pytest.mark.parametrize("seed", [1, 2])
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    @pytest.mark.parametrize("workers", [2, 4])
+    # Every multiprocess dispatch publishes a shared-memory arena; the
+    # ids name it so each case reads as the lane path it runs.
+    @pytest.mark.parametrize("workers", [2, 4], ids=["2-shm", "4-shm"])
     @pytest.mark.parametrize("name", sorted(FILTER_FACTORIES))
-    def test_parallel_matches_single_process(self, name, workers, transport,
-                                             seed):
-        if transport == "shm":
-            pytest.importorskip("multiprocessing.shared_memory")
+    def test_parallel_matches_single_process(self, name, workers, seed):
         packets = trace(seed, duration=12.0)
         single = replay(list(packets), make_sharded(name), use_blocklist=True)
         parallel = parallel_replay(list(packets), make_sharded(name),
-                                   workers=workers, transport=transport)
+                                   workers=workers)
         reference = fingerprint_no_verdicts(single)
         assert fingerprint_no_verdicts(parallel) == reference
 

@@ -277,7 +277,7 @@ packets = TraceGenerator(
 ).packet_list()
 print("READY", flush=True)
 try:
-    parallel_replay(packets, sharded, workers=4, batched=False)
+    parallel_replay(packets, sharded, workers=4)
     print("FINISHED", flush=True)
 except KeyboardInterrupt:
     leftover = multiprocessing.active_children()
@@ -326,31 +326,17 @@ class TestInterrupt:
 
 
 class TestTransports:
-    """shm and pickle dispatch must be indistinguishable in results."""
+    """Multiprocess lanes read their input from one shared-memory segment."""
 
     def table_trace(self, seed=7):
         from repro.net.table import as_table
         config = TraceConfig(duration=20.0, connection_rate=6.0, seed=seed)
         return as_table(TraceGenerator(config).iter_tables(512))
 
-    def test_shm_matches_pickle_and_single_process(self):
-        pytest.importorskip("multiprocessing.shared_memory")
-        table = self.table_trace()
-        single = replay(table, make_sharded(), use_blocklist=True)
-        via_pickle = parallel_replay(
-            table, make_sharded(), workers=2, transport="pickle"
-        )
-        via_shm = parallel_replay(
-            table, make_sharded(), workers=2, transport="shm"
-        )
-        assert fingerprint(via_shm) == fingerprint(single)
-        assert fingerprint(via_pickle) == fingerprint(single)
-
     def test_shm_leaves_parent_filter_state_untouched(self):
-        pytest.importorskip("multiprocessing.shared_memory")
         table = self.table_trace()
         sharded = make_sharded()
-        parallel_replay(table, sharded, workers=2, transport="shm")
+        parallel_replay(table, sharded, workers=2)
         # Statistics merge back into the parent's filter; bitmap *state*
         # stays in the workers — the parent's vectors were never touched.
         for _, _, shard in sharded.shards:
@@ -360,17 +346,7 @@ class TestTransports:
         assert sharded.stats.total > 0  # merged lane statistics
 
     def test_shm_coerces_packet_list_input(self):
-        pytest.importorskip("multiprocessing.shared_memory")
         packets = trace(3, duration=10.0)
         single = replay(packets, make_sharded(), use_blocklist=True)
-        via_shm = parallel_replay(
-            packets, make_sharded(), workers=2, transport="shm"
-        )
+        via_shm = parallel_replay(packets, make_sharded(), workers=2)
         assert fingerprint(via_shm) == fingerprint(single)
-
-    def test_invalid_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport must be"):
-            parallel_replay(
-                self.table_trace(), make_sharded(), workers=2,
-                transport="carrier-pigeon"
-            )

@@ -114,14 +114,14 @@ class TestDispatchMatrix:
         backend = select_backend(workers=4)
         assert isinstance(backend, ParallelBackend)
         assert backend.workers == 4
-        assert backend.lane_batched is True
 
-    def test_workers_with_batched_false_get_sequential_lanes(self):
-        """The old silent upgrade is gone: batched=False is honored in
-        parallel lanes."""
-        backend = select_backend(batched=False, workers=2)
-        assert isinstance(backend, ParallelBackend)
-        assert backend.lane_batched is False
+    def test_workers_with_batched_false_raise(self):
+        """Parallel lanes always replay batched; asking for per-packet
+        lanes is an error, not a silent upgrade."""
+        with pytest.raises(ValueError, match="batched"):
+            select_backend(batched=False, workers=2)
+        with pytest.raises(ValueError, match="batched"):
+            replay(trace(1), make_sharded(), workers=2, batched=False)
 
     def test_workers_below_one_raise(self):
         with pytest.raises(ValueError, match="workers"):
@@ -190,17 +190,6 @@ class TestBackendEquivalence:
                 replay(packets, make_sharded(), use_blocklist=True,
                        workers=workers))
             assert parallel == reference
-
-    def test_sequential_parallel_lanes_agree(self):
-        """workers>1 with batched=False replays each lane per-packet and
-        still merges to the identical result."""
-        packets = trace(5)
-        reference = fingerprint(
-            replay(packets, make_sharded(), use_blocklist=True))
-        sequential_lanes = fingerprint(
-            replay(packets, make_sharded(), use_blocklist=True,
-                   workers=2, batched=False))
-        assert sequential_lanes == reference
 
     def test_chunked_batching_agrees(self):
         packets = trace(7)

@@ -1,10 +1,8 @@
-"""Tests for the shared-memory lane transport (repro.sim.shm)."""
+"""Tests for the shared-memory lane dispatch (repro.sim.shm)."""
 
 import pickle
 
 import pytest
-
-pytest.importorskip("multiprocessing.shared_memory")
 
 from repro.net.table import PacketTable, as_table
 from repro.sim.shm import SharedTableArena, ShmLane, attach_lane

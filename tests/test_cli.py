@@ -112,6 +112,13 @@ class TestFilter:
         assert main(["filter", trace_path, "--filter", "bitmap",
                      "--hole-punching"]) == 0
 
+    def test_sharded_replay(self, trace_path, capsys):
+        assert main(["filter", trace_path, "--filter", "bitmap",
+                     "--workers", "2", "--shard-bits", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "engine: parallel x2 (2 shards)" in out
+        assert "inbound drop rate" in out
+
 
 class TestTraceWorkers:
     def test_parallel_pcap_byte_identical(self, trace_path, tmp_path):
@@ -271,20 +278,6 @@ class TestServeAndCtl:
     def test_ctl_config_requires_params(self, tmp_path, capsys):
         rc = main(["ctl", f"unix:{tmp_path / 'gone.sock'}", "config"])
         assert rc in (1, 2)
-
-
-class TestTransportFlag:
-    def test_transport_needs_workers(self, trace_path):
-        with pytest.raises(SystemExit, match="workers"):
-            main(["filter", trace_path, "--filter", "bitmap",
-                  "--transport", "shm"])
-
-    def test_sharded_replay_with_transport(self, trace_path, capsys):
-        pytest.importorskip("multiprocessing.shared_memory")
-        assert main(["filter", trace_path, "--filter", "bitmap",
-                     "--workers", "2", "--shard-bits", "1",
-                     "--transport", "shm"]) == 0
-        assert "inbound drop rate" in capsys.readouterr().out
 
 
 class TestFeed:
