@@ -14,6 +14,16 @@ memo (``BitmapFilter.hash_memo``), so the mark and lookup cases run twice:
 ``warm`` re-probes resident keys and times memo hits, ``cold`` empties the
 memo before every round so each probe pays the m·t_h hashing (plus the
 memo insert).
+
+A mark first tests the key's m bits in the vector wiped last, whose bits
+every vector holds, and skips the k·m writes when all are set.  So the
+first mark of a key and a repeat mark are timed apart:
+``test_sec52_outbound_mark_constant_time`` marks fresh probes on a fresh
+filter every round (m bit tests, then k·m writes), and
+``test_sec52_outbound_repeat_mark_constant_time`` re-marks marked probes
+(m bit tests).  On a 2-vCPU x86-64 VM (Python 3.11) a first mark costs
+2.4 µs warm and 7.4 µs cold, a repeat mark 0.96 µs warm and 5.8 µs cold,
+at every fill level.
 """
 
 import random
@@ -50,14 +60,48 @@ def time_probes(benchmark, filt, batch, memo):
         benchmark.pedantic(batch, setup=filt.hash_memo.clear, rounds=COLD_ROUNDS)
 
 
-@pytest.mark.parametrize("memo", ["warm", "cold"])
-@pytest.mark.parametrize("fill", [0, 10_000, 100_000])
-def test_sec52_outbound_mark_constant_time(benchmark, fill, memo):
-    """Marking cost must not depend on how many pairs are already marked."""
+def filled_filter(fill):
     filt = BitmapFilter(BitmapFilterConfig(size=2 ** 20, vectors=4, hashes=3))
     for pair in random_pairs(fill, seed=fill + 1):
         filt.mark_outbound(pair)
+    return filt
+
+
+@pytest.mark.parametrize("memo", ["warm", "cold"])
+@pytest.mark.parametrize("fill", [0, 10_000, 100_000])
+def test_sec52_outbound_mark_constant_time(benchmark, fill, memo):
+    """A first mark's k·m writes must not cost more as the filter fills.
+
+    Every round marks the 1,000 probes on a fresh filter restored from
+    the filled one, so no probe is marked yet; a warm round shares one
+    memo that already holds the probes' indices."""
+    snapshot = filled_filter(fill).snapshot()
     probe = random_pairs(1000, seed=99)
+    primer = BitmapFilter.restore(snapshot)
+    for pair in probe:
+        primer.mark_outbound(pair)
+
+    def fresh_filter():
+        filt = BitmapFilter.restore(snapshot)
+        if memo == "warm":
+            filt.hash_memo = primer.hash_memo
+        return (filt,), {}
+
+    def mark_batch(filt):
+        for pair in probe:
+            filt.mark_outbound(pair)
+
+    benchmark.pedantic(mark_batch, setup=fresh_filter, rounds=COLD_ROUNDS)
+
+
+@pytest.mark.parametrize("memo", ["warm", "cold"])
+@pytest.mark.parametrize("fill", [0, 10_000, 100_000])
+def test_sec52_outbound_repeat_mark_constant_time(benchmark, fill, memo):
+    """A repeat mark is one test of m bits in the vector wiped last."""
+    filt = filled_filter(fill)
+    probe = random_pairs(1000, seed=99)
+    for pair in probe:
+        filt.mark_outbound(pair)
 
     def mark_batch():
         for pair in probe:

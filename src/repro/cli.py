@@ -527,9 +527,14 @@ def cmd_filter(args) -> int:
 
     print(f"filter: {packet_filter.name}  ({note})")
     engine = backend.describe()
+    busy = [lane for lane in result.lanes if lane.lane >= 0]
     if args.workers > 1:
-        engine += f" ({len(packet_filter)} shards)"
+        engine += f" ({len(busy)} of {len(packet_filter)} shards carried packets)"
     print(f"engine: {engine}  ({result.packets / elapsed:,.0f} pkts/s)")
+    if args.workers > 1 and len(busy) == 1:
+        print(f"hint: every client packet landed in shard "
+              f"{packet_filter.shard_label(busy[0].lane)}; narrow --network to "
+              f"the hosts' subnet (or raise --shard-bits) to spread them")
     print(f"packets: {result.packets:,}  inbound: {result.inbound_packets:,}")
     print(f"inbound drop rate: {result.inbound_drop_rate:.2%}")
     print(f"uplink: {offered_up:.2f} -> "

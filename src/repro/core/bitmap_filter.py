@@ -253,12 +253,21 @@ class BitmapFilter:
     # ------------------------------------------------------------------
 
     def mark_outbound(self, pair: SocketPair) -> None:
-        """Record an outbound packet: set its bits in *all* vectors."""
+        """Record an outbound packet: set its bits in *all* vectors.
+
+        ``vectors[idx - 1]`` was wiped last, so its bits are a subset of
+        every vector's: when it already holds all m bits, so does every
+        vector, and a bit vector skips the k writes that would change
+        nothing.  Counter cells count every mark and are always written.
+        """
         hole_punching = self.config.field_mode is FieldMode.HOLE_PUNCHING
         key = socket_key(pair, Direction.OUTBOUND, hole_punching)
         indices = self.hash_memo.get(key)
-        for vector in self.vectors:
-            vector.set_many(indices)
+        vectors = self.vectors
+        last_wiped = vectors[self.idx - 1]
+        if self.vector_type is not BitVector or not last_wiped.test_all(indices):
+            for vector in vectors:
+                vector.set_many(indices)
         self.stats.outbound_marked += 1
 
     def lookup_inbound(self, pair: SocketPair) -> bool:

@@ -76,9 +76,15 @@ class SlidingWindowMeter(ThroughputMeter):
             raise ValueError(f"negative size: {size_bytes}")
         if self._first_time is None:
             self._first_time = timestamp
-        self._entries.append((timestamp, size_bytes))
-        self._total_bytes += size_bytes
-        self._evict(timestamp)
+        entries = self._entries
+        entries.append((timestamp, size_bytes))
+        total = self._total_bytes + size_bytes
+        # _evict inlined; the sample just appended is inside the window,
+        # so the deque never empties here.
+        horizon = timestamp - self.window
+        while entries[0][0] < horizon:
+            total -= entries.popleft()[1]
+        self._total_bytes = total
 
     def record_many(self, timestamps: Sequence[float], sizes: Sequence[int]) -> None:
         """Append the batch, then evict once at its largest horizon.

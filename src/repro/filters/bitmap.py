@@ -43,16 +43,20 @@ class BitmapPacketFilter(PacketFilter):
 
     def decide(self, packet: Packet) -> Verdict:
         now = packet.timestamp
-        self.core.advance_to(now)
+        core = self.core
+        core.advance_to(now)
 
         if packet.direction is Direction.OUTBOUND:
-            self.core.mark_outbound(packet.pair)
+            core.mark_outbound(packet.pair)
             self.drop_controller.record_upload(now, packet.size)
             return Verdict.PASS
 
+        # P_d is read on every inbound packet, hit or miss: a stateful
+        # policy steers on each read.
         probability = self.drop_controller.probability(now)
-        passed = self.core.filter(packet.pair, Direction.INBOUND, probability)
-        return Verdict.PASS if passed else Verdict.DROP
+        if core.lookup_inbound(packet.pair) or not core.drop(probability):
+            return Verdict.PASS
+        return Verdict.DROP
 
     @property
     def memory_bytes(self) -> int:

@@ -23,7 +23,7 @@ matching no lane (transit traffic) follow ``default_verdict``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.filters.base import PacketFilter, Verdict
 from repro.net.packet import Packet
@@ -125,16 +125,9 @@ class ShardedFilter(PacketFilter):
         plans)."""
         return self.plan.label(position)
 
-    def partition_packets(
-        self, packets: Iterable[Packet]
-    ) -> Tuple[List[List[Packet]], List[Packet]]:
-        """Split a packet stream into per-shard sub-streams plus a default
-        lane of transit packets (:meth:`ShardPlan.partition_packets`)."""
-        return self.plan.partition_packets(packets)
-
     def partition_table(self, table):
-        """Columnar twin of :meth:`partition_packets`
-        (:meth:`ShardPlan.partition_table`)."""
+        """Split a table into per-shard sub-tables plus a default lane of
+        transit rows (:meth:`ShardPlan.partition_table`)."""
         return self.plan.partition_table(table)
 
     # -- verdicts --------------------------------------------------------

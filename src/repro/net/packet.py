@@ -30,6 +30,11 @@ class Direction(enum.Enum):
     OUTBOUND = "outbound"
     INBOUND = "inbound"
 
+    # Members are singletons, so identity hashing keys dicts as Enum's
+    # hash of the name does, but in C: every packet's accounting looks a
+    # Direction up several times.
+    __hash__ = object.__hash__
+
     @property
     def opposite(self) -> "Direction":
         return Direction.INBOUND if self is Direction.OUTBOUND else Direction.OUTBOUND

@@ -60,8 +60,13 @@ class ClosedLoopResult:
     #: Traffic the workload *would* have offered with no filter at all.
     offered: ThroughputSeries
     connections_total: int = 0
+    #: Admitted and refused count attempts: a refused connection may
+    #: retry, so ``connections_admitted + connections_refused ==
+    #: connections_total + connections_retried``.
     connections_admitted: int = 0
     connections_refused: int = 0
+    #: Retry attempts that met the filter.
+    connections_retried: int = 0
     #: Refused connections by initiator ("client"/"remote").
     refused_by_initiator: Dict[str, int] = field(default_factory=dict)
     #: Trace timestamp of every refusal, in refusal order — when the
@@ -284,6 +289,8 @@ class ClosedLoopSimulator:
             schedule = connection_packets(spec, random.Random(stream))
             if schedule:
                 loop.connect(schedule, (spec, attempts))
+                if attempts:
+                    result.connections_retried += 1
 
         def before(next_time: float) -> None:
             nonlocal arrival

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
-from repro.filters.base import CODE_DROP, CODE_PASS, PacketFilter, Verdict
+from repro.filters.base import CODE_PASS, PacketFilter, Verdict
 from repro.filters.blocklist import BlockedConnectionStore
 from repro.net.packet import Direction, Packet
 from repro.net.table import PacketTable
@@ -139,9 +139,6 @@ _FNV_PRIME_8 = pow(_FNV_PRIME, 8, 1 << 64)
 _DROP_BITS = bytes(code != CODE_PASS for code in range(256))
 #: Row code → 1 for a pass, 0 otherwise.
 _PASS_BITS = bytes(code == CODE_PASS for code in range(256))
-#: The one-row code buffers of a per-packet verdict.
-_PASS_CODE = bytes((CODE_PASS,))
-_DROP_CODE = bytes((CODE_DROP,))
 #: (block word | low-2-bit state << 1) → block constant; see
 #: :func:`_block_offsets`.
 _BLOCK_OFFSETS: Optional[Dict[int, int]] = None
@@ -286,14 +283,17 @@ class ReplayPipeline:
         if self.scheduler is not None:
             self.scheduler.advance_to(now)
         verdict = self.router.forward(packet)
+        passed = verdict is Verdict.PASS
         if packet.direction is Direction.INBOUND:
             self.inbound += 1
-            if verdict is Verdict.DROP:
+            if not passed:
                 self.dropped += 1
-        if self.fingerprint is not None:
-            self.fingerprint = fingerprint_verdicts(
-                self.fingerprint, _PASS_CODE if verdict is Verdict.PASS else _DROP_CODE
-            )
+        fingerprint = self.fingerprint
+        if fingerprint is not None:
+            # fingerprint_verdicts' row fold, for one code.
+            self.fingerprint = (
+                (fingerprint ^ (1 if passed else 2)) * _FNV_PRIME
+            ) & _FNV_MASK
         return verdict
 
     # -- chunked traversal ----------------------------------------------

@@ -42,23 +42,28 @@ class EdgeRouter:
 
     def forward(self, packet: Packet) -> Verdict:
         """Run one packet through the router; returns the final verdict."""
-        if packet.direction is None:
+        direction = packet.direction
+        if direction is None:
             raise ValueError("packet has no direction set")
         self.packets += 1
         self.offered.record(packet)
+        inbound = direction is Direction.INBOUND
+        blocklist = self.blocklist
 
-        if self.blocklist is not None and self.blocklist.suppress(packet):
-            if packet.direction is Direction.INBOUND:
+        if blocklist is not None and blocklist.suppress(packet):
+            if inbound:
                 self.inbound_drops.record(packet.timestamp, dropped=True)
             return Verdict.DROP
 
         verdict = self.filter.process(packet)
-        if packet.direction is Direction.INBOUND:
-            self.inbound_drops.record(packet.timestamp, verdict is Verdict.DROP)
-            if verdict is Verdict.DROP and self.blocklist is not None:
-                self.blocklist.block(packet.pair, packet.timestamp)
         if verdict is Verdict.PASS:
             self.passed.record(packet)
+            if inbound:
+                self.inbound_drops.record(packet.timestamp, False)
+        elif inbound:
+            self.inbound_drops.record(packet.timestamp, True)
+            if blocklist is not None:
+                blocklist.block(packet.pair, packet.timestamp)
         return verdict
 
     def process_table(self, table) -> bytearray:

@@ -465,3 +465,120 @@ def test_mark_always_expired_after_te(gap):
     filt.mark_outbound(pair)
     filt.advance_to(gap)
     assert not filt.lookup_inbound(pair.inverse)
+
+
+# ---------------------------------------------------------------------------
+# The mark rule: a bit-vector mark is skipped when vectors[idx - 1], the
+# most recently wiped vector, already holds all m bits.  That is exact only
+# while its bits are a subset of every vector's; a filter that writes all k
+# vectors on every mark is the reference.
+# ---------------------------------------------------------------------------
+
+
+class WriteEveryMark(BitmapFilter):
+    """The reference mark: all k vectors written on every mark."""
+
+    def mark_outbound(self, pair):
+        key = socket_key(pair, Direction.OUTBOUND,
+                         self.config.field_mode is FieldMode.HOLE_PUNCHING)
+        indices = self.hash_memo.get(key)
+        for vector in self.vectors:
+            vector.set_many(indices)
+        self.stats.outbound_marked += 1
+
+
+#: Few pairs and 64 bits per vector: keys repeat and share bits, so most
+#: marks are redundant and many lookups hit by collision.
+MARK_PAIRS = [tcp_pair(sport=2000 + i, dport=80 + i % 3) for i in range(10)]
+MARK_VECTORS = 4
+
+mark_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("mark"), st.integers(0, len(MARK_PAIRS) - 1)),
+        st.tuples(st.just("lookup"), st.integers(0, len(MARK_PAIRS) - 1)),
+        # Gaps of 0 to k+1 intervals, on or between interval boundaries.
+        st.tuples(st.just("advance"), st.integers(0, MARK_VECTORS + 1),
+                  st.sampled_from([0.0, 0.5])),
+        st.tuples(st.just("reset")),
+        st.tuples(st.just("restore"), st.sampled_from(["reanchor", "resume"])),
+        st.tuples(st.just("interval"), st.sampled_from([2.0, 5.0, 7.5])),
+    ),
+    max_size=60,
+)
+
+
+def int_bits(vector) -> int:
+    return int.from_bytes(vector.to_bytes(), "little")
+
+
+def run_mark_steps(filters, steps, check):
+    """Drive every filter through ``steps`` in lockstep, calling
+    ``check(filters, op, lookups)`` after each step."""
+    now = 0.0
+    for step in steps:
+        op = step[0]
+        lookups = []
+        if op == "mark":
+            for filt in filters:
+                filt.mark_outbound(MARK_PAIRS[step[1]])
+        elif op == "lookup":
+            lookups = [filt.lookup_inbound(MARK_PAIRS[step[1]].inverse)
+                       for filt in filters]
+        elif op == "advance":
+            now += (step[1] + step[2]) * filters[0].config.rotate_interval
+            for filt in filters:
+                filt.advance_to(now)
+        elif op == "reset":
+            for filt in filters:
+                filt.reset()
+        elif op == "restore":
+            filters = [type(filt).restore(filt.snapshot(), clock=step[1])
+                       for filt in filters]
+        else:
+            for filt in filters:
+                filt.set_rotate_interval(step[1], now=now)
+        check(filters, op, lookups)
+
+
+@given(steps=mark_steps, mode=st.sampled_from(list(FieldMode)))
+@settings(max_examples=200, deadline=None)
+def test_mark_rule_matches_writing_every_vector(steps, mode):
+    config = dict(size=2 ** 6, vectors=MARK_VECTORS, hashes=3,
+                  rotate_interval=5.0, field_mode=mode, seed=3)
+    subject = BitmapFilter(BitmapFilterConfig(**config))
+    reference = WriteEveryMark(BitmapFilterConfig(**config))
+
+    def check(filters, op, lookups):
+        filt, ref = filters
+        last_wiped = int_bits(filt.vectors[filt.idx - 1])
+        assert all(last_wiped & ~int_bits(vector) == 0 for vector in filt.vectors)
+        assert [v.to_bytes() for v in filt.vectors] == \
+            [v.to_bytes() for v in ref.vectors]
+        assert filt.idx == ref.idx
+        assert filt.stats.as_dict() == ref.stats.as_dict()
+        assert (filt.hash_memo.hits, filt.hash_memo.misses) == \
+            (ref.hash_memo.hits, ref.hash_memo.misses)
+        assert len(set(lookups)) <= 1
+
+    run_mark_steps([subject, reference], steps, check)
+
+
+@given(steps=mark_steps)
+@settings(max_examples=50, deadline=None)
+def test_counting_core_marks_every_column(steps):
+    from repro.filters.counting import CountingCore
+
+    core = CountingCore(BitmapFilterConfig(
+        size=2 ** 6, vectors=MARK_VECTORS, hashes=3, rotate_interval=5.0))
+    # A counting core restores through its filter's document, not the
+    # bitmap's, so this walk skips the restore steps.
+    steps = [step for step in steps if step[0] != "restore"]
+    added = [0] * MARK_VECTORS
+
+    def check(filters, op, lookups):
+        now_added = [column.added for column in core.vectors]
+        if op == "mark":
+            assert now_added == [count + 1 for count in added]
+        added[:] = now_added
+
+    run_mark_steps([core], steps, check)

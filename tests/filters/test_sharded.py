@@ -9,6 +9,7 @@ from repro.filters.naive import NaiveTimerFilter
 from repro.filters.sharded import ShardedFilter
 from repro.net.inet import IPPROTO_TCP, parse_ipv4
 from repro.net.packet import Direction, Packet, SocketPair
+from repro.net.table import PacketTable
 
 NET_A = parse_ipv4("10.1.0.0")
 NET_B = parse_ipv4("10.2.0.0")
@@ -181,10 +182,10 @@ class TestPartitioning:
         filt = sharded()
         packets = [out_pkt(HOST_A), in_pkt(HOST_B, t=0.1),
                    out_pkt(HOST_B, t=0.2), in_pkt(HOST_A, t=0.3)]
-        lanes, default_lane = filt.partition_packets(packets)
-        assert [p.timestamp for p in lanes[0]] == [0.0, 0.3]
-        assert [p.timestamp for p in lanes[1]] == [0.1, 0.2]
-        assert default_lane == []
+        lanes, default_lane = filt.partition_table(PacketTable.from_packets(packets))
+        assert list(lanes[0].timestamps) == [0.0, 0.3]
+        assert list(lanes[1].timestamps) == [0.1, 0.2]
+        assert len(default_lane) == 0
 
     def test_partition_transit_to_default_lane(self):
         filt = sharded()
@@ -194,9 +195,13 @@ class TestPartitioning:
             size=60,
             direction=Direction.OUTBOUND,
         )
-        lanes, default_lane = filt.partition_packets([out_pkt(HOST_A), transit])
+        lanes, default_lane = filt.partition_table(
+            PacketTable.from_packets([out_pkt(HOST_A), transit])
+        )
         assert len(lanes[0]) == 1
-        assert default_lane == [transit]
+        [row] = default_lane.to_packets()
+        assert (row.timestamp, row.pair, row.size, row.direction) == \
+            (transit.timestamp, transit.pair, transit.size, transit.direction)
 
     def test_inner_address(self):
         assert ShardedFilter.inner_address(out_pkt(HOST_A)) == HOST_A

@@ -209,6 +209,26 @@ class TestFeedbackBeatsReplay:
         assert uploaded(closed) <= uploaded(open_loop)
 
 
+def assert_ledger_adds_up(result):
+    """Every attempt, first or retry, ends admitted or refused."""
+    assert (result.connections_admitted + result.connections_refused
+            == result.connections_total + result.connections_retried)
+    assert len(result.refusal_times) == result.connections_refused
+
+
+def retry_run(seed=0):
+    """A 60 s trace (15 conn/s) under a 2^16-bit bitmap with RED at
+    0.5-1.5 Mbps, where refused connections retry."""
+    specs = TraceGenerator(
+        TraceConfig(duration=60.0, connection_rate=15.0, seed=2)
+    ).specs()
+    sim = ClosedLoopSimulator(
+        bitmap_filter(DropController.red_mbps(0.5, 1.5)),
+        retry_probability=0.7, retry_after=3.0, max_retries=2, seed=seed,
+    )
+    return sim.run(specs, seed=seed)
+
+
 class TestRetries:
     def test_retry_reattempts_connection(self):
         sim = ClosedLoopSimulator(
@@ -227,12 +247,37 @@ class TestRetries:
         result = sim.run([spec(Initiator.REMOTE)])
         # Original + its retries all refused (P_d = 1 throughout).
         assert result.connections_refused >= 2
+        assert result.connections_retried == result.connections_refused - 1
+        assert_ledger_adds_up(result)
+
+    def test_ledger_counts_every_retry(self):
+        result = retry_run()
+        assert result.connections_total == 922
+        assert result.connections_retried > 0
+        assert_ledger_adds_up(result)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ClosedLoopSimulator(AcceptAllFilter(), retry_probability=1.5)
         with pytest.raises(ValueError):
             ClosedLoopSimulator(AcceptAllFilter(), retry_after=0.0)
+
+
+class TestDeterminism:
+    def test_same_seed_same_ledger(self):
+        first, second = retry_run(seed=4), retry_run(seed=4)
+        for result in (first, second):
+            assert_ledger_adds_up(result)
+        ledger = ("connections_total", "connections_admitted",
+                  "connections_refused", "connections_retried",
+                  "refused_by_initiator", "refusal_times", "packets_sent")
+        assert ([getattr(first, name) for name in ledger]
+                == [getattr(second, name) for name in ledger])
+
+    def test_retry_free_ledger_has_no_retries(self, small_trace_specs):
+        result = ClosedLoopSimulator(bitmap_filter()).run(small_trace_specs)
+        assert result.connections_retried == 0
+        assert_ledger_adds_up(result)
 
 
 class TestThresholdMonotonicity:

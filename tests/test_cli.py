@@ -116,8 +116,17 @@ class TestFilter:
         assert main(["filter", trace_path, "--filter", "bitmap",
                      "--workers", "2", "--shard-bits", "1"]) == 0
         out = capsys.readouterr().out
-        assert "engine: parallel x2 (2 shards)" in out
+        # The trace's hosts all sit in 10.1.0.0/24, inside the first /17.
+        assert "engine: parallel x2 (1 of 2 shards carried packets)" in out
+        assert "hint: every client packet landed in shard 10.1.0.0/17;" in out
         assert "inbound drop rate" in out
+
+    def test_sharded_replay_over_the_hosts_subnet(self, trace_path, capsys):
+        assert main(["filter", trace_path, "--filter", "bitmap",
+                     "--workers", "2", "--network", "10.1.0.0/24"]) == 0
+        out = capsys.readouterr().out
+        assert "engine: parallel x2 (2 of 4 shards carried packets)" in out
+        assert "hint:" not in out
 
 
 class TestTraceWorkers:
