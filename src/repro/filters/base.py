@@ -94,14 +94,15 @@ class FilterStats:
     def account_rows(self, sizes, outbound, codes) -> None:
         """Account a batch of rows: the batched twin of :meth:`account`.
 
-        ``sizes`` and ``outbound`` are table columns and ``codes`` holds
+        ``sizes`` and ``outbound`` are row columns and ``codes`` holds
         one verdict code per row; :data:`CODE_UNSEEN` rows never reached
-        the filter and are not counted.  numpy's ``bincount`` when
-        :func:`~repro.net.table._numpy` returns it, a plain loop
-        otherwise; both give identical counters (the float64 byte sums
-        are exact below 2**53 bytes).
+        the filter and are not counted.  A table's buffer columns take
+        numpy's ``bincount`` when :func:`~repro.net.table._numpy` returns
+        it; list columns (the router's per-packet row accountant) and
+        small tables take a plain loop.  Both give identical counters
+        (the float64 byte sums are exact below 2**53 bytes).
         """
-        np = _numpy() if len(codes) > 64 else None
+        np = _numpy() if len(codes) > 64 and not isinstance(sizes, list) else None
         if np is not None:
             slot = (np.frombuffer(outbound, dtype=np.int8) != 0) * 3 + np.frombuffer(
                 codes, dtype=np.uint8
@@ -191,8 +192,14 @@ class PacketFilter(ABC):
     """A stateful packet filter at the edge of a client network.
 
     Subclasses implement :meth:`decide`; :meth:`process` wraps it with
-    statistics.  Filters receive packets in timestamp order; any internal
-    timers are driven by packet timestamps (trace time), never wall-clock.
+    statistics, exact after every call — the entry point for direct
+    callers and for the members of a chain or a sharded filter.  The
+    router calls :meth:`decide` and counts its verdicts into ``stats``
+    in batches (:meth:`FilterStats.account_rows`), so a routed filter's
+    ``stats`` are exact whenever the router has folded its rows (see
+    :class:`repro.sim.router.EdgeRouter`).  Filters receive packets in
+    timestamp order; any internal timers are driven by packet timestamps
+    (trace time), never wall-clock.
     """
 
     name = "filter"

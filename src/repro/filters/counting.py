@@ -38,6 +38,7 @@ from repro.core.bitvector import CounterVector
 from repro.filters.base import (
     FilterStats,
     PacketFilter,
+    SnapshotUnsupported,
     Verdict,
     check_resume_clock,
     restore_rng_state,
@@ -49,9 +50,27 @@ from repro.net.packet import Direction, Packet
 
 
 class CountingCore(BitmapFilter):
-    """The rotating bitmap core over 4-bit counter columns."""
+    """The rotating bitmap core over 4-bit counter columns.
+
+    :meth:`BitmapFilter.snapshot` and :meth:`BitmapFilter.restore` write
+    and read bit columns, so the core refuses both;
+    :meth:`CountingBitmapFilter.snapshot` snapshots the counter columns.
+    """
 
     vector_type = CounterVector
+
+    def snapshot(self) -> dict:
+        raise SnapshotUnsupported(_CORE_SNAPSHOT)
+
+    @classmethod
+    def restore(cls, snapshot: dict, rng=None, clock: str = "reanchor") -> "CountingCore":
+        raise SnapshotUnsupported(_CORE_SNAPSHOT)
+
+
+_CORE_SNAPSHOT = (
+    "a CountingCore's columns are counters, not bits: snapshot and "
+    "restore the filter with CountingBitmapFilter.snapshot/restore"
+)
 
 
 class CountingBitmapFilter(PacketFilter):

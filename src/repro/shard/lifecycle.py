@@ -301,7 +301,9 @@ def fold_lane_record(sharded, record, blocklist=None) -> None:
 
 def pipeline_counters(pipeline) -> dict:
     """The pipeline counter block a service snapshot persists — the
-    exact complement of :func:`restore_pipeline`."""
+    exact complement of :func:`restore_pipeline`.  The router's pending
+    rows fold first, so the block is exact."""
+    pipeline.router.fold()
     return {
         "inbound": pipeline.inbound,
         "dropped": pipeline.dropped,

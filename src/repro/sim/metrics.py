@@ -4,7 +4,7 @@
 intervals — the data behind Figure 9's uplink/downlink bands.
 :class:`DropRateSampler` bins verdicts per interval — the data behind
 Figure 8's per-window drop-rate scatter.  :func:`record_rows` fills both
-for a whole replayed table at once.
+from replayed rows.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.filters.base import CODE_PASS
-from repro.net.packet import Direction, Packet
+from repro.net.packet import Direction
 from repro.net.table import _numpy
 
 
@@ -28,14 +28,6 @@ class ThroughputSeries:
             Direction.OUTBOUND: {},
             Direction.INBOUND: {},
         }
-
-    def record(self, packet: Packet) -> None:
-        """Account one passed packet into its time bin."""
-        if packet.direction is None:
-            raise ValueError("packet has no direction set")
-        index = int(packet.timestamp / self.interval)
-        bins = self._bins[packet.direction]
-        bins[index] = bins.get(index, 0) + packet.size
 
     def series_mbps(self, direction: Direction) -> List[Tuple[float, float]]:
         """(time, Mbps) points, one per non-empty interval."""
@@ -189,13 +181,6 @@ class DropRateSampler:
         self._packets: Dict[int, int] = {}
         self._dropped: Dict[int, int] = {}
 
-    def record(self, timestamp: float, dropped: bool) -> None:
-        """Account one inbound verdict into its window."""
-        index = int(timestamp / self.window)
-        self._packets[index] = self._packets.get(index, 0) + 1
-        if dropped:
-            self._dropped[index] = self._dropped.get(index, 0) + 1
-
     def samples(self) -> List[DropRateSample]:
         """Per-window samples in time order."""
         return [
@@ -260,22 +245,27 @@ def record_rows(
     outbound,
     codes,
 ) -> None:
-    """Bin one replayed table into the router's series and drop windows.
+    """Bin replayed rows into the router's series and drop windows.
 
-    The batched twin of the per-packet ``offered.record`` /
-    ``passed.record`` / ``drops.record`` calls: every row's bytes go to
-    ``offered``, the bytes of rows whose code is
+    Every row's bytes go to ``offered``, the bytes of rows whose code is
     :data:`~repro.filters.base.CODE_PASS` to ``passed``, and every
     inbound row to a drop window, counted as dropped unless it passed.
-    Bins are order-independent sums, so one pass after the verdicts fills
-    exactly the bins the per-packet loop fills — a bin touched only by
-    zero-byte packets still gets its key.  numpy (``unique`` +
-    ``bincount``) when :func:`~repro.net.table._numpy` returns it, a
-    plain loop otherwise; both give identical bins.
+    Bins are order-independent sums, so a table accounted in one pass
+    and per-packet rows accounted in folds of any length fill exactly
+    the same bins — a bin touched only by zero-byte packets still gets
+    its key.  A table's buffer columns take numpy (``unique`` +
+    ``bincount``) when :func:`~repro.net.table._numpy` returns it; list
+    columns (the per-packet row accountant's) and small tables take the
+    plain loop, so per-packet replay never imports numpy.  Both give
+    identical bins.
     """
     interval = offered.interval
     if passed.interval != interval:
         raise ValueError(f"interval mismatch: {interval} vs {passed.interval}")
+    np = _numpy() if len(codes) > 64 and not isinstance(sizes, list) else None
+    if np is None:
+        _record_runs(offered, passed, drops, timestamps, sizes, outbound, codes)
+        return
     window = drops.window
     offered_out = offered._bins[Direction.OUTBOUND]
     offered_in = offered._bins[Direction.INBOUND]
@@ -283,23 +273,6 @@ def record_rows(
     passed_in = passed._bins[Direction.INBOUND]
     window_packets = drops._packets
     window_dropped = drops._dropped
-    np = _numpy() if len(codes) > 64 else None
-    if np is None:
-        for now, size, is_out, code in zip(timestamps, sizes, outbound, codes):
-            index = int(now / interval)
-            if is_out:
-                offered_out[index] = offered_out.get(index, 0) + size
-                if code == CODE_PASS:
-                    passed_out[index] = passed_out.get(index, 0) + size
-                continue
-            offered_in[index] = offered_in.get(index, 0) + size
-            window_index = int(now / window)
-            window_packets[window_index] = window_packets.get(window_index, 0) + 1
-            if code == CODE_PASS:
-                passed_in[index] = passed_in.get(index, 0) + size
-            else:
-                window_dropped[window_index] = window_dropped.get(window_index, 0) + 1
-        return
     # A float64 → int64 cast truncates toward zero exactly like int().
     times = np.frombuffer(timestamps, dtype=np.float64)
     volume = np.frombuffer(sizes, dtype=np.int64)
@@ -313,6 +286,66 @@ def record_rows(
     window_index = (times[inbound] / window).astype(np.int64)
     _add_bins(np, window_packets, window_index)
     _add_bins(np, window_dropped, window_index[~ok[inbound]])
+
+
+def _add_run(bins: Dict[int, int], key, rows: int, total: int) -> None:
+    """``bins[key] += total`` when a run had ``rows`` for the bin."""
+    if rows:
+        bins[key] = bins.get(key, 0) + total
+
+
+def _record_runs(offered, passed, drops, timestamps, sizes, outbound, codes) -> None:
+    """:func:`record_rows`' plain loop.  Rows mostly come in time order,
+    so neighbours share a series bin and a drop window: each run of rows
+    in one bin is summed in locals and added to the dicts when the bin
+    changes."""
+    interval, window = offered.interval, drops.window
+    offered_out = offered._bins[Direction.OUTBOUND]
+    offered_in = offered._bins[Direction.INBOUND]
+    passed_out = passed._bins[Direction.OUTBOUND]
+    passed_in = passed._bins[Direction.INBOUND]
+    window_packets, window_dropped = drops._packets, drops._dropped
+    run = window_run = None
+    out_rows = out_bytes = in_rows = in_bytes = 0
+    out_ok = out_ok_bytes = in_ok = in_ok_bytes = 0
+    inbound = dropped = 0
+    for now, size, is_out, code in zip(timestamps, sizes, outbound, codes):
+        index = int(now / interval)
+        if index != run:
+            _add_run(offered_out, run, out_rows, out_bytes)
+            _add_run(offered_in, run, in_rows, in_bytes)
+            _add_run(passed_out, run, out_ok, out_ok_bytes)
+            _add_run(passed_in, run, in_ok, in_ok_bytes)
+            run = index
+            out_rows = out_bytes = in_rows = in_bytes = 0
+            out_ok = out_ok_bytes = in_ok = in_ok_bytes = 0
+        if is_out:
+            out_rows += 1
+            out_bytes += size
+            if code == CODE_PASS:
+                out_ok += 1
+                out_ok_bytes += size
+            continue
+        in_rows += 1
+        in_bytes += size
+        slot = int(now / window)
+        if slot != window_run:
+            _add_run(window_packets, window_run, inbound, inbound)
+            _add_run(window_dropped, window_run, dropped, dropped)
+            window_run = slot
+            inbound = dropped = 0
+        inbound += 1
+        if code == CODE_PASS:
+            in_ok += 1
+            in_ok_bytes += size
+        else:
+            dropped += 1
+    _add_run(offered_out, run, out_rows, out_bytes)
+    _add_run(offered_in, run, in_rows, in_bytes)
+    _add_run(passed_out, run, out_ok, out_ok_bytes)
+    _add_run(passed_in, run, in_ok, in_ok_bytes)
+    _add_run(window_packets, window_run, inbound, inbound)
+    _add_run(window_dropped, window_run, dropped, dropped)
 
 
 def _add_bins(np, bins: Dict[int, int], keys, weights=None) -> None:

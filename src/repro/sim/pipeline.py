@@ -10,19 +10,21 @@ the CLI — drives the same five-stage packet pipeline:
 2. **blocklist lookup** — a connection once refused stays refused
    (:meth:`BlockedConnectionStore.suppress`, batched as
    :meth:`BlockedConnectionStore.gate`);
-3. **filter verdict** — :meth:`PacketFilter.process`, batched as the
+3. **filter verdict** — :meth:`PacketFilter.decide`, batched as the
    filter's fused function in :mod:`repro.sim.kernels`;
 4. **metrics / accounting** — offered/passed throughput bins, inbound
-   drop windows, replay counters;
+   drop windows, filter counters, replay counters and the verdict
+   fingerprint, summed once per table or per fold of per-packet rows;
 5. **blocklist update** — a dropped inbound σ is registered as blocked.
 
 Stages 2–5 are implemented once in :class:`repro.sim.router.EdgeRouter`
 (:meth:`~repro.sim.router.EdgeRouter.forward` per packet,
 :meth:`~repro.sim.router.EdgeRouter.process_table` per table);
-:class:`ReplayPipeline` adds the scheduler stage in front and the
-finalize hook (end-of-replay blocklist compaction, result assembly)
-behind.  An :class:`ExecutionBackend` decides *how* the stream traverses
-the stages:
+:class:`ReplayPipeline` adds the scheduler stage in front, its counters
+to every accounting step, and the finalize hook (end-of-replay
+blocklist compaction, result assembly) behind.  An
+:class:`ExecutionBackend` decides *how* the stream traverses the
+stages:
 
 * :class:`SequentialBackend` — one packet at a time; the only backend
   whose per-packet scheduler granularity supports feedback loops.
@@ -55,7 +57,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.filters.base import CODE_PASS, PacketFilter, Verdict
 from repro.filters.blocklist import BlockedConnectionStore
-from repro.net.packet import Direction, Packet
+from repro.net.packet import Packet
 from repro.net.table import PacketTable
 from repro.sim.engine import EventScheduler
 from repro.sim.metrics import ThroughputSeries
@@ -253,6 +255,12 @@ class ReplayPipeline:
     the *single* home of end-of-replay work: the final scheduler advance
     and the blocklist compaction that makes final table contents
     GC-phase-independent (previously copy-pasted in every replay loop).
+
+    ``inbound``, ``dropped``, ``first_ts``, ``last_ts`` and
+    ``fingerprint`` are filled by the router's accounting steps
+    (:meth:`_count_rows`), so they read exact after a fold: at the end
+    of every :meth:`ReplayStepper.feed`, in :meth:`finalize` and in
+    :func:`~repro.shard.lifecycle.pipeline_counters`.
     """
 
     def __init__(self, config: PipelineConfig) -> None:
@@ -262,6 +270,7 @@ class ReplayPipeline:
             blocklist=BlockedConnectionStore() if config.use_blocklist else None,
             throughput_interval=config.throughput_interval,
             drop_window=config.drop_window,
+            count=self._count_rows,
         )
         self.scheduler = config.scheduler
         self.inbound = 0
@@ -276,25 +285,18 @@ class ReplayPipeline:
 
     def process(self, packet: Packet) -> Verdict:
         """Run one packet through all five stages."""
-        now = packet.timestamp
-        if self.first_ts is None:
-            self.first_ts = now
-        self.last_ts = now
         if self.scheduler is not None:
-            self.scheduler.advance_to(now)
-        verdict = self.router.forward(packet)
-        passed = verdict is Verdict.PASS
-        if packet.direction is Direction.INBOUND:
-            self.inbound += 1
-            if not passed:
-                self.dropped += 1
-        fingerprint = self.fingerprint
-        if fingerprint is not None:
-            # fingerprint_verdicts' row fold, for one code.
-            self.fingerprint = (
-                (fingerprint ^ (1 if passed else 2)) * _FNV_PRIME
-            ) & _FNV_MASK
-        return verdict
+            self._advance(packet.timestamp)
+        return self.router.forward(packet)
+
+    def _advance(self, now: float) -> None:
+        """Fire the scheduler's events due by ``now``.  The router's rows
+        fold first when one is due: a probe may read live filter stats."""
+        scheduler = self.scheduler
+        due = scheduler.next_time()
+        if due is not None and due <= now:
+            self.router.fold()
+        scheduler.advance_to(now)
 
     # -- chunked traversal ----------------------------------------------
 
@@ -312,16 +314,11 @@ class ReplayPipeline:
         reaches the event time — so probes observe identical filter
         state.
         """
-        total = len(table)
-        if not total:
-            return bytearray()
-        timestamps = table.timestamps
-        if self.first_ts is None:
-            self.first_ts = timestamps[0]
-        self.last_ts = timestamps[-1]
         scheduler = self.scheduler
         if scheduler is None:
-            return self._run_table_chunk(table)
+            return self.router.process_table(table)
+        total = len(table)
+        timestamps = table.timestamps
         codes = bytearray()
         position = 0
         while position < total:
@@ -336,18 +333,23 @@ class ReplayPipeline:
                     table if end - position == total
                     else table.slice(position, end)
                 )
-                codes += self._run_table_chunk(segment)
+                codes += self.router.process_table(segment)
                 position = end
             if next_fire is None:
                 break
             if position < total:
-                scheduler.advance_to(timestamps[position])
+                self._advance(timestamps[position])
         return codes
 
-    def _run_table_chunk(self, chunk: PacketTable) -> bytearray:
-        codes = self.router.process_table(chunk)
+    def _count_rows(self, timestamps, outbound, codes) -> None:
+        """The pipeline's share of every router accounting step (see
+        :class:`EdgeRouter`): the trace span, the inbound and inbound-drop
+        counts, and the verdict fingerprint, in stream order."""
+        if self.first_ts is None:
+            self.first_ts = timestamps[0]
+        self.last_ts = timestamps[-1]
         total = len(codes)
-        outbound = bytes(chunk.outbound)
+        outbound = bytes(outbound)
         # One byte per row, 1 when the row is outbound or passed: the
         # zero bytes are the inbound drops.
         kept = (int.from_bytes(outbound, "little")
@@ -356,7 +358,6 @@ class ReplayPipeline:
         self.dropped += kept.to_bytes(total, "little").count(0)
         if self.fingerprint is not None:
             self.fingerprint = fingerprint_verdicts(self.fingerprint, codes)
-        return codes
 
     # -- lane merging (parallel backend) --------------------------------
 
@@ -386,6 +387,7 @@ class ReplayPipeline:
         still within retention, independent of interior GC phase and
         therefore identical across backends.
         """
+        self.router.fold()
         if self.first_ts is not None:
             if self.scheduler is not None:
                 self.scheduler.advance_to(self.last_ts)
@@ -439,10 +441,13 @@ class ReplayStepper:
         pipeline = self.pipeline
         if self.per_packet:
             process, PASS = pipeline.process, Verdict.PASS
-            return bytearray(process(packet) is PASS for packet in iter_packetlike(chunk))
-        codes = bytearray()
-        for table in iter_chunks(chunk, self.chunk_size):
-            codes += pipeline.process_table(table)
+            codes = bytearray(process(packet) is PASS for packet in iter_packetlike(chunk))
+        else:
+            codes = bytearray()
+            for table in iter_chunks(chunk, self.chunk_size):
+                codes += pipeline.process_table(table)
+        # Between chunks, everything the pipeline fills reads exact.
+        pipeline.router.fold()
         return codes
 
     def finish(self) -> ReplayResult:

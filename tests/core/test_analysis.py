@@ -149,6 +149,47 @@ class TestUtilizationModel:
         assert filt.current_utilization == pytest.approx(expected, rel=0.08)
 
 
+class TestEquation2OnReplay:
+    """Eq. 2 against a real replay across its knee.
+
+    ``small_trace`` replays per packet through the bare core (k = 4,
+    m = 3, Δt = 5 s, P_d = 1, no blocklist).  A remote-initiated
+    connection (ground truth: ``ConnectionSpec.initiator``) penetrates
+    when its first inbound packet hits the current vector, which Eq. 2
+    puts at U^m with U read at that packet.  The penetration count must
+    lie within three binomial standard deviations of the summed U^m, on
+    both sides of the knee: almost all penetrate at N = 2^6, about half
+    at 2^8, a few at 2^10 (15 of 223 against 11.7 expected) and none at
+    2^12.
+    """
+
+    @pytest.mark.parametrize("size_bits", [6, 8, 10, 12])
+    def test_penetrations_match_equation_2(self, size_bits, small_trace,
+                                           small_trace_specs):
+        from repro.net.packet import Direction
+        from repro.workload.apps import Initiator
+
+        unsolicited = {spec.pair_from_client.inverse for spec in small_trace_specs
+                       if spec.initiator is Initiator.REMOTE}
+        core = BitmapFilter(BitmapFilterConfig(size=2 ** size_bits, vectors=4,
+                                               hashes=3, rotate_interval=5.0))
+        connections = penetrated = 0
+        expected = 0.0
+        for packet in small_trace:
+            core.advance_to(packet.timestamp)
+            if packet.direction is Direction.OUTBOUND:
+                core.mark_outbound(packet.pair)
+            elif packet.pair in unsolicited:
+                unsolicited.discard(packet.pair)
+                connections += 1
+                expected += core.penetration_probability()
+                penetrated += core.lookup_inbound(packet.pair)
+        assert connections == 223
+        rate = expected / connections
+        spread = 3.0 * math.sqrt(connections * rate * (1.0 - rate))
+        assert abs(penetrated - expected) <= spread
+
+
 class TestFalseNegativeBound:
     def test_paper_number(self):
         # CDF(3.61 s) = 99 % -> false negatives < 1 %.

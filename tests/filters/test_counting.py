@@ -4,10 +4,10 @@ import time
 
 import pytest
 
-from repro.core.bitmap_filter import BitmapFilterConfig
+from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig
 from repro.core.hashing import HashFamily, HashIndexMemo
-from repro.filters.base import Verdict
-from repro.filters.counting import CountingBitmapFilter
+from repro.filters.base import SnapshotUnsupported, Verdict
+from repro.filters.counting import CountingBitmapFilter, CountingCore
 from repro.net.headers import TCPFlags
 
 from tests.conftest import in_packet, out_packet, tcp_pair, udp_pair
@@ -170,6 +170,18 @@ class TestSharedCore:
         assert reachable(filt, HashFamily) == [filt.core.family]
         assert reachable(filt, HashIndexMemo) == [filt.core.hash_memo]
         assert filt.core.hash_memo.family is filt.core.family
+
+    def test_core_refuses_bit_column_snapshots(self):
+        # The bitmap core's snapshot/restore write and read bit columns;
+        # the counting filter snapshots its counter columns itself.
+        filt = small()
+        filt.process(out_packet(t=0.0))
+        with pytest.raises(SnapshotUnsupported, match="CountingBitmapFilter.snapshot"):
+            filt.core.snapshot()
+        with pytest.raises(SnapshotUnsupported, match="CountingBitmapFilter.snapshot"):
+            CountingCore.restore(BitmapFilter(filt.config).snapshot())
+        restored = CountingBitmapFilter.restore(filt.snapshot())
+        assert restored.snapshot() == filt.snapshot()
 
 
 def rotate_per_interval(filt: CountingBitmapFilter, now: float) -> int:

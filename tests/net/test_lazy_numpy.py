@@ -1,7 +1,9 @@
 """numpy is optional and loads only when a columnar path first needs it.
 
 Each case runs in a fresh interpreter, since the test process itself has
-long since imported numpy.
+long since imported numpy.  The per-packet case replays more than
+``FOLD_ROWS`` packets, so the router's row accountant folds mid-stream
+as well as at the end, and neither fold may load numpy.
 """
 
 import os
@@ -29,11 +31,13 @@ def make_filter():
     return BitmapPacketFilter(BitmapFilterConfig(size=2 ** 12),
                               DropController(StaticDropPolicy(0.9)))
 
-packets = TraceGenerator(TraceConfig(duration=10.0, connection_rate=4.0,
+packets = TraceGenerator(TraceConfig(duration=30.0, connection_rate=4.0,
                                      seed=2)).packet_list()
 """
 
 PER_PACKET = SETUP + """
+from repro.sim.router import FOLD_ROWS
+assert len(packets) > FOLD_ROWS
 assert "numpy" not in sys.modules, "import repro loaded numpy"
 sequential = replay(packets, make_filter(), use_blocklist=True, batched=False)
 assert "numpy" not in sys.modules, "a sequential replay loaded numpy"

@@ -195,6 +195,34 @@ class TestUninterruptedRun:
         result = service.run_forever()
         assert result.fingerprint == offline_result().fingerprint
 
+    def test_sequential_stats_between_chunks_match_offline(self):
+        # The per-packet router accounts its rows in folds; every chunk
+        # ends with one, so the service's own filter reference and the
+        # pipeline counters read exact between chunks.
+        service = FilterService(
+            generator_source(), make_filter(), SequentialBackend()
+        )
+        pipeline = service.stepper.pipeline
+        feed = service.stepper.feed
+        chunks, seen = [], []
+
+        def recording_feed(chunk):
+            codes = feed(chunk)
+            chunks.append(chunk)
+            seen.append((service.filter.stats.snapshot(), pipeline.inbound,
+                         pipeline.dropped, pipeline.fingerprint))
+            return codes
+
+        service.stepper.feed = recording_feed
+        service.run_forever()
+        assert len(chunks) > 2
+        for done, observed in enumerate(seen, start=1):
+            offline = replay(chunks[:done], make_filter(), batched=False,
+                             record_fingerprint=True)
+            assert observed == (offline.router.filter.stats.snapshot(),
+                                offline.inbound_packets,
+                                offline.inbound_dropped, offline.fingerprint)
+
     def test_run_twice_rejected(self):
         service = FilterService(generator_source(), make_filter())
         service.run_forever()
@@ -256,7 +284,12 @@ class TestControlActions:
                 generator_source(), make_filter(), speed=5.0, queue_depth=2
             )
             run_task = asyncio.create_task(service.run())
-            await asyncio.sleep(0.1)
+            # Drain once the first chunk is through, not after a fixed
+            # sleep the first chunk's generation can outlast.
+            deadline = asyncio.get_running_loop().time() + 5.0
+            while (service.chunks_done < 1
+                   and asyncio.get_running_loop().time() < deadline):
+                await asyncio.sleep(0.01)
             summary = await service.drain()
             result = await run_task
             return service, summary, result

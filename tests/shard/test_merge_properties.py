@@ -21,8 +21,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.core.bitmap_filter import BitmapFilterStats  # noqa: E402
-from repro.filters.base import FilterStats, Verdict  # noqa: E402
-from repro.sim.metrics import DropRateSampler, ThroughputSeries  # noqa: E402
+from repro.filters.base import CODE_DROP, CODE_PASS, FilterStats, Verdict  # noqa: E402
+from repro.sim.metrics import DropRateSampler, ThroughputSeries, record_rows  # noqa: E402
 
 from tests.conftest import in_packet, out_packet  # noqa: E402
 
@@ -50,22 +50,24 @@ def filter_stats_of(events):
     return stats
 
 
+def columns_of(events):
+    """The events as record_rows' columns (timestamp, size, outbound, code)."""
+    return ([timestamp for _, _, timestamp, _ in events],
+            [size for _, _, _, size in events],
+            bytearray(is_outbound for is_outbound, _, _, _ in events),
+            bytearray(CODE_PASS if passed else CODE_DROP for _, passed, _, _ in events))
+
+
 def throughput_of(events, interval):
     series = ThroughputSeries(interval=interval)
-    for is_outbound, passed, timestamp, size in events:
-        if not passed:
-            continue
-        series.record(out_packet(t=timestamp, size=size) if is_outbound
-                      else in_packet(t=timestamp, size=size))
+    record_rows(ThroughputSeries(interval=interval), series, DropRateSampler(),
+                *columns_of(events))
     return series
 
 
 def sampler_of(events, window):
     sampler = DropRateSampler(window=window)
-    for is_outbound, passed, timestamp, _size in events:
-        if is_outbound:
-            continue
-        sampler.record(timestamp, dropped=not passed)
+    record_rows(ThroughputSeries(), ThroughputSeries(), sampler, *columns_of(events))
     return sampler
 
 

@@ -10,8 +10,10 @@ flows, long gaps — and feeds them at random chunk sizes, for all six
 registered filters (bitmap, counting and the RED policer in two
 configurations each) plus an unregistered subclass, with the blocklist
 on and off and with the numpy accounting path on and off.  Full filter
-snapshots are compared, drop controllers and their meters included; a
-second test lets timestamps go back, as a reordered capture does.
+snapshots are compared, drop controllers and their meters included, at
+the end and at random chunk boundaries in between, where the per-row
+router still holds rows its accessors must fold first; a second test
+lets timestamps go back, as a reordered capture does.
 """
 
 import random
@@ -68,6 +70,8 @@ events = st.lists(
     max_size=160,
 )
 chunk_sizes = st.lists(st.sampled_from([1, 2, 7, 64, 65, 500]), min_size=1, max_size=6)
+#: Chunk boundaries (by ordinal) at which both routers' states compare.
+cuts = st.sets(st.integers(0, 12), max_size=3)
 #: Steps that also go back in time.
 reordered_events = st.lists(
     st.tuples(
@@ -239,46 +243,48 @@ def test_every_shipped_filter_but_the_subclass_is_registered():
 @pytest.mark.parametrize("use_blocklist", [True, False], ids=["blocklist", "open"])
 @pytest.mark.parametrize("name", sorted(FILTERS))
 @settings(max_examples=100, deadline=None)
-@given(steps=events, sizes=chunk_sizes)
-@example(steps=RETRY_AT_HORIZON, sizes=[1])
-@example(steps=RETRY_AT_HORIZON * 8, sizes=[65])
-@example(steps=UPLOAD_BURST, sizes=[2])
-@example(steps=SHARED_CELL_CLOSES, sizes=[500])
-@example(steps=SHARED_CELL_CLOSES, sizes=[7, 1])
-def test_process_table_matches_forward(name, use_blocklist, numpy, steps, sizes):
+@given(steps=events, sizes=chunk_sizes, cuts=cuts)
+@example(steps=RETRY_AT_HORIZON, sizes=[1], cuts={0, 5})
+@example(steps=RETRY_AT_HORIZON * 8, sizes=[65], cuts={0})
+@example(steps=UPLOAD_BURST, sizes=[2], cuts={1, 3})
+@example(steps=SHARED_CELL_CLOSES, sizes=[500], cuts=set())
+@example(steps=SHARED_CELL_CLOSES, sizes=[7, 1], cuts={2})
+def test_process_table_matches_forward(name, use_blocklist, numpy, steps, sizes, cuts):
     if numpy and not table_module.HAVE_NUMPY:
         pytest.skip("numpy is not installed")
     saved = table_module._use_numpy
     table_module._use_numpy = numpy
     try:
-        assert_batched_matches_forward(name, use_blocklist, steps, sizes)
+        assert_batched_matches_forward(name, use_blocklist, steps, sizes, cuts)
     finally:
         table_module._use_numpy = saved
 
 
 @pytest.mark.parametrize("name", sorted(FILTERS))
 @settings(max_examples=100, deadline=None)
-@given(steps=reordered_events, sizes=chunk_sizes)
-@example(steps=UPLOAD_AFTER_LATER_READ, sizes=[500])
-@example(steps=POLICED_AFTER_LATER_DROP, sizes=[500])
-def test_rows_going_back_in_time(name, steps, sizes):
+@given(steps=reordered_events, sizes=chunk_sizes, cuts=cuts)
+@example(steps=UPLOAD_AFTER_LATER_READ, sizes=[500], cuts=set())
+@example(steps=POLICED_AFTER_LATER_DROP, sizes=[500], cuts=set())
+def test_rows_going_back_in_time(name, steps, sizes, cuts):
     # A skipped rate read's eviction must land before a row goes back
     # past it, or the batched meter drops a sample the per-row one kept.
-    assert_batched_matches_forward(name, False, steps, sizes)
+    assert_batched_matches_forward(name, False, steps, sizes, cuts)
 
 
-def assert_batched_matches_forward(name, use_blocklist, steps, sizes):
+def assert_batched_matches_forward(name, use_blocklist, steps, sizes, cuts):
     packets = build_packets(steps)
     table = PacketTable.from_packets(packets)
     reference = make_router(name, use_blocklist)
-    expected = [reference.forward(packet) for packet in packets]
     batched = make_router(name, use_blocklist)
-    got = []
+    expected, got = [], []
     start = 0
     position = 0
     while start < len(table):
         stop = start + sizes[position % len(sizes)]
         got.extend(batched.process_table(table.slice(start, stop)))
+        expected.extend(reference.forward(packet) for packet in packets[start:stop])
+        if position in cuts:
+            assert state(batched) == state(reference)
         start = stop
         position += 1
     assert verdicts_of(got) == expected

@@ -32,6 +32,7 @@ from repro.filters.ratelimit import RedPolicerFilter, TokenBucketFilter
 from repro.filters.sharded import ShardedFilter
 from repro.filters.spi import SPIFilter
 from repro.net.inet import parse_ipv4
+from repro.net.table import PacketTable
 from repro.sim.engine import EventScheduler
 from repro.sim.metrics import scatter_points
 from repro.sim.parallel import ParallelReplayResult
@@ -39,6 +40,8 @@ from repro.sim.pipeline import (
     FINGERPRINT_SEED,
     BatchedBackend,
     ParallelBackend,
+    PipelineConfig,
+    ReplayPipeline,
     ReplayResult,
     SequentialBackend,
     fingerprint_verdicts,
@@ -251,6 +254,28 @@ class TestGenericBatchProtocol:
             sequential.router.filter.shard_stats()
         assert batched.router.filter.unrouted_packets == \
             sequential.router.filter.unrouted_packets
+
+
+class TestMixedTraversal:
+    def test_pending_rows_fold_before_a_table(self):
+        # Rows the per-packet path still holds are accounted before the
+        # table's, so the fingerprint keeps stream order.
+        packets = trace(4)
+        cut = 1000
+
+        def make():
+            return BitmapPacketFilter(BitmapFilterConfig(
+                size=2 ** 10, vectors=4, hashes=3, rotate_interval=5.0))
+
+        pipeline = ReplayPipeline(PipelineConfig(
+            packet_filter=make(), record_fingerprint=True))
+        for packet in packets[:cut]:
+            pipeline.process(packet)
+        pipeline.process_table(PacketTable.from_packets(packets[cut:]))
+        mixed = pipeline.finalize()
+        sequential = replay(packets, make(), record_fingerprint=True)
+        assert mixed.fingerprint == sequential.fingerprint
+        assert fingerprint(mixed) == fingerprint(sequential)
 
 
 class TestSchedulerChunking:

@@ -58,6 +58,85 @@ class TestEdgeRouter:
             router.forward(Packet(0.0, tcp_pair(), 40))
 
 
+class TestRowAccountant:
+    """``forward`` appends rows; the router folds them every
+    ``FOLD_ROWS`` rows and whenever something reads what they fill."""
+
+    def make_router(self):
+        return EdgeRouter(
+            BitmapPacketFilter(BitmapFilterConfig(size=2 ** 10, vectors=4, hashes=3,
+                                                  rotate_interval=5.0)),
+            blocklist=BlockedConnectionStore())
+
+    def test_folds_every_fold_rows(self, small_trace):
+        from repro.sim.router import FOLD_ROWS
+
+        router = self.make_router()
+        for packet in small_trace[:FOLD_ROWS]:
+            router.forward(packet)
+        # The last append folded: the filter's own counters are exact.
+        assert router._packets == FOLD_ROWS
+        assert router._filter.stats.total + router.blocklist.suppressed_packets == FOLD_ROWS
+        router.forward(small_trace[FOLD_ROWS])
+        assert router._packets == FOLD_ROWS
+        assert router.packets == FOLD_ROWS + 1
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_replay_frees_its_filter_without_the_cyclic_gc(self, small_trace, batched):
+        # The router holds its owner's count step weakly: a pipeline ↔
+        # router cycle would keep every replayed filter alive until a
+        # GC pass, which a campaign of many replays pays in memory.
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            flt = BitmapPacketFilter(BitmapFilterConfig(size=2 ** 12))
+            alive = weakref.ref(flt)
+            result = replay(small_trace[:3000], flt, batched=batched,
+                            record_fingerprint=True)
+            del flt, result
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_reads_from_another_thread_fold_each_row_once(self, small_trace):
+        import sys
+        import threading
+
+        reference = self.make_router()
+        for packet in small_trace:
+            reference.forward(packet)
+        router = self.make_router()
+        stop = threading.Event()
+
+        def poll():
+            while not stop.is_set():
+                router.passed.total_bytes(Direction.INBOUND)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        readers = [threading.Thread(target=poll) for _ in range(3)]
+        for reader in readers:
+            reader.start()
+        try:
+            for packet in small_trace:
+                router.forward(packet)
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(timeout=30.0)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        for lane in ("packets", "offered", "passed", "inbound_drops"):
+            mine, theirs = getattr(router, lane), getattr(reference, lane)
+            if lane != "packets":
+                mine, theirs = mine.snapshot(), theirs.snapshot()
+            assert mine == theirs, lane
+        assert router.filter.stats.snapshot() == reference.filter.stats.snapshot()
+
+
 class TestReplay:
     def test_counts(self, small_trace):
         result = replay(small_trace, AcceptAllFilter(), use_blocklist=False)
