@@ -8,13 +8,8 @@ paper: bound P2P upload traffic *without* deep packet inspection.
 from repro.core.hashing import HashFamily, make_hash_family
 from repro.core.bitvector import BitVector
 from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig, FieldMode
-from repro.core.dropper import (
-    DropPolicy,
-    RedDropPolicy,
-    StaticDropPolicy,
-    SteppedDropPolicy,
-)
-from repro.core.throughput import EwmaThroughputMeter, SlidingWindowMeter, ThroughputMeter
+from repro.core.dropper import DropPolicy, RedDropPolicy, StaticDropPolicy
+from repro.core.throughput import SlidingWindowMeter
 from repro.core.analysis import (
     capacity_bound,
     expected_utilization,
@@ -33,10 +28,7 @@ __all__ = [
     "DropPolicy",
     "RedDropPolicy",
     "StaticDropPolicy",
-    "SteppedDropPolicy",
-    "ThroughputMeter",
     "SlidingWindowMeter",
-    "EwmaThroughputMeter",
     "capacity_bound",
     "expected_utilization",
     "optimal_hash_count",

@@ -127,10 +127,6 @@ class BitmapFilterStats:
     inbound_dropped: int = 0
     rotations: int = 0
 
-    @property
-    def inbound_total(self) -> int:
-        return self.inbound_hits + self.inbound_misses
-
     def as_dict(self) -> dict:
         return {
             "outbound_marked": self.outbound_marked,

@@ -1,4 +1,4 @@
-"""Drop-probability policies — Equation 1 and variants.
+"""Drop-probability policies — Equation 1 and the static P_d.
 
 The paper generates the conditional drop probability ``P_d`` "in a similar
 form to the random early detection (RED) algorithm": zero below a low
@@ -9,7 +9,6 @@ by the measured uplink throughput ``b``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Tuple
 
 
 class DropPolicy(ABC):
@@ -31,11 +30,6 @@ def restore_policy(snapshot: dict) -> DropPolicy:
         return RedDropPolicy(low=snapshot["low"], high=snapshot["high"])
     if kind == "static":
         return StaticDropPolicy(snapshot["probability"])
-    if kind == "stepped":
-        return SteppedDropPolicy(
-            [(threshold, probability)
-             for threshold, probability in snapshot["steps"]]
-        )
     if kind == "target-rate":
         from repro.core.autotune import TargetRateController
 
@@ -95,52 +89,3 @@ class StaticDropPolicy(DropPolicy):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"StaticDropPolicy({self._probability})"
-
-
-class SteppedDropPolicy(DropPolicy):
-    """A piecewise-constant schedule: ``[(threshold, P_d), ...]``.
-
-    The probability of the highest threshold not exceeding the throughput
-    applies; below the first threshold ``P_d = 0``.  An operator-friendly
-    alternative the paper's "can be dynamically adjusted" remark allows.
-    """
-
-    def __init__(self, steps: List[Tuple[float, float]]) -> None:
-        if not steps:
-            raise ValueError("need at least one step")
-        # Thresholds must be *strictly* increasing.  Comparing whole
-        # (threshold, probability) tuples against their sorted order would
-        # tie-break equal thresholds on the probability value, so duplicate
-        # thresholds could pass or fail depending on probability order —
-        # and a duplicate threshold is ambiguous either way (which P_d
-        # applies at exactly that throughput?).
-        thresholds = [threshold for threshold, _ in steps]
-        for previous, current in zip(thresholds, thresholds[1:]):
-            if current <= previous:
-                raise ValueError(
-                    "step thresholds must be strictly increasing, got "
-                    f"{previous} before {current}"
-                )
-        for threshold, probability in steps:
-            if threshold < 0:
-                raise ValueError(f"negative threshold: {threshold}")
-            if not 0.0 <= probability <= 1.0:
-                raise ValueError(f"probability out of [0,1]: {probability}")
-        self.steps = steps
-
-    def probability(self, throughput: float) -> float:
-        current = 0.0
-        for threshold, probability in self.steps:
-            if throughput >= threshold:
-                current = probability
-            else:
-                break
-        return current
-
-    def snapshot(self) -> dict:
-        return {"kind": "stepped",
-                "steps": [[threshold, probability]
-                          for threshold, probability in self.steps]}
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"SteppedDropPolicy({self.steps})"

@@ -1,6 +1,6 @@
 """Throughput-driven drop control shared by every filter.
 
-Couples a :class:`repro.core.throughput.ThroughputMeter` (fed with the
+Couples a :class:`repro.core.throughput.SlidingWindowMeter` (fed with the
 uplink bytes the filter passes) to a :class:`repro.core.dropper.DropPolicy`
 (Equation 1).  Filters call :meth:`record_upload` for each passed outbound
 packet and :meth:`probability` when an unmatched inbound packet needs a
@@ -17,7 +17,7 @@ from repro.core.dropper import (
     StaticDropPolicy,
     restore_policy,
 )
-from repro.core.throughput import SlidingWindowMeter, ThroughputMeter, restore_meter
+from repro.core.throughput import SlidingWindowMeter, restore_meter
 
 
 class DropController:
@@ -26,7 +26,7 @@ class DropController:
     def __init__(
         self,
         policy: Optional[DropPolicy] = None,
-        meter: Optional[ThroughputMeter] = None,
+        meter: Optional[SlidingWindowMeter] = None,
     ) -> None:
         self.policy = policy if policy is not None else StaticDropPolicy(1.0)
         self.meter = meter if meter is not None else SlidingWindowMeter(window=1.0)

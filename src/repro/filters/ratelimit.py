@@ -21,7 +21,7 @@ import random
 from typing import Optional
 
 from repro.core.dropper import DropPolicy, RedDropPolicy, restore_policy
-from repro.core.throughput import SlidingWindowMeter, ThroughputMeter, restore_meter
+from repro.core.throughput import SlidingWindowMeter, restore_meter
 from repro.filters.base import (
     FilterStats,
     PacketFilter,
@@ -134,7 +134,7 @@ class RedPolicerFilter(PacketFilter):
     def __init__(
         self,
         policy: DropPolicy,
-        meter: Optional[ThroughputMeter] = None,
+        meter: Optional[SlidingWindowMeter] = None,
         direction: Direction = Direction.OUTBOUND,
         rng: Optional[random.Random] = None,
     ) -> None:

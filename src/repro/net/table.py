@@ -304,10 +304,6 @@ class PacketTable:
         return len(self.timestamps)
 
     @property
-    def first_timestamp(self) -> Optional[float]:
-        return self.timestamps[0] if self.timestamps else None
-
-    @property
     def last_timestamp(self) -> Optional[float]:
         return self.timestamps[-1] if self.timestamps else None
 
@@ -640,10 +636,6 @@ class PacketView:
     @property
     def is_rst(self) -> bool:
         return bool(self.flags & 0x04)
-
-    def to_packet(self) -> Packet:
-        """Materialize the current row (when retention *is* wanted)."""
-        return self.table.packet(self.position)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PacketView(row {self.position} of {self.table!r})"

@@ -70,9 +70,6 @@ class ShardPlan(ABC):
             else packet.pair.dst_addr
         )
 
-    def lane_of_packet(self, packet: Packet) -> int:
-        return self.lane_of(self.inner_address(packet))
-
     # -- partitioning ----------------------------------------------------
 
     def partition_packets(

@@ -10,7 +10,6 @@ Every entry point drives the same stage pipeline in
 (sequential, batched, parallel) — see ``docs/architecture.md``.
 """
 
-from repro.sim.engine import EventScheduler
 from repro.sim.metrics import DropRateSampler, ThroughputSeries
 from repro.sim.router import EdgeRouter
 from repro.sim.pipeline import (
@@ -35,7 +34,6 @@ __all__ = [
     "LaneResult",
     "ParallelReplayResult",
     "parallel_replay",
-    "EventScheduler",
     "ThroughputSeries",
     "DropRateSampler",
     "EdgeRouter",

@@ -16,8 +16,8 @@ of the filter's reference ``decide`` and nothing more:
   now)`` on an inbound drop when a blocklist is attached.
 
 Outbound samples bound for a filter's uplink meter are staged in two
-local lists and land through one :meth:`ThroughputMeter.record_many
-<repro.core.throughput.ThroughputMeter.record_many>` call before every
+local lists and land through one :meth:`SlidingWindowMeter.record_many
+<repro.core.throughput.SlidingWindowMeter.record_many>` call before every
 rate read that decides a verdict, and at table end.  A rate read that
 decides nothing — a static policy's, or the bitmap filter's on a hit
 under a policy that only maps the rate — only evicts samples, so it is
@@ -46,7 +46,7 @@ from math import inf
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.bitmap_filter import FieldMode, socket_key
-from repro.core.dropper import RedDropPolicy, StaticDropPolicy, SteppedDropPolicy
+from repro.core.dropper import RedDropPolicy, StaticDropPolicy
 from repro.filters.base import CODE_PASS, PacketFilter, Verdict
 from repro.filters.bitmap import BitmapPacketFilter
 from repro.filters.chain import FilterChain
@@ -138,7 +138,7 @@ def _pure_policy(policy) -> bool:
     value decides nothing may be skipped.  A stateful policy (the
     integrating :class:`~repro.core.autotune.TargetRateController`) must
     see every read its filter's ``decide`` makes."""
-    return isinstance(policy, (StaticDropPolicy, RedDropPolicy, SteppedDropPolicy))
+    return isinstance(policy, (StaticDropPolicy, RedDropPolicy))
 
 
 def _land_uploads(meter, times: List[float], sizes: List[int]) -> None:

@@ -3,37 +3,32 @@
 Every replay entry point — :func:`repro.sim.replay.replay`,
 :func:`repro.sim.replay.compare_drop_rates`,
 :class:`repro.sim.closedloop.ClosedLoopSimulator` and ``repro filter`` in
-the CLI — drives the same five-stage packet pipeline:
+the CLI — drives the same four-stage packet pipeline:
 
-1. **scheduler-advance** — fire trace-time events due at or before the
-   packet's timestamp (:class:`repro.sim.engine.EventScheduler`);
-2. **blocklist lookup** — a connection once refused stays refused
+1. **blocklist lookup** — a connection once refused stays refused
    (:meth:`BlockedConnectionStore.suppress`, batched as
    :meth:`BlockedConnectionStore.gate`);
-3. **filter verdict** — :meth:`PacketFilter.decide`, batched as the
+2. **filter verdict** — :meth:`PacketFilter.decide`, batched as the
    filter's fused function in :mod:`repro.sim.kernels`;
-4. **metrics / accounting** — offered/passed throughput bins, inbound
+3. **metrics / accounting** — offered/passed throughput bins, inbound
    drop windows, filter counters, replay counters and the verdict
    fingerprint, summed once per table or per fold of per-packet rows;
-5. **blocklist update** — a dropped inbound σ is registered as blocked.
+4. **blocklist update** — a dropped inbound σ is registered as blocked.
 
-Stages 2–5 are implemented once in :class:`repro.sim.router.EdgeRouter`
+The stages are implemented once in :class:`repro.sim.router.EdgeRouter`
 (:meth:`~repro.sim.router.EdgeRouter.forward` per packet,
 :meth:`~repro.sim.router.EdgeRouter.process_table` per table);
-:class:`ReplayPipeline` adds the scheduler stage in front, its counters
-to every accounting step, and the finalize hook (end-of-replay
-blocklist compaction, result assembly) behind.  An
-:class:`ExecutionBackend` decides *how* the stream traverses the
-stages:
+:class:`ReplayPipeline` adds its counters to every accounting step and
+the finalize hook (end-of-replay blocklist compaction, result assembly)
+behind.  An :class:`ExecutionBackend` decides *how* the stream
+traverses the stages:
 
-* :class:`SequentialBackend` — one packet at a time; the only backend
-  whose per-packet scheduler granularity supports feedback loops.
+* :class:`SequentialBackend` — one packet at a time; the reference
+  every other backend must reproduce.
 * :class:`BatchedBackend` — :class:`PacketTable` chunks.  Its front door
   (:func:`iter_chunks`, shared with :meth:`ReplayStepper.feed`) turns a
   packet list or iterable into one table before anything else runs, so
-  nothing past it sees a ``Packet`` list.  With a scheduler attached,
-  chunks are split at event boundaries so probes fire at exactly the
-  per-packet moments.
+  nothing past it sees a ``Packet`` list.
 * :class:`ParallelBackend` — multiprocess sharded lanes
   (:mod:`repro.sim.parallel`), each lane itself driven by the batched
   backend over a shared-memory view of its columns.
@@ -41,7 +36,7 @@ stages:
 All backends are bit-identical by contract: same verdicts, same
 statistics, same RNG consumption (``tests/sim/test_pipeline.py`` holds
 the cross-backend property tests).  :func:`select_backend` maps the
-``(batched, workers, scheduler)`` knobs of :func:`replay` onto one
+``(batched, workers, chunk_size)`` knobs of :func:`replay` onto one
 backend and raises on incoherent combinations instead of silently
 downgrading.
 """
@@ -50,7 +45,6 @@ from __future__ import annotations
 
 import sys
 from abc import ABC, abstractmethod
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List, Optional
@@ -59,7 +53,6 @@ from repro.filters.base import CODE_PASS, PacketFilter, Verdict
 from repro.filters.blocklist import BlockedConnectionStore
 from repro.net.packet import Packet
 from repro.net.table import PacketTable
-from repro.sim.engine import EventScheduler
 from repro.sim.metrics import ThroughputSeries
 from repro.sim.router import EdgeRouter
 
@@ -126,7 +119,6 @@ class PipelineConfig:
     use_blocklist: bool = True
     throughput_interval: float = 1.0
     drop_window: float = 10.0
-    scheduler: Optional[EventScheduler] = None
     #: Maintain a running verdict fingerprint (see :func:`fingerprint_verdicts`).
     record_fingerprint: bool = False
 
@@ -252,9 +244,8 @@ class ReplayPipeline:
 
     Backends feed packets through :meth:`process` (per packet) or
     :meth:`process_table` (per chunk) and close with :meth:`finalize` —
-    the *single* home of end-of-replay work: the final scheduler advance
-    and the blocklist compaction that makes final table contents
-    GC-phase-independent (previously copy-pasted in every replay loop).
+    the *single* home of end-of-replay work: the blocklist compaction
+    that makes final table contents GC-phase-independent.
 
     ``inbound``, ``dropped``, ``first_ts``, ``last_ts`` and
     ``fingerprint`` are filled by the router's accounting steps
@@ -272,7 +263,6 @@ class ReplayPipeline:
             drop_window=config.drop_window,
             count=self._count_rows,
         )
-        self.scheduler = config.scheduler
         self.inbound = 0
         self.dropped = 0
         self.first_ts: Optional[float] = None
@@ -281,65 +271,17 @@ class ReplayPipeline:
             FINGERPRINT_SEED if config.record_fingerprint else None
         )
 
-    # -- per-packet traversal -------------------------------------------
+    # -- traversal -----------------------------------------------------
 
     def process(self, packet: Packet) -> Verdict:
-        """Run one packet through all five stages."""
-        if self.scheduler is not None:
-            self._advance(packet.timestamp)
+        """Run one packet through all four stages."""
         return self.router.forward(packet)
 
-    def _advance(self, now: float) -> None:
-        """Fire the scheduler's events due by ``now``.  The router's rows
-        fold first when one is due: a probe may read live filter stats."""
-        scheduler = self.scheduler
-        due = scheduler.next_time()
-        if due is not None and due <= now:
-            self.router.fold()
-        scheduler.advance_to(now)
-
-    # -- chunked traversal ----------------------------------------------
-
     def process_table(self, table: PacketTable) -> bytearray:
-        """Run a timestamp-ordered :class:`PacketTable` through all five
+        """Run a timestamp-ordered :class:`PacketTable` through all four
         stages; identical to ``[self.process(p) for p in table]``, as one
-        verdict code per row (see :meth:`EdgeRouter.process_table`).
-
-        Without a scheduler the whole table goes through
-        :meth:`EdgeRouter.process_table` in one piece.  With one, the
-        table is split at event boundaries (binary search on the
-        timestamp column, pool-sharing :meth:`PacketTable.slice`
-        segments): every pending event fires exactly when the per-packet
-        loop would fire it — before the first packet whose timestamp
-        reaches the event time — so probes observe identical filter
-        state.
-        """
-        scheduler = self.scheduler
-        if scheduler is None:
-            return self.router.process_table(table)
-        total = len(table)
-        timestamps = table.timestamps
-        codes = bytearray()
-        position = 0
-        while position < total:
-            next_fire = scheduler.next_time()
-            if next_fire is None:
-                end = total
-            else:
-                # First packet whose timestamp has reached the event time.
-                end = bisect_left(timestamps, next_fire, position)
-            if end > position:
-                segment = (
-                    table if end - position == total
-                    else table.slice(position, end)
-                )
-                codes += self.router.process_table(segment)
-                position = end
-            if next_fire is None:
-                break
-            if position < total:
-                self._advance(timestamps[position])
-        return codes
+        verdict code per row (see :meth:`EdgeRouter.process_table`)."""
+        return self.router.process_table(table)
 
     def _count_rows(self, timestamps, outbound, codes) -> None:
         """The pipeline's share of every router accounting step (see
@@ -381,18 +323,13 @@ class ReplayPipeline:
         """Close the replay and assemble the unified result.
 
         The one place end-of-replay work happens, for every backend:
-        the scheduler is advanced to the trace's end (so its clock
-        matches the per-packet loop's), and the blocklist is compacted at
-        the last timestamp — the surviving table is exactly the entries
-        still within retention, independent of interior GC phase and
-        therefore identical across backends.
+        the blocklist is compacted at the last timestamp — the surviving
+        table is exactly the entries still within retention, independent
+        of interior GC phase and therefore identical across backends.
         """
         self.router.fold()
-        if self.first_ts is not None:
-            if self.scheduler is not None:
-                self.scheduler.advance_to(self.last_ts)
-            if self.router.blocklist is not None:
-                self.router.blocklist.compact(self.last_ts)
+        if self.first_ts is not None and self.router.blocklist is not None:
+            self.router.blocklist.compact(self.last_ts)
         return ReplayResult(
             router=self.router,
             packets=self.router.packets,
@@ -421,8 +358,8 @@ class ReplayStepper:
     a :class:`PacketTable` or a packet sequence — through the same stage
     implementations the owning backend's ``run`` uses, so a stepper-fed
     replay is verdict-identical to a one-shot replay of the concatenated
-    stream.  :meth:`finish` closes the pipeline (scheduler drain,
-    blocklist compaction) and assembles the :class:`ReplayResult`.
+    stream.  :meth:`finish` closes the pipeline (blocklist compaction)
+    and assembles the :class:`ReplayResult`.
     """
 
     def __init__(self, pipeline: ReplayPipeline, chunk_size: Optional[int] = None,
@@ -557,11 +494,6 @@ class ParallelBackend(ExecutionBackend):
         )
 
     def run(self, packets: Iterable[Packet], config: PipelineConfig) -> ReplayResult:
-        if config.scheduler is not None:
-            raise ValueError(
-                "parallel replay cannot drive a scheduler — its probes "
-                "would have to interleave across worker processes"
-            )
         from repro.sim.parallel import parallel_replay
 
         return parallel_replay(
@@ -581,30 +513,25 @@ class ParallelBackend(ExecutionBackend):
 def select_backend(
     batched: Optional[bool] = None,
     workers: int = 1,
-    scheduler: Optional[EventScheduler] = None,
     chunk_size: Optional[int] = None,
 ) -> ExecutionBackend:
-    """Map the ``(batched, workers, scheduler)`` knobs onto one backend.
+    """Map the ``(batched, workers, chunk_size)`` knobs onto one backend.
 
     ``batched=None`` means "backend default": sequential in-process,
     batched lanes under the parallel backend.  Incoherent combinations
     raise instead of silently downgrading:
 
-    ======== ======= ========= ==========================================
-    batched  workers scheduler backend
-    ======== ======= ========= ==========================================
-    None     1       any       sequential
-    False    1       any       sequential
-    True     1       None      batched (one chunk)
-    True     1       set       batched, chunks split at event boundaries
-    None     >1      None      parallel, batched lanes
-    True     >1      None      parallel, batched lanes
-    False    >1      any       **ValueError** (parallel lanes are always
-                               batched)
-    any      >1      set       **ValueError** (probes cannot interleave
-                               across worker processes)
-    any      <1      any       **ValueError**
-    ======== ======= ========= ==========================================
+    ======== ======= ==================================================
+    batched  workers backend
+    ======== ======= ==================================================
+    None     1       sequential
+    False    1       sequential
+    True     1       batched
+    None     >1      parallel, batched lanes
+    True     >1      parallel, batched lanes
+    False    >1      **ValueError** (parallel lanes are always batched)
+    any      <1      **ValueError**
+    ======== ======= ==================================================
 
     ``chunk_size`` is only meaningful for the batched backend; asking for
     it anywhere else is an error, not a silent ignore.
@@ -616,11 +543,6 @@ def select_backend(
             raise ValueError(
                 "parallel lanes always replay batched; batched=False needs "
                 "workers=1"
-            )
-        if scheduler is not None:
-            raise ValueError(
-                "parallel replay cannot drive a scheduler — its probes "
-                "would have to interleave across worker processes"
             )
         if chunk_size is not None:
             raise ValueError(

@@ -1,7 +1,7 @@
 """Trace replay — the section 5.3 simulations as reusable harness code.
 
 :func:`replay` is a thin front door over the unified engine in
-:mod:`repro.sim.pipeline`: it maps the ``(batched, workers, scheduler)``
+:mod:`repro.sim.pipeline`: it maps the ``(batched, workers, chunk_size)``
 knobs onto one :class:`~repro.sim.pipeline.ExecutionBackend` and runs the
 shared stage pipeline.  Every combination either selects a backend or
 raises — there are no silent mode downgrades.  The batched engine has a
@@ -22,7 +22,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.filters.base import PacketFilter
 from repro.net.packet import Packet
 from repro.net.table import PacketTable, as_table
-from repro.sim.engine import EventScheduler
 from repro.sim.metrics import scatter_points
 from repro.sim.pipeline import (
     ExecutionBackend,
@@ -42,7 +41,6 @@ def replay(
     use_blocklist: bool = True,
     throughput_interval: float = 1.0,
     drop_window: float = 10.0,
-    scheduler: Optional[EventScheduler] = None,
     batched: Optional[bool] = None,
     workers: int = 1,
     chunk_size: Optional[int] = None,
@@ -58,8 +56,7 @@ def replay(
     representation and produces identical results on equal streams.
 
     ``use_blocklist`` enables the blocked-σ persistence of section 5.3
-    (dropped inbound connections stay dropped).  An optional scheduler
-    lets callers attach periodic probes; it is advanced in trace time.
+    (dropped inbound connections stay dropped).
 
     ``batched`` selects the columnar chunked engine
     (:class:`~repro.sim.pipeline.BatchedBackend`): packet input becomes
@@ -67,12 +64,9 @@ def replay(
     table goes through :meth:`~repro.sim.router.EdgeRouter.process_table`
     — the filter's fused function from :mod:`repro.sim.kernels` when it
     has one, the per-packet reference loop otherwise, with identical
-    results either way.  ``None`` (the
-    default) lets the backend decide: sequential in-process, batched
-    lanes under the parallel engine.  With a scheduler attached the
-    batched engine splits chunks at event boundaries, so probes fire at
-    exactly the per-packet moments; ``batched=False`` forces the
-    per-packet loop and needs ``workers=1``.
+    results either way.  ``None`` (the default) lets the backend decide:
+    sequential in-process, batched lanes under the parallel engine.
+    ``batched=False`` forces the per-packet loop and needs ``workers=1``.
 
     ``workers > 1`` dispatches to the multiprocess sharded engine
     (:class:`~repro.sim.pipeline.ParallelBackend` /
@@ -81,9 +75,9 @@ def replay(
     batched over a shared-memory view of its columns, and the merged
     result carries the same aggregate counts, series bins and per-shard
     statistics as a single-process run.  Requires a
-    :class:`~repro.filters.sharded.ShardedFilter` and no scheduler
-    (incoherent combinations raise —
-    see :func:`~repro.sim.pipeline.select_backend` for the full matrix).
+    :class:`~repro.filters.sharded.ShardedFilter` (incoherent
+    combinations raise — see :func:`~repro.sim.pipeline.select_backend`
+    for the full matrix).
 
     An explicit ``backend`` bypasses the knob dispatch entirely (and is
     mutually exclusive with ``batched``/``workers``/``chunk_size``).
@@ -96,8 +90,7 @@ def replay(
     """
     if backend is None:
         backend = select_backend(
-            batched=batched, workers=workers, scheduler=scheduler,
-            chunk_size=chunk_size,
+            batched=batched, workers=workers, chunk_size=chunk_size,
         )
     elif batched is not None or workers != 1 or chunk_size is not None:
         raise ValueError(
@@ -114,7 +107,6 @@ def replay(
         use_blocklist=use_blocklist,
         throughput_interval=throughput_interval,
         drop_window=drop_window,
-        scheduler=scheduler,
         record_fingerprint=record_fingerprint,
     )
     return backend.run(packets, config)

@@ -132,16 +132,6 @@ class ConnectionSpec:
     def end(self) -> float:
         return self.start + self.duration
 
-    @property
-    def total_payload_bytes(self) -> int:
-        return (
-            self.bytes_client_to_remote
-            + self.bytes_remote_to_client
-            + len(self.request_payload)
-            + len(self.response_payload)
-            + sum(len(message.payload) for message in self.script)
-        )
-
 
 def _row(
     spec: ConnectionSpec,

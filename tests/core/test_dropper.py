@@ -1,10 +1,10 @@
-"""Tests for drop-probability policies (Equation 1 and variants)."""
+"""Tests for drop-probability policies (Equation 1 and the static P_d)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dropper import RedDropPolicy, StaticDropPolicy, SteppedDropPolicy
+from repro.core.dropper import RedDropPolicy, StaticDropPolicy
 
 
 class TestRedDropPolicy:
@@ -65,55 +65,6 @@ class TestStaticDropPolicy:
             StaticDropPolicy(-0.1)
         with pytest.raises(ValueError):
             StaticDropPolicy(1.1)
-
-
-class TestSteppedDropPolicy:
-    def test_below_first_step(self):
-        policy = SteppedDropPolicy([(10.0, 0.3), (20.0, 0.9)])
-        assert policy.probability(5.0) == 0.0
-
-    def test_step_values(self):
-        policy = SteppedDropPolicy([(10.0, 0.3), (20.0, 0.9)])
-        assert policy.probability(10.0) == 0.3
-        assert policy.probability(15.0) == 0.3
-        assert policy.probability(20.0) == 0.9
-        assert policy.probability(1000.0) == 0.9
-
-    def test_requires_sorted_steps(self):
-        with pytest.raises(ValueError):
-            SteppedDropPolicy([(20.0, 0.9), (10.0, 0.3)])
-
-    def test_rejects_duplicate_thresholds(self):
-        """Regression: equal thresholds are ambiguous (which P_d applies at
-        exactly that throughput?) and used to slip through the tuple-sort
-        check when the probabilities happened to be ascending."""
-        with pytest.raises(ValueError, match="strictly increasing"):
-            SteppedDropPolicy([(10.0, 0.2), (10.0, 0.9)])
-
-    def test_duplicate_rejection_ignores_probability_order(self):
-        """Regression: the old ``sorted(steps) != steps`` check tie-broke on
-        the probability, so [(10, .9), (10, .2)] raised while
-        [(10, .2), (10, .9)] passed.  Both orderings must fail."""
-        for steps in ([(10.0, 0.9), (10.0, 0.2)], [(10.0, 0.2), (10.0, 0.9)],
-                      [(0.0, 0.1), (10.0, 0.5), (10.0, 0.5)]):
-            with pytest.raises(ValueError, match="strictly increasing"):
-                SteppedDropPolicy(steps)
-
-    def test_strictly_increasing_steps_accepted(self):
-        policy = SteppedDropPolicy([(0.0, 0.1), (10.0, 0.5), (20.0, 1.0)])
-        assert policy.probability(10.0) == 0.5
-
-    def test_requires_steps(self):
-        with pytest.raises(ValueError):
-            SteppedDropPolicy([])
-
-    def test_validates_probabilities(self):
-        with pytest.raises(ValueError):
-            SteppedDropPolicy([(10.0, 1.5)])
-
-    def test_validates_thresholds(self):
-        with pytest.raises(ValueError):
-            SteppedDropPolicy([(-5.0, 0.5)])
 
 
 @given(

@@ -1,15 +1,10 @@
-"""Tests for uplink-throughput estimators."""
+"""Tests for the uplink-throughput estimator."""
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.throughput import (
-    EwmaThroughputMeter,
-    SlidingWindowMeter,
-    from_mbps,
-    mbps,
-)
+from repro.core.throughput import SlidingWindowMeter, from_mbps, mbps
 
 #: Few distinct times, so batches carry ties and cross the 1 s window.
 SAMPLES = st.lists(
@@ -84,53 +79,6 @@ class TestSlidingWindowMeter:
             SlidingWindowMeter().record(0.0, -1)
 
 
-class TestEwmaMeter:
-    def test_initially_zero(self):
-        meter = EwmaThroughputMeter()
-        assert meter.rate_bps(0.0) == 0.0
-
-    def test_first_packet_is_visible(self):
-        # Regression: the anchor sample used to reset the rate to 0, so a
-        # single-packet burst was invisible to the estimator.
-        meter = EwmaThroughputMeter(tau=2.0)
-        meter.record(0.0, 1250)
-        assert meter.rate_bps(0.0) == pytest.approx(1250 * 8.0 / 2.0)
-
-    def test_first_packet_estimate_decays(self):
-        meter = EwmaThroughputMeter(tau=1.0)
-        meter.record(0.0, 1250)
-        assert 0.0 < meter.rate_bps(5.0) < meter.rate_bps(0.0)
-
-    def test_converges_to_steady_rate(self):
-        meter = EwmaThroughputMeter(tau=0.5)
-        # 1250 B per 10 ms = 1 Mbps steady.
-        for i in range(1, 1000):
-            meter.record(i * 0.01, 1250)
-        assert meter.rate_bps(10.0) == pytest.approx(1e6, rel=0.05)
-
-    def test_decays_during_silence(self):
-        meter = EwmaThroughputMeter(tau=1.0)
-        for i in range(1, 200):
-            meter.record(i * 0.01, 1250)
-        active = meter.rate_bps(2.0)
-        quiet = meter.rate_bps(10.0)
-        assert quiet < active * 0.01
-
-    def test_same_instant_burst_does_not_crash(self):
-        meter = EwmaThroughputMeter()
-        meter.record(1.0, 100)
-        meter.record(1.0, 100)
-        assert meter.rate_bps(1.0) >= 0.0
-
-    def test_rejects_bad_tau(self):
-        with pytest.raises(ValueError):
-            EwmaThroughputMeter(tau=0.0)
-
-    def test_rejects_negative_size(self):
-        with pytest.raises(ValueError):
-            EwmaThroughputMeter().record(0.0, -5)
-
-
 class TestUnits:
     def test_mbps_roundtrip(self):
         assert mbps(from_mbps(100.0)) == pytest.approx(100.0)
@@ -189,15 +137,3 @@ class TestRecordMany:
         with pytest.raises(ValueError, match="negative size: -5"):
             meter.record_many([0.5, 9.0, 9.5], [10, -5, 20])
         assert meter.snapshot() == before
-
-    @given(prefill=SAMPLES, batch=SAMPLES)
-    @settings(max_examples=100)
-    def test_default_is_a_record_loop(self, prefill, batch):
-        looped, batched = EwmaThroughputMeter(tau=1.0), EwmaThroughputMeter(tau=1.0)
-        for meter in (looped, batched):
-            for timestamp, size in sorted(prefill):
-                meter.record(timestamp, size)
-        for timestamp, size in batch:
-            looped.record(timestamp, size)
-        batched.record_many([t for t, _ in batch], [size for _, size in batch])
-        assert batched.snapshot() == looped.snapshot()

@@ -14,6 +14,7 @@ import pytest
 from repro.core.bitmap_filter import BitmapFilterConfig
 from repro.filters import SnapshotUnsupported, restore_filter
 from repro.filters.base import AcceptAllFilter
+from repro.filters.bitmap import BitmapPacketFilter
 from repro.filters.chain import FilterChain
 from repro.filters.counting import CountingBitmapFilter
 from repro.filters.policy import DropController
@@ -117,6 +118,11 @@ class TestRoundTrip:
         assert resumed.bucket.burst == flt.bucket.burst
 
 
+#: Policy and meter snapshots of kinds that no longer exist.
+STEPPED = {"kind": "stepped", "steps": [[0.0, 0.5]]}
+EWMA = {"kind": "ewma", "tau": 2.0, "rate_bps": 0.0, "last_time": None}
+
+
 class TestRefusals:
     def test_filters_without_hooks_refuse(self):
         with pytest.raises(SnapshotUnsupported, match="accept-all"):
@@ -131,6 +137,25 @@ class TestRefusals:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown filter snapshot kind"):
             restore_filter({"kind": "mystery"})
+
+    @pytest.mark.parametrize("name, part, retired", [
+        ("bitmap", "policy", STEPPED),
+        ("bitmap", "meter", EWMA),
+        ("red-policer", "policy", STEPPED),
+        ("red-policer", "meter", EWMA),
+    ])
+    def test_retired_policy_and_meter_kinds_rejected(self, name, part, retired):
+        """The stepped drop policy and the EWMA meter are gone: a
+        snapshot naming either must fail loudly, not restore."""
+        if name == "bitmap":
+            document = BitmapPacketFilter(
+                SMALL_CONFIG, drop_controller=red()).snapshot()
+            document["controller"][part] = retired
+        else:
+            document = FACTORIES[name]().snapshot()
+            document[part] = retired
+        with pytest.raises(ValueError, match=f"kind: '{retired['kind']}'"):
+            restore_filter(document)
 
     def test_kind_mismatch_rejected(self):
         snapshot = FACTORIES["spi"]().snapshot()

@@ -228,13 +228,6 @@ class TestGuards:
         with pytest.raises(ValueError):
             replay(trace(1), make_sharded(), workers=0)
 
-    def test_rejects_scheduler(self):
-        from repro.sim.engine import EventScheduler
-
-        with pytest.raises(ValueError, match="scheduler"):
-            replay(trace(1), make_sharded(), workers=2,
-                   scheduler=EventScheduler())
-
 
 class TestDefaultLaneFilter:
     def test_applies_verdict(self):

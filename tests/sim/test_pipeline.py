@@ -1,7 +1,7 @@
 """Tests for the unified replay engine: backend dispatch and equivalence.
 
 Two contracts under test.  First, :func:`repro.sim.pipeline.select_backend`
-maps every coherent ``(batched, workers, scheduler)`` combination onto
+maps every coherent ``(batched, workers, chunk_size)`` combination onto
 exactly one backend and *raises* on the incoherent ones — no silent mode
 downgrades.  Second, every backend is bit-identical: same verdicts, same
 statistics, same RNG consumption as the sequential reference loop.
@@ -33,7 +33,6 @@ from repro.filters.sharded import ShardedFilter
 from repro.filters.spi import SPIFilter
 from repro.net.inet import parse_ipv4
 from repro.net.table import PacketTable
-from repro.sim.engine import EventScheduler
 from repro.sim.metrics import scatter_points
 from repro.sim.parallel import ParallelReplayResult
 from repro.sim.pipeline import (
@@ -107,12 +106,6 @@ class TestDispatchMatrix:
     def test_batched_with_chunk_size(self):
         assert select_backend(batched=True, chunk_size=512).chunk_size == 512
 
-    def test_batched_with_scheduler_is_coherent(self):
-        """The old silent downgrade is gone: batched + scheduler stays
-        batched, with event-boundary chunking."""
-        backend = select_backend(batched=True, scheduler=EventScheduler())
-        assert isinstance(backend, BatchedBackend)
-
     def test_workers_default_to_batched_lanes(self):
         backend = select_backend(workers=4)
         assert isinstance(backend, ParallelBackend)
@@ -131,13 +124,6 @@ class TestDispatchMatrix:
             select_backend(workers=0)
         with pytest.raises(ValueError, match="workers"):
             replay(trace(1), SPIFilter(), workers=0)
-
-    def test_workers_with_scheduler_raise(self):
-        with pytest.raises(ValueError, match="scheduler"):
-            select_backend(workers=2, scheduler=EventScheduler())
-        with pytest.raises(ValueError, match="scheduler"):
-            replay(trace(1), make_sharded(), workers=2,
-                   scheduler=EventScheduler())
 
     def test_workers_with_chunk_size_raise(self):
         with pytest.raises(ValueError, match="chunk_size"):
@@ -276,42 +262,6 @@ class TestMixedTraversal:
         sequential = replay(packets, make(), record_fingerprint=True)
         assert mixed.fingerprint == sequential.fingerprint
         assert fingerprint(mixed) == fingerprint(sequential)
-
-
-class TestSchedulerChunking:
-    """batched=True + scheduler: event-boundary chunking, not a downgrade."""
-
-    def probe_log(self, packets, **replay_kwargs):
-        flt = BitmapPacketFilter(
-            BitmapFilterConfig(size=2 ** 14, vectors=4, hashes=3,
-                               rotate_interval=5.0))
-        scheduler = EventScheduler()
-        samples = []
-        # The probe observes live filter state: it only matches across
-        # backends if events fire at exactly the per-packet moments.
-        scheduler.every(2.0, lambda when: samples.append(
-            (when, flt.stats.total, flt.stats.as_dict()["dropped_inbound"])))
-        result = replay(packets, flt, scheduler=scheduler, **replay_kwargs)
-        return samples, scheduler, fingerprint(result)
-
-    def test_probes_fire_at_per_packet_moments(self):
-        packets = trace(12)
-        seq_samples, seq_sched, seq_print = self.probe_log(packets)
-        bat_samples, bat_sched, bat_print = self.probe_log(packets,
-                                                           batched=True)
-        assert bat_samples == seq_samples
-        assert len(bat_samples) > 5
-        assert bat_sched.fired == seq_sched.fired
-        assert bat_sched.now == seq_sched.now
-        assert bat_print == seq_print
-
-    def test_chunk_size_composes_with_scheduler(self):
-        packets = trace(12)
-        seq_samples, _, seq_print = self.probe_log(packets)
-        chunk_samples, _, chunk_print = self.probe_log(packets, batched=True,
-                                                       chunk_size=100)
-        assert chunk_samples == seq_samples
-        assert chunk_print == seq_print
 
 
 class TestCompareDropRatesPassthrough:

@@ -10,7 +10,6 @@ from repro.filters.naive import NaiveTimerFilter
 from repro.filters.policy import DropController
 from repro.filters.spi import SPIFilter
 from repro.net.packet import Direction
-from repro.sim.engine import EventScheduler
 from repro.sim.replay import compare_drop_rates, replay
 from repro.sim.router import EdgeRouter
 
@@ -144,13 +143,6 @@ class TestReplay:
         assert result.inbound_dropped == 0
         assert result.inbound_drop_rate == 0.0
         assert result.duration > 0
-
-    def test_scheduler_driven(self, small_trace):
-        scheduler = EventScheduler()
-        samples = []
-        scheduler.every(10.0, samples.append)
-        replay(small_trace[:20000], AcceptAllFilter(), scheduler=scheduler)
-        assert len(samples) >= 2
 
     def test_bitmap_low_drop_rate_on_benign_replay(self, small_trace):
         """Figure 8 regime: pure positive-listing drop rates are small
