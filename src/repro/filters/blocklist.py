@@ -9,14 +9,28 @@ This models what happens in a live network — a dropped connection attempt
 never establishes, so none of its later packets exist — which a passive
 replay cannot otherwise express.  Entries age out after ``retention``
 seconds so a peer retrying much later is treated as a fresh attempt.
+
+The per-packet path asks :meth:`BlockedConnectionStore.suppress` of every
+packet.  At an edge router that question sits on every packet's path and
+is answered "no" for nearly all of them, so the batched path asks it only
+of the rows that can say "yes": :meth:`BlockedConnectionStore.gate` gives
+a table's batch function the set of its flows that may be suppressed —
+those in the store when the table starts and those blocked during it,
+with their σ̄ twins — and one suppression call for their rows.  The GC
+clock, the one other per-packet step, fires at rows that depend only on
+the timestamps (:meth:`BlockedConnectionStore.gc_rows`), so the router
+splits its table there and compacts between the pieces
+(:meth:`BlockedConnectionStore.collect`).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import compress, count, islice, repeat
+from operator import le
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.net.packet import Packet, SocketPair
+from repro.net.table import _numpy
 
 
 class BlockedConnectionStore:
@@ -74,59 +88,122 @@ class BlockedConnectionStore:
         return True
 
     def gate(
-        self, pairs: Sequence[SocketPair], rows: Iterable[tuple]
-    ) -> Tuple[Iterator[tuple], Callable[[int, float], None]]:
-        """The batched :meth:`suppress`: the rows a filter may see, and
-        its block hook.
+        self, table
+    ) -> Tuple[Set[int], Callable[[int, float, int], bool], Callable[[int, float], None]]:
+        """The batched :meth:`suppress` for one
+        :class:`~repro.net.table.PacketTable`: ``(flagged, suppress,
+        block)``.
 
-        ``rows`` are a table's ``(position, timestamp, size, outbound,
-        pair_id, flags)`` tuples and ``pairs`` its interned pair pool.
-        The generator applies to each row what :meth:`suppress` applies
-        to each packet — the GC clock, retention expiry, the stamp
-        refresh and the suppression counters — and yields only the rows
-        of connections not blocked.  ``block(pair_id, now)`` is
-        :meth:`block` by pool id, for the filter's inbound drops.  The
-        filter consumes the generator row by row, so a drop blocks its
-        connection's later rows in time, exactly as the per-packet loop
-        does.  Canonical pairs are computed once per interned flow.
+        ``flagged`` is the set of the table's pair ids that may be
+        suppressed: those whose canonical σ is in the store now, expired
+        or not, and every pair a filter blocks through ``block(pair_id,
+        now)`` (:meth:`block` by pool id) together with its σ̄ twin in the
+        same table.  A batch function tests ``pair_id in flagged`` first
+        on each row and calls ``suppress(pair_id, now, size)`` for a
+        flagged one: it applies what :meth:`suppress` applies to a packet
+        — retention expiry, the stamp refresh and the suppression
+        counters — and returns True when the row is suppressed.  A flow
+        whose entry is gone or has just expired leaves ``flagged``.  No
+        other row touches the store, and a drop flags its connection's
+        later rows in time, exactly as the per-packet loop blocks them.
+
+        The GC clock is not applied here: :meth:`gc_rows` finds the rows
+        where it fires and the caller gates each piece between them.
+        Canonical pairs are computed once per flow of the table, when the
+        store holds an entry at table start or at the first block, so the
+        table's pool is read once per flow, whatever its size.
         """
         blocked = self._blocked
-        canonical: List[Optional[SocketPair]] = [None] * len(pairs)
+        pairs = table.pairs
+        #: Pair id → canonical σ, for every flow of the table once indexed.
+        canonical: Dict[int, SocketPair] = {}
+        #: Canonical σ → the table's pair ids of σ and σ̄.
+        sharing: Dict[SocketPair, List[int]] = {}
+
+        def index() -> None:
+            for pid in set(table.pair_ids):
+                key = canonical[pid] = pairs[pid].canonical
+                twins = sharing.get(key)
+                if twins is None:
+                    sharing[key] = [pid]
+                else:
+                    twins.append(pid)
+
+        # An empty store flags nothing: the index waits for a first block.
+        if blocked:
+            index()
+        flagged = {pid for pid, key in canonical.items() if key in blocked}
+
+        def suppress(pid: int, now: float, size: int) -> bool:
+            key = canonical[pid]
+            stamped = blocked.get(key)
+            if stamped is not None:
+                if not self._expired(stamped, now):
+                    blocked[key] = now
+                    self.suppressed_packets += 1
+                    self.suppressed_bytes += size
+                    return True
+                del blocked[key]
+            flagged.discard(pid)
+            return False
 
         def block(pid: int, now: float) -> None:
+            if not canonical:
+                index()
             key = canonical[pid]
-            if key is None:
-                key = canonical[pid] = pairs[pid].canonical
             blocked[key] = now
+            flagged.update(sharing[key])
 
-        def admitted() -> Iterator[tuple]:
-            # The GC clock as one float compare per row: -inf anchors it
-            # on the first row, +inf (no retention) never fires.
-            if self.retention is None:
-                next_gc = math.inf
+        return flagged, suppress, block
+
+    def gc_rows(self, timestamps: Sequence[float]) -> List[int]:
+        """The positions in a table's ``timestamps`` column at which
+        :meth:`suppress`'s GC clock fires, in order; anchors an unanchored
+        clock on the first row, as :meth:`suppress` does.
+
+        A row fires when its timestamp reaches the clock's next deadline,
+        which then moves to that timestamp plus ``gc_interval``, so the
+        firing rows depend on nothing but the timestamps and the clock.
+        The batched router splits its table there and calls
+        :meth:`collect` with each firing row's timestamp before gating
+        the piece that row opens, which is when the per-packet path
+        compacts.  Nothing here runs per row in Python.
+        """
+        if self.retention is None or not len(timestamps):
+            return []
+        start = 0
+        if self._next_gc is None:
+            self._next_gc = timestamps[0] + self._gc_interval
+            start = 1
+        deadline = self._next_gc
+        np = _numpy() if len(timestamps) > 64 else None
+        if np is not None:
+            column = np.frombuffer(timestamps, dtype=np.float64)
+        elif max(timestamps) < deadline:
+            return []
+        rows: List[int] = []
+        while start < len(timestamps):
+            if np is not None:
+                reached = column[start:] >= deadline
+                if not reached.any():
+                    break
+                position = start + int(reached.argmax())
             else:
-                next_gc = -math.inf if self._next_gc is None else self._next_gc
-            for row in rows:
-                now = row[1]
-                if now >= next_gc:
-                    self._maybe_gc(now)
-                    next_gc = self._next_gc
-                pid = row[4]
-                key = canonical[pid]
-                if key is None:
-                    key = canonical[pid] = pairs[pid].canonical
-                stamped = blocked.get(key)
-                if stamped is not None:
-                    if self._expired(stamped, now):
-                        del blocked[key]
-                    else:
-                        blocked[key] = now
-                        self.suppressed_packets += 1
-                        self.suppressed_bytes += row[2]
-                        continue
-                yield row
+                position = next(compress(
+                    count(start),
+                    map(le, repeat(deadline), islice(timestamps, start, None)),
+                ), None)
+                if position is None:
+                    break
+            rows.append(position)
+            deadline = timestamps[position] + self._gc_interval
+            start = position + 1
+        return rows
 
-        return admitted(), block
+    def collect(self, now: float) -> None:
+        """The GC clock firing at ``now``: move its deadline and compact."""
+        self._next_gc = now + self._gc_interval
+        self.compact(now)
 
     def _maybe_gc(self, now: float) -> None:
         if self.retention is None:
@@ -134,10 +211,8 @@ class BlockedConnectionStore:
         if self._next_gc is None:
             self._next_gc = now + self._gc_interval
             return
-        if now < self._next_gc:
-            return
-        self._next_gc = now + self._gc_interval
-        self.compact(now)
+        if now >= self._next_gc:
+            self.collect(now)
 
     def compact(self, now: float) -> None:
         """Drop every entry already outside ``retention`` as of ``now``.

@@ -64,9 +64,12 @@ class SocketPair(NamedTuple):
     def canonical(self) -> "SocketPair":
         """A direction-independent form (the lexicographically smaller of
         the pair and its inverse) — useful as a connection-table key because
-        ``s`` and ``s̄`` map to the same entry."""
-        inv = self.inverse
-        return self if self <= inv else inv
+        ``s`` and ``s̄`` map to the same entry.  The two share their
+        protocol, so comparing the endpoints decides, and the inverse is
+        built only when it is the smaller."""
+        if (self.dst_addr, self.dst_port) < (self.src_addr, self.src_port):
+            return self.inverse
+        return self
 
     @property
     def is_tcp(self) -> bool:

@@ -55,7 +55,7 @@ from array import array
 from typing import BinaryIO, List, Optional, Sequence, Tuple
 
 from repro.net.packet import SocketPair
-from repro.net.table import PacketTable
+from repro.net.table import PacketTable, _numpy
 
 _LENGTH = struct.Struct("!I")
 
@@ -440,13 +440,24 @@ def _decode_binary(payload: bytes, pool: Optional[PacketTable]) -> PacketTable:
         )
 
     if rows:
+        np = _numpy() if rows > 64 else None
+        if np is None:
+            least, most = min, max
+        else:
+            # numpy's reductions over zero-copy views: no Python object
+            # per element.
+            def least(column):
+                return int(np.frombuffer(column, dtype=column.typecode).min())
+
+            def most(column):
+                return int(np.frombuffer(column, dtype=column.typecode).max())
         pair_ids = columns["pair_ids"]
         payload_ids = columns["payload_ids"]
-        if min(pair_ids) < 0 or max(pair_ids) >= pair_count:
+        if least(pair_ids) < 0 or most(pair_ids) >= pair_count:
             raise FramingError("pair_ids column indexes beyond the pool")
-        if min(payload_ids) < 0 or max(payload_ids) >= payload_count:
+        if least(payload_ids) < 0 or most(payload_ids) >= payload_count:
             raise FramingError("payload_ids column indexes beyond the pool")
-        if min(columns["sizes"]) < 0:
+        if least(columns["sizes"]) < 0:
             raise FramingError("negative packet size in sizes column")
     for name, _, _ in _WIRE_COLUMNS:
         setattr(table, name, columns[name])

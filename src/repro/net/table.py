@@ -47,10 +47,6 @@ _np = None
 _MAX_FLAGS = 1 << 32
 _EMPTY = b""
 
-#: ``seen_directions`` bits: the flow appeared outbound / inbound.
-SEEN_OUTBOUND = 1
-SEEN_INBOUND = 2
-
 
 def _numpy():
     """numpy when the acceleration path is on, else None.
@@ -482,33 +478,32 @@ class PacketTable:
     # Flow scans (consumed by the fused replay loop / shard router)
     # ------------------------------------------------------------------
 
-    def seen_directions(self) -> bytearray:
-        """Per-interned-pair direction occupancy bits.
+    def flow_slots(self) -> List[int]:
+        """The table's distinct ``pair_id << 1 | outbound`` slots, one per
+        (flow, direction) present, in ascending pair id with a pair's
+        outbound slot first.
 
-        ``result[pid] & SEEN_OUTBOUND`` / ``& SEEN_INBOUND`` say whether
-        flow ``pid`` appears in that direction anywhere in the table —
-        what the batched engine needs to hash each flow at most once per
-        direction instead of once per packet.
+        What the batched engine needs to hash each flow at most once per
+        direction per table instead of once per packet.  The scan reads
+        the table's own rows only, never its pool, so its cost follows
+        the chunk however large a stream's interned pool has grown.
         """
-        seen = bytearray(len(self.pairs))
         if not len(self):
-            return seen
-        np = _numpy()
+            return []
+        np = _numpy() if len(self) > 64 else None
         if np is not None:
             pair_ids = np.frombuffer(
                 self.pair_ids, dtype=_column_dtype(self.pair_ids)
-            )
-            outbound = np.frombuffer(self.outbound, dtype=np.int8)
-            out_mask = outbound != 0
-            for mask, bit in ((out_mask, SEEN_OUTBOUND), (~out_mask, SEEN_INBOUND)):
-                hit = pair_ids[mask]
-                if hit.size:
-                    for pid in np.unique(hit):
-                        seen[pid] |= bit
-            return seen
-        for pid, is_out in zip(self.pair_ids, self.outbound):
-            seen[pid] |= SEEN_OUTBOUND if is_out else SEEN_INBOUND
-        return seen
+            ).astype(np.int64, copy=False)
+            inbound = np.frombuffer(self.outbound, dtype=np.int8) == 0
+            # ``pair_id << 1 | inbound`` sorts a pair's outbound slot
+            # first; flipping the low bit turns it into the slot.
+            return (np.unique((pair_ids << 1) | inbound) ^ 1).tolist()
+        slots = {
+            pid << 1 | (is_out != 0)
+            for pid, is_out in set(zip(self.pair_ids, self.outbound))
+        }
+        return sorted(slots, key=(1).__xor__)
 
     def lane_positions(self, lane_by_row: Sequence[int], lanes: int) -> List[array]:
         """Group row positions by a per-row lane id (−1 = default lane).

@@ -4,16 +4,30 @@ A batch function replays rows of one :class:`~repro.net.table.PacketTable`
 through one filter with all hot state in locals.  It is the batched twin
 of the filter's reference ``decide`` and nothing more:
 
-* it walks the ``rows`` it is given — ``(position, timestamp, size,
-  outbound, pair_id, flags)`` tuples (:func:`table_rows`), either every
-  row of the table or the survivors of the blocked-σ gate;
+* it walks every row of its table as ``(position, timestamp, size,
+  outbound, pair_id, flags)`` tuples (:func:`table_rows`);
+* it tests one flag per row first: a row whose ``pair_id`` is in the
+  gate's ``flagged`` set goes to the gate's ``suppress(pair_id, now,
+  size)``, and a suppressed row is skipped, its code left
+  :data:`~repro.filters.base.CODE_UNSEEN`;
 * it updates only that filter's state and its filter-specific counters
   (bitmap and counting core stats, SPI ``peak_flows``, counting
   ``added`` / ``saturations`` / ``deleted_on_close``);
-* it writes one verdict code per row it sees into ``out`` —
-  :data:`~repro.filters.base.CODE_PASS` (1) or
-  :data:`~repro.filters.base.CODE_DROP` (0) — and calls ``block(pair_id,
-  now)`` on an inbound drop when a blocklist is attached.
+* it writes one verdict code per row it does not suppress into ``out``
+  — :data:`~repro.filters.base.CODE_PASS` (1) or
+  :data:`~repro.filters.base.CODE_DROP` (0) — and calls the gate's
+  ``block(pair_id, now)`` on an inbound drop when a blocklist is
+  attached.
+
+The gate is ``(flagged, suppress, block)`` from
+:meth:`BlockedConnectionStore.gate
+<repro.filters.blocklist.BlockedConnectionStore.gate>`, or
+:data:`OPEN_GATE` without a blocklist.  No row but a flagged one touches
+the store.  Per-flow caches (hash keys, canonical pairs) are dicts keyed
+by the pair ids the table holds, filled from
+:meth:`PacketTable.flow_slots <repro.net.table.PacketTable.flow_slots>`
+or on a flow's first row, so a chunk's work never scales with the
+stream's interned pool.
 
 Outbound samples bound for a filter's uplink meter are staged in two
 local lists and land through one :meth:`SlidingWindowMeter.record_many
@@ -25,11 +39,11 @@ skipped and its time noted; the meter is evicted to the latest such time
 at table end (:func:`_settle_meter`), or as soon as a row's timestamp
 goes back before it.  Every path therefore leaves the same meter.
 
-Everything around the filter — the blocked-σ gate
-(:meth:`~repro.filters.blocklist.BlockedConnectionStore.gate`), the
-offered/passed series and drop windows (:func:`repro.sim.metrics.record_rows`)
-and the filter's :class:`~repro.filters.base.FilterStats` — happens once,
-in :meth:`repro.sim.router.EdgeRouter.process_table`.
+Everything around the filter — the store's GC clock (the router splits
+the table where it fires), the offered/passed series and drop windows
+(:func:`repro.sim.metrics.record_rows`) and the filter's
+:class:`~repro.filters.base.FilterStats` — happens once, in
+:meth:`repro.sim.router.EdgeRouter.process_table`.
 
 :func:`kernel_for` is an **exact-type** lookup: a subclass of a
 registered filter may override ``decide`` hooks a fused loop would
@@ -55,17 +69,24 @@ from repro.filters.ratelimit import RedPolicerFilter, TokenBucketFilter
 from repro.filters.spi import SPIFilter, _FlowState
 from repro.net.inet import IPPROTO_TCP
 from repro.net.packet import Direction
-from repro.net.table import SEEN_INBOUND, SEEN_OUTBOUND, PacketTable
+from repro.net.table import PacketTable
 
 __all__ = [
     "KERNELS",
+    "OPEN_GATE",
     "register_kernel",
     "kernel_for",
     "table_rows",
 ]
 
-#: ``kernel(filter, table, rows, out, block)`` — see the module docstring.
+#: ``kernel(filter, table, out, gate)`` — see the module docstring.
 Kernel = Callable[..., None]
+
+#: The gate of a router without a blocklist, shaped like the ``(flagged,
+#: suppress, block)`` that
+#: :meth:`~repro.filters.blocklist.BlockedConnectionStore.gate` returns:
+#: no flow is flagged and nothing is blocked.
+OPEN_GATE = (frozenset(), None, None)
 
 #: Exact filter type → batch function.  Keyed by ``type(flt)`` — never
 #: by ``isinstance`` — so subclasses with overridden per-packet hooks
@@ -105,21 +126,17 @@ def table_rows(table: PacketTable):
 
 def _flow_keys(table: PacketTable, hole_punching: bool):
     """One hash key per (flow, direction) present in ``table``, with its
-    ``pair_id << 1 | outbound`` slot — so each flow hashes at most once
-    per direction per table instead of once per packet."""
+    ``pair_id << 1 | outbound`` slot (:meth:`PacketTable.flow_slots`) — so
+    each flow hashes at most once per direction per table instead of
+    once per packet, and the pool is read once per slot."""
     pairs = table.pairs
-    keys: List[Tuple[int, ...]] = []
-    slots: List[int] = []
-    for pid, bits in enumerate(table.seen_directions()):
-        if not bits:
-            continue
-        pair = pairs[pid]
-        if bits & SEEN_OUTBOUND:
-            keys.append(socket_key(pair, Direction.OUTBOUND, hole_punching))
-            slots.append((pid << 1) | 1)
-        if bits & SEEN_INBOUND:
-            keys.append(socket_key(pair, Direction.INBOUND, hole_punching))
-            slots.append(pid << 1)
+    slots = table.flow_slots()
+    keys = [
+        socket_key(pairs[slot >> 1],
+                   Direction.OUTBOUND if slot & 1 else Direction.INBOUND,
+                   hole_punching)
+        for slot in slots
+    ]
     return keys, slots
 
 
@@ -169,7 +186,7 @@ def _settle_meter(meter, times: List[float], sizes: List[int], skipped: float) -
 
 
 @register_kernel(BitmapPacketFilter)
-def bitmap_kernel(flt: BitmapPacketFilter, table, rows, out, block) -> None:
+def bitmap_kernel(flt: BitmapPacketFilter, table, out, gate) -> None:
     """Algorithm 2 on the vectors' byte buffers, with flow-level caches.
 
     * each flow is hashed at most **once per direction per table**
@@ -192,14 +209,15 @@ def bitmap_kernel(flt: BitmapPacketFilter, table, rows, out, block) -> None:
     keys, slots = _flow_keys(
         table, core.config.field_mode is FieldMode.HOLE_PUNCHING
     )
-    idx_out: List[Tuple[int, ...]] = [()] * len(table.pairs)
-    idx_in: List[Tuple[int, ...]] = [()] * len(table.pairs)
+    idx_out: Dict[int, Tuple[int, ...]] = {}
+    idx_in: Dict[int, Tuple[int, ...]] = {}
     for slot, indices in zip(slots, core.hash_memo.get_many(keys)):
         if slot & 1:
             idx_out[slot >> 1] = indices
         else:
             idx_in[slot >> 1] = indices
 
+    flagged, suppress, block = gate
     bufs = [vector._buf for vector in core.vectors]
     rng_random = core._rng.random
     controller = flt.drop_controller
@@ -226,7 +244,9 @@ def bitmap_kernel(flt: BitmapPacketFilter, table, rows, out, block) -> None:
     marked_get = marked_gen.get
     hit_get = hit_gen.get
 
-    for i, now, size, is_out, pid, _ in rows:
+    for i, now, size, is_out, pid, _ in table_rows(table):
+        if pid in flagged and suppress(pid, now, size):
+            continue
         if not skipped <= now < next_rotation:
             if now < skipped:
                 _settle_meter(meter, up_times, up_sizes, skipped)
@@ -297,15 +317,30 @@ def bitmap_kernel(flt: BitmapPacketFilter, table, rows, out, block) -> None:
 # ----------------------------------------------------------------------
 
 
+class _SpiFlows(dict):
+    """Pair id → ``(canonical pair, is TCP)`` for one table's flows, each
+    computed on the flow's first row (a subscript, not a ``get`` call,
+    on every later one)."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs) -> None:
+        super().__init__()
+        self.pairs = pairs
+
+    def __missing__(self, pid: int) -> Tuple[object, bool]:
+        canonical = self.pairs[pid].canonical
+        flow = self[pid] = (canonical, canonical[0] == IPPROTO_TCP)
+        return flow
+
+
 @register_kernel(SPIFilter)
-def spi_kernel(flt: SPIFilter, table, rows, out, block) -> None:
+def spi_kernel(flt: SPIFilter, table, out, gate) -> None:
     """Inlines :meth:`SPIFilter.decide`: GC clock, flow install/refresh,
     TCP close tracking and the guarded ``P_d`` draw.  The canonical pair
-    (the flow key) is computed once per interned flow; the uplink rate is
-    read on a miss."""
-    pairs = table.pairs
-    canon_keys: List[Optional[object]] = [None] * len(pairs)
-    tcp_flags = bytearray(len(pairs))
+    (the flow key) is computed once per flow of the table; the uplink
+    rate is read on a miss."""
+    flows = _SpiFlows(table.pairs)
 
     flow_table = flt._table
     flow_get = flow_table.get
@@ -327,8 +362,11 @@ def spi_kernel(flt: SPIFilter, table, rows, out, block) -> None:
     next_gc = flt._next_gc
     if next_gc is None:
         next_gc = -inf  # unanchored: the first row anchors the GC clock
+    flagged, suppress, block = gate
 
-    for i, now, size, is_out, pid, fl in rows:
+    for i, now, size, is_out, pid, fl in table_rows(table):
+        if pid in flagged and suppress(pid, now, size):
+            continue
         if not skipped <= now < next_gc:
             if now < skipped:
                 _settle_meter(meter, up_times, up_sizes, skipped)
@@ -345,10 +383,7 @@ def spi_kernel(flt: SPIFilter, table, rows, out, block) -> None:
                 ]:
                     del flow_table[stale_key]
 
-        key = canon_keys[pid]
-        if key is None:
-            key = canon_keys[pid] = pairs[pid].canonical
-            tcp_flags[pid] = 1 if key[0] == IPPROTO_TCP else 0
+        key, tcp = flows[pid]
 
         if is_out:
             state = flow_get(key)
@@ -360,7 +395,7 @@ def spi_kernel(flt: SPIFilter, table, rows, out, block) -> None:
                     peak_flows = len(flow_table)
             else:
                 state.last_seen = now
-            if tcp_flags[pid]:
+            if tcp:
                 if fl & 0x04:  # RST: abortive close
                     flow_pop(key, None)
                 elif fl & 0x01:  # FIN
@@ -378,7 +413,7 @@ def spi_kernel(flt: SPIFilter, table, rows, out, block) -> None:
             if (now <= expires_at if expires_at is not None
                     else now - state.last_seen <= idle):
                 state.last_seen = now
-                if tcp_flags[pid]:
+                if tcp:
                     if fl & 0x04:
                         flow_pop(key, None)
                     elif fl & 0x01:
@@ -413,7 +448,7 @@ def spi_kernel(flt: SPIFilter, table, rows, out, block) -> None:
 
 
 @register_kernel(CountingBitmapFilter)
-def counting_kernel(flt: CountingBitmapFilter, table, rows, out, block) -> None:
+def counting_kernel(flt: CountingBitmapFilter, table, out, gate) -> None:
     """4-bit nibble arithmetic directly on the core's cell bytearrays.
 
     Each flow hashes at most once per direction per table through the
@@ -435,25 +470,24 @@ def counting_kernel(flt: CountingBitmapFilter, table, rows, out, block) -> None:
     """
     core = flt.core
     k = core.config.vectors
-    pairs = table.pairs
-    n_pairs = len(pairs)
     keys, slots = _flow_keys(
         table, core.config.field_mode is FieldMode.HOLE_PUNCHING
     )
-    key_out: List[Optional[Tuple[int, ...]]] = [None] * n_pairs
-    key_in: List[Optional[Tuple[int, ...]]] = [None] * n_pairs
-    idx_out: List[Tuple[int, ...]] = [()] * n_pairs
-    idx_in: List[Tuple[int, ...]] = [()] * n_pairs
-    tcp_flags = bytearray(n_pairs)
+    key_out: Dict[int, Tuple[int, ...]] = {}
+    key_in: Dict[int, Tuple[int, ...]] = {}
+    idx_out: Dict[int, Tuple[int, ...]] = {}
+    idx_in: Dict[int, Tuple[int, ...]] = {}
     for slot, key, indices in zip(slots, keys, core.hash_memo.get_many(keys)):
-        pid = slot >> 1
-        tcp_flags[pid] = 1 if pairs[pid][0] == IPPROTO_TCP else 0
         if slot & 1:
-            key_out[pid] = key
-            idx_out[pid] = indices
+            key_out[slot >> 1] = key
+            idx_out[slot >> 1] = indices
         else:
-            key_in[pid] = key
-            idx_in[pid] = indices
+            key_in[slot >> 1] = key
+            idx_in[slot >> 1] = indices
+    #: The table's TCP flows, the only ones a FIN or RST closes (a hash
+    #: key starts with the protocol).
+    tcp = {slot >> 1 for slot, key in zip(slots, keys) if key[0] == IPPROTO_TCP}
+    flagged, suppress, block = gate
 
     columns = core.vectors
     cells_list = [column._cells for column in columns]
@@ -561,7 +595,9 @@ def counting_kernel(flt: CountingBitmapFilter, table, rows, out, block) -> None:
             else:
                 half_closed[key] = now
 
-    for i, now, size, is_out, pid, fl in rows:
+    for i, now, size, is_out, pid, fl in table_rows(table):
+        if pid in flagged and suppress(pid, now, size):
+            continue
         if not skipped <= now < next_rotation:
             if now < skipped:
                 _settle_meter(meter, up_times, up_sizes, skipped)
@@ -597,7 +633,7 @@ def counting_kernel(flt: CountingBitmapFilter, table, rows, out, block) -> None:
             marked += 1
             stage_time(now)
             stage_size(size)
-            if tcp_flags[pid] and fl & 0x05:
+            if fl & 0x05 and pid in tcp:
                 track_close(idx_out[pid], key_out[pid], fl, now)
             out[i] = 1
             continue
@@ -611,7 +647,7 @@ def counting_kernel(flt: CountingBitmapFilter, table, rows, out, block) -> None:
                 break
         if hit:
             hits += 1
-            if tcp_flags[pid] and fl & 0x05:
+            if fl & 0x05 and pid in tcp:
                 track_close(indices, key_in[pid], fl, now)
             out[i] = 1
             continue
@@ -649,7 +685,7 @@ def counting_kernel(flt: CountingBitmapFilter, table, rows, out, block) -> None:
 
 
 @register_kernel(TokenBucketFilter)
-def token_bucket_kernel(flt: TokenBucketFilter, table, rows, out, block) -> None:
+def token_bucket_kernel(flt: TokenBucketFilter, table, out, gate) -> None:
     """Inlined :meth:`TokenBucket.consume` on the policed direction."""
     bucket = flt.bucket
     rate = bucket.rate
@@ -657,8 +693,11 @@ def token_bucket_kernel(flt: TokenBucketFilter, table, rows, out, block) -> None
     tokens = bucket._tokens
     last = bucket._last
     policed_out = 1 if flt.direction is Direction.OUTBOUND else 0
+    flagged, suppress, block = gate
 
-    for i, now, size, is_out, pid, _ in rows:
+    for i, now, size, is_out, pid, _ in table_rows(table):
+        if pid in flagged and suppress(pid, now, size):
+            continue
         if is_out != policed_out:
             out[i] = 1
             continue
@@ -680,7 +719,7 @@ def token_bucket_kernel(flt: TokenBucketFilter, table, rows, out, block) -> None
 
 
 @register_kernel(RedPolicerFilter)
-def red_policer_kernel(flt: RedPolicerFilter, table, rows, out, block) -> None:
+def red_policer_kernel(flt: RedPolicerFilter, table, out, gate) -> None:
     """Equation-1 policing with the ramp inlined.
 
     ``P_d`` is read from the meter *before* the verdict and the meter is
@@ -703,8 +742,11 @@ def red_policer_kernel(flt: RedPolicerFilter, table, rows, out, block) -> None:
     else:
         red_low = None
     probability_of = policy.probability
+    flagged, suppress, block = gate
 
-    for i, now, size, is_out, pid, _ in rows:
+    for i, now, size, is_out, pid, _ in table_rows(table):
+        if pid in flagged and suppress(pid, now, size):
+            continue
         if is_out != policed_out:
             out[i] = 1
             continue
@@ -753,13 +795,13 @@ def _member_codes(member: PacketFilter, table: PacketTable) -> bytearray:
         for position, view in enumerate(table.iter_views()):
             codes[position] = process(view) is PASS
         return codes
-    kernel(member, table, table_rows(table), codes, None)
+    kernel(member, table, codes, OPEN_GATE)
     member.stats.account_rows(table.sizes, table.outbound, codes)
     return codes
 
 
 @register_kernel(FilterChain)
-def chain_kernel(flt: FilterChain, table, rows, out, block) -> None:
+def chain_kernel(flt: FilterChain, table, out, gate) -> None:
     """First-DROP-wins composition.
 
     Members keep independent state and RNG streams, and member *i* sees
@@ -767,8 +809,7 @@ def chain_kernel(flt: FilterChain, table, rows, out, block) -> None:
     so running member 1 over the whole table, member 2 over the
     survivors and so on is bit-identical to the interleaved per-packet
     chain walk.  The chain always runs ungated (:func:`kernel_for`
-    declines it behind a blocklist), so ``rows`` is every row of
-    ``table`` and ``block`` is None.
+    declines it behind a blocklist), so ``gate`` is :data:`OPEN_GATE`.
     """
     live: List[int] = list(range(len(table)))  # positions still passing
     sub = table

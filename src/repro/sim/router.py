@@ -7,9 +7,11 @@ and passed traffic feed the throughput series, inbound verdicts the drop
 windows.
 
 :meth:`EdgeRouter.forward` runs one packet — the reference path.
-:meth:`EdgeRouter.process_table` is the one batched path: the blocked-σ
-gate, the filter's fused batch function (:mod:`repro.sim.kernels`) and
-one accounting pass over the whole table.
+:meth:`EdgeRouter.process_table` is the one batched path: the table
+split where the store's GC clock fires, each piece's blocked-σ gate (the
+flows it may suppress, tested as one flag per row), the filter's fused
+batch function (:mod:`repro.sim.kernels`) and one accounting pass over
+the whole table.
 
 Both paths account through the same three steps: the series and drop
 windows (:func:`~repro.sim.metrics.record_rows`), the filter's counters
@@ -30,7 +32,7 @@ from typing import Callable, Optional
 from repro.filters.base import CODE_DROP, CODE_PASS, CODE_UNSEEN, PacketFilter, Verdict
 from repro.filters.blocklist import BlockedConnectionStore
 from repro.net.packet import Direction, Packet
-from repro.sim.kernels import kernel_for, table_rows
+from repro.sim.kernels import OPEN_GATE, kernel_for
 from repro.sim.metrics import DropRateSampler, ThroughputSeries, record_rows
 
 #: Per-packet rows the router holds before it folds them.
@@ -140,15 +142,19 @@ class EdgeRouter:
         :data:`~repro.filters.base.CODE_PASS` for a pass and
         :data:`~repro.filters.base.CODE_DROP` or
         :data:`~repro.filters.base.CODE_UNSEEN` (suppressed by the
-        blocked-σ gate) for a drop.  Pending per-packet rows fold first,
+        blocked-σ store) for a drop.  Pending per-packet rows fold first,
         so every count keeps stream order.  Registered filters take three
         steps:
 
-        1. the blocked-σ gate (:meth:`BlockedConnectionStore.gate`) yields
-           the rows the filter may see and supplies its ``block`` hook;
-        2. the filter's batch function writes one verdict code per row it
-           sees — it consumes the gate row by row, so a drop blocks its
-           connection's later rows in time;
+        1. with a blocklist, the table splits at the rows where its GC
+           clock fires (:meth:`BlockedConnectionStore.gc_rows`), which
+           compacts the store between the pieces
+           (:meth:`~BlockedConnectionStore.collect`), and each piece gets
+           its gate (:meth:`~BlockedConnectionStore.gate`): the flows it
+           may suppress, the suppression call and the block hook;
+        2. the filter's batch function writes one verdict code per row
+           it does not suppress — it tests one flag per row, and a drop
+           flags its connection's later rows in time;
         3. one accounting pass over the table's columns, the step every
            fold runs too.
         """
@@ -163,14 +169,31 @@ class EdgeRouter:
         if not total:
             return bytearray()
         codes = bytearray((CODE_UNSEEN,)) * total
-        rows = table_rows(table)
-        block = None
-        if blocklist is not None:
-            rows, block = blocklist.gate(table.pairs, rows)
-        kernel(flt, table, rows, codes, block)
+        if blocklist is None:
+            kernel(flt, table, codes, OPEN_GATE)
+        else:
+            start = 0
+            for cut in blocklist.gc_rows(table.timestamps):
+                self._gated(kernel, table, start, cut, codes)
+                blocklist.collect(table.timestamps[cut])
+                start = cut
+            self._gated(kernel, table, start, total, codes)
         with self._fold_lock:
             self._account(table.timestamps, table.sizes, table.outbound, codes)
         return codes
+
+    def _gated(self, kernel, table, start: int, stop: int, codes: bytearray) -> None:
+        """Replay rows ``[start, stop)`` of ``table`` behind their own
+        gate, writing their codes into ``codes[start:stop]``."""
+        if start == stop:
+            return
+        if stop - start == len(table):
+            kernel(self._filter, table, codes, self.blocklist.gate(table))
+            return
+        piece = table.slice(start, stop)
+        out = bytearray((CODE_UNSEEN,)) * (stop - start)
+        kernel(self._filter, piece, out, self.blocklist.gate(piece))
+        codes[start:stop] = out
 
     # ------------------------------------------------------------------
     # Folding accessors

@@ -15,6 +15,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.net.inet import in_network, parse_ipv4
 
+#: Bounds of the public-looking space remote addresses are drawn from.
+REMOTE_LOW = parse_ipv4("1.0.0.0")
+REMOTE_HIGH = parse_ipv4("223.255.255.254")
+
 
 class ClientNetwork:
     """The monitored client subnet."""
@@ -57,7 +61,7 @@ class AddressSpace:
     def random_remote(self, rng: Optional[random.Random] = None) -> int:
         rng = rng or self._rng
         while True:
-            addr = rng.randint(parse_ipv4("1.0.0.0"), parse_ipv4("223.255.255.254"))
+            addr = rng.randint(REMOTE_LOW, REMOTE_HIGH)
             first_octet = addr >> 24
             if first_octet in (10, 127):  # private/loopback
                 continue

@@ -26,6 +26,15 @@ class TestSocketPair:
         pair = tcp_pair()
         assert pair.canonical in (pair, pair.inverse)
 
+    @pytest.mark.parametrize("src, sport, dst, dport", [
+        (1, 9, 2, 1), (2, 1, 1, 9), (5, 1, 5, 2), (5, 2, 5, 1), (5, 3, 5, 3),
+    ], ids=["src-lower", "dst-lower", "tie-sport-lower", "tie-dport-lower",
+            "self-inverse"])
+    def test_canonical_is_the_smaller_of_the_two(self, src, sport, dst, dport):
+        pair = SocketPair(IPPROTO_TCP, src, sport, dst, dport)
+        assert pair.canonical == min(pair, pair.inverse)
+        assert type(pair.canonical) is SocketPair
+
     def test_protocol_helpers(self):
         assert SocketPair(IPPROTO_TCP, 1, 2, 3, 4).is_tcp
         assert SocketPair(IPPROTO_UDP, 1, 2, 3, 4).is_udp

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+import repro.net.stream as stream_mod
 from repro.net.stream import (
     MAGIC,
     WIRE_VERSION,
@@ -25,6 +26,37 @@ from repro.workload import TraceConfig, TraceGenerator
 from tests.conftest import in_packet, out_packet
 
 _HEADER_SIZE = struct.calcsize("!4sBBIIIII")
+
+
+#: Rows of :func:`long_frame`: past the 64-row cut where decode_table's
+#: range checks run through numpy.
+LONG_ROWS = 100
+
+
+def long_frame():
+    """A standalone frame of LONG_ROWS rows over two pairs and two
+    payloads (the empty one and ``b"\x01"``)."""
+    table = PacketTable()
+    for row in range(LONG_ROWS):
+        if row % 2:
+            table.append_packet(in_packet(t=1.0 + row, size=60, payload=b"\x01"))
+        else:
+            table.append_packet(out_packet(t=1.0 + row, size=100))
+    return bytearray(encode_table(table))
+
+
+def long_frame_offset(column, row):
+    """Byte offset of ``row``'s value in one of :func:`long_frame`'s
+    8-byte columns, counted back from the frame's end: payload_ids is the
+    last column, pair_ids the one before, and sizes the second of six."""
+    block = 4 + LONG_ROWS * 8
+    if column == "payload_ids":
+        end = 0
+    elif column == "pair_ids":
+        end = block
+    else:  # sizes: before flags (4-byte), outbound (1-byte) and the ids
+        end = 2 * block + (4 + LONG_ROWS) + (4 + LONG_ROWS * 4)
+    return -end - LONG_ROWS * 8 + 8 * row
 
 
 def sample_table():
@@ -316,6 +348,37 @@ class TestCorruptFrames:
         struct.pack_into("<q", corrupt, len(corrupt) - 45, -5)
         with pytest.raises(FramingError, match="negative packet size"):
             decode_table(bytes(corrupt))
+
+    @pytest.mark.parametrize("path", ["numpy", "stdlib"])
+    @pytest.mark.parametrize("column, value, message", [
+        ("pair_ids", 2, "pair_ids column indexes"),
+        ("pair_ids", -1, "pair_ids column indexes"),
+        ("payload_ids", 2, "payload_ids column indexes"),
+        ("payload_ids", -1, "payload_ids column indexes"),
+        ("sizes", -5, "negative packet size"),
+    ], ids=["pair-id-at-pool-size", "negative-pair-id",
+            "payload-id-at-pool-size", "negative-payload-id", "negative-size"])
+    def test_out_of_range_column_in_a_long_frame(self, monkeypatch, path,
+                                                 column, value, message):
+        """Frames past 64 rows check their id bounds and sizes with
+        numpy's reductions (when numpy is on) and with the builtins
+        otherwise; both reject the same corruption."""
+        if path == "stdlib":
+            monkeypatch.setattr(stream_mod, "_numpy", lambda: None)
+        corrupt = long_frame()
+        struct.pack_into("<q", corrupt, long_frame_offset(column, LONG_ROWS // 2),
+                         value)
+        with pytest.raises(FramingError, match=message):
+            decode_table(bytes(corrupt))
+
+    def test_long_frame_decodes_on_both_paths(self, monkeypatch):
+        numpy_table = decode_table(bytes(long_frame()))
+        monkeypatch.setattr(stream_mod, "_numpy", lambda: None)
+        stdlib_table = decode_table(bytes(long_frame()))
+        assert len(numpy_table) == LONG_ROWS
+        for name, _ in PacketTable.COLUMNS:
+            assert getattr(numpy_table, name) == getattr(stdlib_table, name)
+        assert numpy_table.pairs == stdlib_table.pairs
 
     def test_magic_constant_shape(self):
         payload = encode_table(sample_table())

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.net.table as table_mod
 from repro.core.bitmap_filter import BitmapFilterConfig, FieldMode
 from repro.filters.bitmap import BitmapPacketFilter
 from repro.net.inet import IPPROTO_TCP, IPPROTO_UDP
@@ -281,3 +282,32 @@ class TestColumnBuffers:
             PacketTable.from_column_buffers(
                 columns, table.pairs, table.payloads
             )
+
+
+class TestFlowSlots:
+    """``flow_slots``: the table's distinct ``pair_id << 1 | outbound``
+    slots, ascending by pair id with a pair's outbound slot first — the
+    order the batched kernels hand their hash keys to the memo in."""
+
+    @given(st.lists(st.tuples(st.integers(0, 40), st.booleans()), max_size=200))
+    @settings(max_examples=100, deadline=None)
+    def test_distinct_slots_in_pair_order_outbound_first(self, rows):
+        table = PacketTable()
+        table.pairs = [SocketPair(IPPROTO_TCP, pid, 1, 2, 3) for pid in range(41)]
+        for position, (pid, outbound) in enumerate(rows):
+            table.timestamps.append(float(position))
+            table.sizes.append(40)
+            table.flags.append(0)
+            table.outbound.append(int(outbound))
+            table.pair_ids.append(pid)
+            table.payload_ids.append(0)
+        expected = sorted({(pid, outbound) for pid, outbound in rows},
+                          key=lambda flow: (flow[0], not flow[1]))
+        want = [pid << 1 | outbound for pid, outbound in expected]
+        assert table.flow_slots() == want
+        saved = table_mod._use_numpy
+        table_mod._use_numpy = not saved
+        try:
+            assert table.flow_slots() == want
+        finally:
+            table_mod._use_numpy = saved

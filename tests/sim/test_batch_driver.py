@@ -119,6 +119,66 @@ POLICED_AFTER_LATER_DROP = [
 ]
 
 
+#: Two 1500-byte uploads put every RED ramp at P_d = 1, so unsolicited
+#: inbound rows drop and block their connections.  With chunks of 3, the
+#: TCP flow's σ is blocked on the first chunk's last row and its σ̄ row
+#: opens the next chunk; the UDP flow's block and σ̄ row share a chunk.
+#: In one chunk of 500, every block meets its σ̄ row in the same chunk.
+TWIN_ACROSS_CHUNKS = [
+    (0.0, ONLY_OUT, True, 1500, 0x10),
+    (0.0, ONLY_OUT, True, 1500, 0x10),
+    (0.0, 0, False, 40, 0x02),
+    (0.25, 0, True, 40, 0x12),
+    (0.0, 1, False, 40, 0x00),
+    (0.0, 1, True, 40, 0x00),
+    (0.0, 0, False, 40, 0x10),
+    (0.0, 1, False, 40, 0x00),
+    (0.25, 0, True, 40, 0x10),
+]
+
+#: The store's GC clock (interval 1 s) at chunk edges, with chunks of 4
+#: and 3: the first row anchors it; t = 4.5 fires on the second chunk's
+#: first row and compacts the σ blocked at t = 0; t = 5.5 fires on that
+#: chunk's last row and t = 6.5, 7.5 on the two rows after it.
+GC_AT_CHUNK_EDGES = [
+    (0.0, ONLY_OUT, True, 1500, 0x10),
+    (0.0, 0, False, 40, 0x02),
+    (0.0, 1, False, 40, 0x00),
+    (0.5, ONLY_IN, False, 40, 0x02),
+    (4.0, ONLY_OUT, True, 1500, 0x10),
+    (0.0, 0, True, 40, 0x10),
+    (1.0, 1, True, 40, 0x00),
+    (1.0, ONLY_OUT, True, 1500, 0x10),
+    (1.0, ONLY_IN, False, 40, 0x02),
+    (0.0, 0, False, 40, 0x10),
+]
+
+#: A σ blocked at t = 0.5, the GC firing at t = 5 (its entry is past
+#: retention there, so the compaction deletes it), then rows back at
+#: t = 2, when the entry would still have held: they reach the filter.
+GC_THEN_BACK_IN_TIME = [
+    (0.0, ONLY_OUT, True, 1500, 0x10),
+    (0.0, ONLY_OUT, True, 1500, 0x10),
+    (0.5, 0, False, 40, 0x02),
+    (4.5, ONLY_OUT, True, 40, 0x10),
+    (-3.0, 0, True, 40, 0x12),
+    (0.0, 0, False, 40, 0x10),
+]
+
+
+#: A σ blocked at t = 0.5 that outlives the GC firing at t = 4 (3.5 s
+#: old there) but has expired when its σ̄ and σ rows arrive at t = 4.75,
+#: before the clock fires again: the lookups delete it.
+EXPIRED_ENTRY_MET = [
+    (0.0, ONLY_OUT, True, 1500, 0x10),
+    (0.0, ONLY_OUT, True, 1500, 0x10),
+    (0.5, 0, False, 40, 0x02),
+    (3.5, ONLY_OUT, True, 40, 0x10),
+    (0.75, 0, True, 40, 0x10),
+    (0.0, 0, False, 40, 0x10),
+]
+
+
 def build_packets(steps):
     now = 0.0
     packets = []
@@ -249,6 +309,13 @@ def test_every_shipped_filter_but_the_subclass_is_registered():
 @example(steps=UPLOAD_BURST, sizes=[2], cuts={1, 3})
 @example(steps=SHARED_CELL_CLOSES, sizes=[500], cuts=set())
 @example(steps=SHARED_CELL_CLOSES, sizes=[7, 1], cuts={2})
+@example(steps=TWIN_ACROSS_CHUNKS, sizes=[3], cuts={0, 1})
+@example(steps=TWIN_ACROSS_CHUNKS, sizes=[500], cuts=set())
+@example(steps=GC_AT_CHUNK_EDGES, sizes=[4, 3], cuts={0, 1, 2})
+@example(steps=GC_THEN_BACK_IN_TIME, sizes=[500], cuts=set())
+@example(steps=GC_THEN_BACK_IN_TIME, sizes=[3, 1], cuts={0, 1})
+@example(steps=EXPIRED_ENTRY_MET, sizes=[500], cuts=set())
+@example(steps=EXPIRED_ENTRY_MET, sizes=[4, 1], cuts={0})
 def test_process_table_matches_forward(name, use_blocklist, numpy, steps, sizes, cuts):
     if numpy and not table_module.HAVE_NUMPY:
         pytest.skip("numpy is not installed")
