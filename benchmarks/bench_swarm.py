@@ -38,41 +38,19 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
+
+from repro.filters.spec import FilterSpec
 
 FILTER_KINDS = ("bitmap", "counting", "spi", "chain")
 FRONTIER_PD = 0.9
 RETUNE_TARGET_MBPS = 0.8
 RETUNE_GAIN = 0.4
 RETUNE_INTERVAL = 5.0
-
-
-def build_filter(kind: str, pd: float, hole_punching: bool = False,
-                 size_bits: int = 14):
-    """One defender plus the drop controller a retune loop would steer."""
-    from repro.core.bitmap_filter import BitmapFilterConfig, FieldMode
-    from repro.core.dropper import StaticDropPolicy
-    from repro.filters.bitmap import BitmapPacketFilter
-    from repro.filters.chain import FilterChain
-    from repro.filters.counting import CountingBitmapFilter
-    from repro.filters.policy import DropController
-    from repro.filters.spi import SPIFilter
-
-    controller = DropController(StaticDropPolicy(pd))
-    config = BitmapFilterConfig(
-        size=2 ** size_bits, vectors=4, hashes=3, rotate_interval=5.0,
-        field_mode=FieldMode.HOLE_PUNCHING if hole_punching
-        else FieldMode.STRICT,
-    )
-    if kind == "bitmap":
-        return BitmapPacketFilter(config, controller), controller
-    if kind == "counting":
-        return CountingBitmapFilter(config, controller), controller
-    if kind == "spi":
-        return SPIFilter(idle_timeout=240.0, drop_controller=controller), controller
-    spi = SPIFilter(idle_timeout=240.0,
-                    drop_controller=DropController.never_drop())
-    return FilterChain([spi, BitmapPacketFilter(config, controller)]), controller
+#: Every engagement's defender, as ``repro swarm`` builds it by default
+#: (N = 2^14); each engagement sets its own kind, P_d and field mode.
+DEFENDER = FilterSpec(size_bits=14)
 
 
 def swarm_config(args, evasion_on: bool):
@@ -126,15 +104,14 @@ def campaign(args) -> dict:
     for kind in FILTER_KINDS:
         row = {"filter": kind}
         for label, evasion_on in (("evasion_off", False), ("evasion_on", True)):
-            packet_filter, _ = build_filter(kind, FRONTIER_PD)
+            packet_filter, _ = replace(DEFENDER, kind=kind, pd=FRONTIER_PD).build()
             result = run_swarm(packet_filter, swarm_config(args, evasion_on))
             row[label] = result_row(result)
         report["frontier"].append(row)
 
     # 2. Hole-punch matrix: strict vs asymmetric fields at P_d = 1.
     for mode, hole_punching in (("strict", False), ("hole_punching", True)):
-        packet_filter, _ = build_filter("bitmap", 1.0,
-                                        hole_punching=hole_punching)
+        packet_filter, _ = replace(DEFENDER, hole_punching=hole_punching).build()
         result = run_swarm(packet_filter, swarm_config(args, True))
         row = result_row(result)
         row["hole_punch_successes"] = result.tactic_successes.get(
@@ -148,7 +125,7 @@ def campaign(args) -> dict:
     for label, with_retune in (("baseline", False), ("retuned", True)):
         config = swarm_config(args, True)
         config.duration = retune_duration
-        packet_filter, controller = build_filter("bitmap", 0.0)
+        packet_filter, _ = replace(DEFENDER, pd=0.0).build()
         if with_retune:
             sock = os.path.join(
                 tempfile.mkdtemp(prefix="bench-swarm-"), "control.sock"

@@ -156,14 +156,15 @@ def main() -> None:
 def fleet_smoke() -> None:
     """The fleet phase: supervised shard daemons under disruption must
     reproduce the offline partitioned replay exactly."""
-    from repro.fleet import FleetSupervisor, ShardFilterSpec, offline_reference
+    from repro.filters import FilterSpec
+    from repro.fleet import FleetSupervisor, offline_reference
     from repro.shard.plan import HashShardPlan
     from repro.workload import TraceConfig, TraceGenerator
 
     workdir = tempfile.mkdtemp(prefix="fleet-smoke-")
     plan = HashShardPlan(3, seed=3)
-    spec = ShardFilterSpec(size_bits=12, vectors=3, hashes=2,
-                           low_mbps=0.1, high_mbps=1.0)
+    spec = FilterSpec(size_bits=12, vectors=3, hashes=2,
+                      low_mbps=0.1, high_mbps=1.0)
     table = TraceGenerator(
         TraceConfig(duration=15.0, connection_rate=5.0, seed=5)
     ).table()

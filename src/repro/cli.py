@@ -1,11 +1,18 @@
-"""Command-line interface.
+"""Command-line interface: ten subcommands.
 
-Four subcommands mirror the library's workflow::
+Four mirror the library's workflow::
 
     repro trace   --out trace.pcap --duration 60 --rate 10   # synthesize
     repro analyze trace.pcap                                  # section 3 study
     repro filter  trace.pcap --filter bitmap --auto-red       # section 5 replay
     repro plan    --connections 15000 --target-p 0.05         # section 4.3 sizing
+
+The other six: ``figures`` redraws the paper's figures, ``serve`` runs
+the live filter daemon, ``feed`` streams a trace into it, ``ctl`` talks
+to its control socket, ``fleet`` supervises a fleet of daemons and
+``swarm`` runs the adversarial closed-loop swarm.  Every command that
+builds a filter builds it through one
+:class:`~repro.filters.spec.FilterSpec`.
 
 Every command prints plain text; nothing writes outside the paths given.
 """
@@ -17,7 +24,7 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.core.bitmap_filter import BitmapFilterConfig, FieldMode
+from repro.filters.spec import FilterSpec, add_filter_flags
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -78,20 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     filt.add_argument("--gen-workers", type=int, default=1,
                       help="worker processes for synthetic trace "
                            "materialization (--workers is replay workers)")
-    filt.add_argument("--filter", dest="filter_name", default="bitmap",
-                      choices=("bitmap", "spi", "naive", "counting", "none"))
-    filt.add_argument("--size-bits", type=int, default=20, help="n of N=2^n")
-    filt.add_argument("--vectors", type=int, default=4, help="k bit vectors")
-    filt.add_argument("--hashes", type=int, default=3, help="m hash functions")
-    filt.add_argument("--rotate", type=float, default=5.0, help="Δt seconds")
-    filt.add_argument("--hole-punching", action="store_true",
-                      help="ignore remote port in hashes (NAT traversal support)")
-    filt.add_argument("--low-mbps", type=float, default=None, help="Equation 1 L")
-    filt.add_argument("--high-mbps", type=float, default=None, help="Equation 1 H")
-    filt.add_argument("--auto-red", action="store_true",
-                      help="set L/H to 35%%/70%% of the measured uplink")
-    filt.add_argument("--no-blocklist", action="store_true",
-                      help="disable blocked-connection persistence")
+    add_filter_flags(filt, size_bits=20,
+                     kinds=("bitmap", "spi", "naive", "counting", "none"),
+                     auto_red=True)
     filt.add_argument("--batched", action="store_true",
                       help="use the columnar batched replay engine "
                            "(identical results, much faster)")
@@ -153,14 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "latest snapshot in a directory)")
     serve.add_argument("--queue-depth", type=int, default=8,
                        help="ingest backpressure bound (chunks)")
-    serve.add_argument("--size-bits", type=int, default=20, help="n of N=2^n")
-    serve.add_argument("--vectors", type=int, default=4, help="k bit vectors")
-    serve.add_argument("--hashes", type=int, default=3, help="m hash functions")
-    serve.add_argument("--rotate", type=float, default=5.0, help="Δt seconds")
-    serve.add_argument("--hole-punching", action="store_true")
-    serve.add_argument("--low-mbps", type=float, default=None, help="Equation 1 L")
-    serve.add_argument("--high-mbps", type=float, default=None, help="Equation 1 H")
-    serve.add_argument("--no-blocklist", action="store_true")
+    add_filter_flags(serve, size_bits=20)
     serve.add_argument("--sequential", action="store_true",
                        help="per-packet stepping instead of the columnar "
                             "batched engine (identical verdicts)")
@@ -221,14 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     fserve.add_argument("--snapshot-every", type=int, default=8,
                         help="checkpoint every N chunks (0 = off; crashed "
                              "shards then restart cold)")
-    fserve.add_argument("--size-bits", type=int, default=16)
-    fserve.add_argument("--vectors", type=int, default=4)
-    fserve.add_argument("--hashes", type=int, default=3)
-    fserve.add_argument("--rotate", type=float, default=5.0)
-    fserve.add_argument("--hole-punching", action="store_true")
-    fserve.add_argument("--low-mbps", type=float, default=None)
-    fserve.add_argument("--high-mbps", type=float, default=None)
-    fserve.add_argument("--no-blocklist", action="store_true")
+    add_filter_flags(fserve, size_bits=16)
     fserve.add_argument("--rolling-restart", action="store_true",
                         help="roll every shard through a warm restart at "
                              "mid-trace (exactness drill)")
@@ -285,17 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     swarm.add_argument("--clients", type=int, default=4, help="inside client hosts")
     swarm.add_argument("--duration", type=float, default=120.0, help="trace seconds")
     swarm.add_argument("--seed", type=int, default=7, help="run seed")
-    swarm.add_argument("--filter", dest="filter_name", default="bitmap",
-                       choices=("bitmap", "counting", "spi", "chain"))
-    swarm.add_argument("--size-bits", type=int, default=14, help="n of N=2^n")
-    swarm.add_argument("--vectors", type=int, default=4, help="k bit vectors")
-    swarm.add_argument("--hashes", type=int, default=3, help="m hash functions")
-    swarm.add_argument("--rotate", type=float, default=5.0, help="Δt seconds")
-    swarm.add_argument("--hole-punching", action="store_true",
-                       help="asymmetric fields: ignore the remote port "
-                            "(lets the hole-punch tactic through)")
-    swarm.add_argument("--pd", type=float, default=1.0,
-                       help="static inbound drop probability P_d")
+    add_filter_flags(swarm, size_bits=14,
+                     kinds=("bitmap", "counting", "spi", "chain"),
+                     static_pd=True)
     swarm.add_argument("--no-evasion", action="store_true",
                        help="peers never react to refusals (baseline)")
     swarm.add_argument("--background-rate", type=float, default=1.0,
@@ -370,18 +344,24 @@ def _load_table(path: str, network_cidr: str):
     return PacketTable.from_pcap(path, network, prefix)
 
 
-def cmd_trace(args) -> int:
-    """Synthesize a client-network trace and write it as a pcap."""
+def _trace_generator(args):
+    """The synthetic trace a command's --duration, --rate, --hosts and
+    --seed describe."""
     from repro.workload.generator import TraceConfig, TraceGenerator
-    from repro.workload.progress import ProgressReporter
 
-    config = TraceConfig(
+    return TraceGenerator(TraceConfig(
         duration=args.duration,
         connection_rate=args.rate,
         hosts=args.hosts,
         seed=args.seed,
-    )
-    generator = TraceGenerator(config)
+    ))
+
+
+def cmd_trace(args) -> int:
+    """Synthesize a client-network trace and write it as a pcap."""
+    from repro.workload.progress import ProgressReporter
+
+    generator = _trace_generator(args)
     reporter = ProgressReporter("trace", duration=args.duration)
     count = generator.write_pcap(args.out, snaplen=args.snaplen,
                                  workers=args.workers,
@@ -425,45 +405,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _build_filter(args, offered_up_mbps: float):
-    from repro.filters.base import AcceptAllFilter
-    from repro.filters.bitmap import BitmapPacketFilter
-    from repro.filters.counting import CountingBitmapFilter
-    from repro.filters.naive import NaiveTimerFilter
-    from repro.filters.policy import DropController
-    from repro.filters.spi import SPIFilter
-
-    if args.auto_red:
-        low, high = offered_up_mbps * 0.35, offered_up_mbps * 0.70
-    else:
-        low, high = args.low_mbps, args.high_mbps
-    if low is not None and high is not None:
-        controller = DropController.red_mbps(low_mbps=low, high_mbps=high)
-        red_note = f"RED L={low:.2f} H={high:.2f} Mbps"
-    else:
-        controller = DropController.always_drop()
-        red_note = "P_d = 1 (drop all stateless inbound)"
-
-    config = BitmapFilterConfig(
-        size=2 ** args.size_bits,
-        vectors=args.vectors,
-        hashes=args.hashes,
-        rotate_interval=args.rotate,
-        field_mode=FieldMode.HOLE_PUNCHING if args.hole_punching else FieldMode.STRICT,
-    )
-    if args.filter_name == "bitmap":
-        return BitmapPacketFilter(config, drop_controller=controller), red_note
-    if args.filter_name == "counting":
-        return CountingBitmapFilter(config, drop_controller=controller), red_note
-    if args.filter_name == "spi":
-        return SPIFilter(drop_controller=controller), red_note
-    if args.filter_name == "naive":
-        return NaiveTimerFilter(expiry=config.expiry_time,
-                                drop_controller=controller), red_note
-    return AcceptAllFilter(), "no filtering"
-
-
-def _build_sharded_filter(args, offered_up_mbps: float):
+def _build_sharded_filter(args, spec: FilterSpec):
     """Split the client network into 2^shard_bits per-subnet shards, each
     hosting its own filter instance (per-network policy isolation)."""
     from repro.filters.sharded import ShardedFilter
@@ -475,12 +417,10 @@ def _build_sharded_filter(args, offered_up_mbps: float):
             f"--shard-bits {args.shard_bits} does not fit inside /{prefix}"
         )
     step = 1 << (32 - shard_prefix)
-    shards = []
-    note = ""
-    for index in range(1 << args.shard_bits):
-        member, note = _build_filter(args, offered_up_mbps)
-        shards.append((network + index * step, shard_prefix, member))
-    return ShardedFilter(shards), note
+    return ShardedFilter([
+        (network + index * step, shard_prefix, spec.build()[0])
+        for index in range(1 << args.shard_bits)
+    ])
 
 
 def cmd_filter(args) -> int:
@@ -493,18 +433,11 @@ def cmd_filter(args) -> int:
     if args.pcap is not None:
         packets = _load_table(args.pcap, args.network)
     else:
-        from repro.workload.generator import TraceConfig, TraceGenerator
-
         print(f"synthesizing trace ({args.duration:g}s at {args.rate:g} "
               f"conn/s, seed {args.seed}"
               + (f", {args.gen_workers} workers" if args.gen_workers > 1 else "")
               + ")...")
-        packets = TraceGenerator(TraceConfig(
-            duration=args.duration,
-            connection_rate=args.rate,
-            hosts=args.hosts,
-            seed=args.seed,
-        )).table(workers=args.gen_workers)
+        packets = _trace_generator(args).table(workers=args.gen_workers)
     if not len(packets):
         print("no parseable packets", file=sys.stderr)
         return 1
@@ -512,20 +445,21 @@ def cmd_filter(args) -> int:
     baseline = replay(packets, AcceptAllFilter(), use_blocklist=False)
     offered_up = baseline.passed.mean_mbps(Direction.OUTBOUND)
 
+    spec = FilterSpec.from_args(args, uplink_mbps=offered_up)
     if args.workers > 1:
-        packet_filter, note = _build_sharded_filter(args, offered_up)
+        packet_filter = _build_sharded_filter(args, spec)
     else:
-        packet_filter, note = _build_filter(args, offered_up)
+        packet_filter, _ = spec.build()
     # batched=None lets each backend keep its default lane engine (the
     # parallel backend batches its lanes even without --batched).
     backend = select_backend(batched=True if args.batched else None,
                              workers=args.workers)
     start = time.perf_counter()
     result = replay(packets, packet_filter,
-                    use_blocklist=not args.no_blocklist, backend=backend)
+                    use_blocklist=spec.use_blocklist, backend=backend)
     elapsed = time.perf_counter() - start
 
-    print(f"filter: {packet_filter.name}  ({note})")
+    print(f"filter: {packet_filter.name}  ({spec.describe()})")
     engine = backend.describe()
     busy = [lane for lane in result.lanes if lane.lane >= 0]
     if args.workers > 1:
@@ -567,11 +501,8 @@ def cmd_figures(args) -> int:
         port_cdf,
         protocol_distribution,
     )
-    from repro.core.bitmap_filter import BitmapFilterConfig
     from repro.filters.base import AcceptAllFilter
-    from repro.filters.bitmap import BitmapPacketFilter
-    from repro.filters.policy import DropController
-    from repro.filters.spi import SPIFilter
+    from repro.filters.spec import auto_red_thresholds
     from repro.net.inet import IPPROTO_TCP, IPPROTO_UDP
     from repro.net.packet import Direction
     from repro.report.figures import (
@@ -634,13 +565,7 @@ def cmd_figures(args) -> int:
 
     comparison = compare_drop_rates(
         packets,
-        {
-            "spi": SPIFilter(idle_timeout=240.0),
-            "bitmap": BitmapPacketFilter(
-                BitmapFilterConfig(size=2 ** 20, vectors=4, hashes=3,
-                                   rotate_interval=5.0)
-            ),
-        },
+        {kind: FilterSpec(kind=kind).build()[0] for kind in ("spi", "bitmap")},
         batched=True,
     )
     print("\n" + render_scatter(
@@ -650,15 +575,10 @@ def cmd_figures(args) -> int:
     ))
 
     baseline = replay(packets, AcceptAllFilter(), use_blocklist=False, batched=True)
-    offered = baseline.passed.mean_mbps(Direction.OUTBOUND)
-    high = offered * 0.70
+    low, high = auto_red_thresholds(baseline.passed.mean_mbps(Direction.OUTBOUND))
     limited = replay(
         packets,
-        BitmapPacketFilter(
-            BitmapFilterConfig(size=2 ** 20, vectors=4, hashes=3, rotate_interval=5.0),
-            drop_controller=DropController.red_mbps(low_mbps=offered * 0.35,
-                                                    high_mbps=high),
-        ),
+        FilterSpec(low_mbps=low, high_mbps=high).build()[0],
         use_blocklist=True,
         batched=True,
     )
@@ -671,30 +591,6 @@ def cmd_figures(args) -> int:
     return 0
 
 
-def _build_serve_filter(args):
-    """The daemon's filter: a bitmap filter (the snapshot/restore unit)
-    with a RED controller when thresholds are given."""
-    from repro.filters.bitmap import BitmapPacketFilter
-    from repro.filters.policy import DropController
-
-    if args.low_mbps is not None and args.high_mbps is not None:
-        controller = DropController.red_mbps(
-            low_mbps=args.low_mbps, high_mbps=args.high_mbps
-        )
-        note = f"RED L={args.low_mbps:.2f} H={args.high_mbps:.2f} Mbps"
-    else:
-        controller = DropController.always_drop()
-        note = "P_d = 1 (drop all stateless inbound)"
-    config = BitmapFilterConfig(
-        size=2 ** args.size_bits,
-        vectors=args.vectors,
-        hashes=args.hashes,
-        rotate_interval=args.rotate,
-        field_mode=FieldMode.HOLE_PUNCHING if args.hole_punching else FieldMode.STRICT,
-    )
-    return BitmapPacketFilter(config, drop_controller=controller), note
-
-
 def _build_source(args):
     from repro.service import (
         GeneratorSource,
@@ -704,15 +600,7 @@ def _build_source(args):
     )
 
     if args.source == "generator":
-        from repro.workload.generator import TraceConfig, TraceGenerator
-
-        generator = TraceGenerator(TraceConfig(
-            duration=args.duration,
-            connection_rate=args.rate,
-            hosts=args.hosts,
-            seed=args.seed,
-        ))
-        return GeneratorSource(generator, chunk_size=args.chunk_size)
+        return GeneratorSource(_trace_generator(args), chunk_size=args.chunk_size)
     if args.source == "pcap":
         if args.pcap is None:
             raise SystemExit("--source pcap needs --pcap PATH")
@@ -754,10 +642,11 @@ def cmd_serve(args) -> int:
         service = FilterService.restore(args.restore, source, **common)
         note = f"restored from {args.restore}"
     else:
-        packet_filter, note = _build_serve_filter(args)
+        spec = FilterSpec.from_args(args)
+        note = spec.describe()
         service = FilterService(
-            source, packet_filter,
-            use_blocklist=not args.no_blocklist,
+            source, spec.build()[0],
+            use_blocklist=spec.use_blocklist,
             **common,
         )
     print(f"serving {source.describe()} via {backend.describe()}  ({note})")
@@ -780,7 +669,7 @@ def cmd_serve(args) -> int:
 
 def cmd_feed(args) -> int:
     """Stream a trace into a running daemon's socket source, one
-    length-prefixed frame per chunk (binary columnar by default)."""
+    length-prefixed binary columnar frame per chunk."""
     import socket as socket_module
 
     from repro.net.stream import FrameWriter
@@ -797,15 +686,8 @@ def cmd_feed(args) -> int:
                   for start in range(0, len(table), args.chunk_size))
         label = f"pcap {args.pcap}"
     else:
-        from repro.workload.generator import TraceConfig, TraceGenerator
-
-        generator = TraceGenerator(TraceConfig(
-            duration=args.duration,
-            connection_rate=args.rate,
-            hosts=args.hosts,
-            seed=args.seed,
-        ))
-        chunks = generator.iter_tables(args.chunk_size, workers=args.workers)
+        chunks = _trace_generator(args).iter_tables(args.chunk_size,
+                                                    workers=args.workers)
         label = (f"synthetic trace ({args.duration:g}s at "
                  f"{args.rate:g} conn/s, seed {args.seed})")
 
@@ -869,14 +751,7 @@ def _fleet_table(args):
         table = _load_table(args.pcap, args.network)
         label = f"pcap {args.pcap}"
     else:
-        from repro.workload.generator import TraceConfig, TraceGenerator
-
-        table = TraceGenerator(TraceConfig(
-            duration=args.duration,
-            connection_rate=args.rate,
-            hosts=args.hosts,
-            seed=args.seed,
-        )).table()
+        table = _trace_generator(args).table()
         label = (f"synthetic trace ({args.duration:g}s at "
                  f"{args.rate:g} conn/s, seed {args.seed})")
     return table, label
@@ -888,12 +763,7 @@ def cmd_fleet_serve(args) -> int:
     drilling a mid-trace crash or rolling restart on the way."""
     import tempfile
 
-    from repro.fleet import (
-        FleetError,
-        FleetSupervisor,
-        ShardFilterSpec,
-        offline_reference,
-    )
+    from repro.fleet import FleetError, FleetSupervisor, offline_reference
 
     if args.chunk_size < 1:
         raise SystemExit(f"--chunk-size must be >= 1: {args.chunk_size}")
@@ -903,16 +773,7 @@ def cmd_fleet_serve(args) -> int:
             f"--kill-shard {args.kill_shard} out of range (plan has "
             f"{plan.lanes} lanes)"
         )
-    spec = ShardFilterSpec(
-        size_bits=args.size_bits,
-        vectors=args.vectors,
-        hashes=args.hashes,
-        rotate_interval=args.rotate,
-        hole_punching=args.hole_punching,
-        low_mbps=args.low_mbps,
-        high_mbps=args.high_mbps,
-        use_blocklist=not args.no_blocklist,
-    )
+    spec = FilterSpec.from_args(args)
     table, label = _fleet_table(args)
     if not len(table):
         print("no parseable packets", file=sys.stderr)
@@ -1091,35 +952,6 @@ def cmd_ctl(args) -> int:
     return 0
 
 
-def _build_swarm_filter(args):
-    """The swarm's defender and, when retuning, its drop controller."""
-    from repro.core.dropper import StaticDropPolicy
-    from repro.filters.bitmap import BitmapPacketFilter
-    from repro.filters.chain import FilterChain
-    from repro.filters.counting import CountingBitmapFilter
-    from repro.filters.policy import DropController
-    from repro.filters.spi import SPIFilter
-
-    controller = DropController(StaticDropPolicy(args.pd))
-    config = BitmapFilterConfig(
-        size=2 ** args.size_bits,
-        vectors=args.vectors,
-        hashes=args.hashes,
-        rotate_interval=args.rotate,
-        field_mode=FieldMode.HOLE_PUNCHING if args.hole_punching
-        else FieldMode.STRICT,
-    )
-    if args.filter_name == "bitmap":
-        return BitmapPacketFilter(config, controller), controller
-    if args.filter_name == "counting":
-        return CountingBitmapFilter(config, controller), controller
-    if args.filter_name == "spi":
-        return SPIFilter(idle_timeout=240.0, drop_controller=controller), controller
-    # chain: SPI in front of the bitmap; retune steers the bitmap's P_d.
-    spi = SPIFilter(idle_timeout=240.0, drop_controller=DropController.never_drop())
-    return FilterChain([spi, BitmapPacketFilter(config, controller)]), controller
-
-
 def cmd_swarm(args) -> int:
     """Run the adversarial swarm and print the engagement summary."""
     import json
@@ -1145,7 +977,7 @@ def cmd_swarm(args) -> int:
         link_lifetime=args.link_lifetime,
         evasion=evasion,
     )
-    packet_filter, controller = _build_swarm_filter(args)
+    packet_filter, controller = FilterSpec.from_args(args).build()
 
     retune = None
     handle = None

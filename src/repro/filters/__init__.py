@@ -10,7 +10,8 @@ cost/fidelity points:
 * :class:`BitmapPacketFilter` — the paper's contribution; constant memory.
 
 All consume :class:`repro.net.packet.Packet` objects with directions set
-and return a :class:`Verdict`.
+and return a :class:`Verdict`.  :class:`FilterSpec` is the one value the
+command line, the fleet and the swarm bench build their filters from.
 """
 
 from repro.filters.base import (
@@ -27,6 +28,7 @@ from repro.filters.blocklist import BlockedConnectionStore
 from repro.filters.chain import FilterChain
 from repro.filters.counting import CountingBitmapFilter
 from repro.filters.ratelimit import RedPolicerFilter, TokenBucketFilter
+from repro.filters.spec import FilterSpec
 
 #: Snapshot ``kind`` tag → restoring filter class.
 _SNAPSHOT_KINDS = {
@@ -76,5 +78,6 @@ __all__ = [
     "RedPolicerFilter",
     "BlockedConnectionStore",
     "FilterChain",
+    "FilterSpec",
     "restore_filter",
 ]

@@ -17,7 +17,6 @@ crashes, restarts-from-snapshot, and rolling restarts.
 """
 
 from repro.fleet.daemon import FleetError, ShardDaemon
-from repro.fleet.spec import ShardFilterSpec
 from repro.fleet.supervisor import FleetResult, FleetSupervisor, offline_reference
 
 __all__ = [
@@ -25,6 +24,5 @@ __all__ = [
     "FleetResult",
     "FleetSupervisor",
     "ShardDaemon",
-    "ShardFilterSpec",
     "offline_reference",
 ]

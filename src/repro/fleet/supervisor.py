@@ -35,13 +35,13 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 from repro.filters.base import Verdict
 from repro.filters.blocklist import BlockedConnectionStore
+from repro.filters.spec import FilterSpec
 from repro.fleet.daemon import FleetError, ShardDaemon
-from repro.fleet.spec import ShardFilterSpec
 from repro.net.packet import SocketPair
 from repro.net.table import PacketTable
 from repro.service.control import ControlError
@@ -86,6 +86,10 @@ class FleetResult:
 class FleetSupervisor(ShardLifecycle):
     """N shard daemons, one plan, one lifecycle.
 
+    Every daemon runs ``repro serve`` with ``spec.argv()``, which raises
+    ``ValueError`` for a spec ``serve`` cannot build;
+    :func:`offline_reference` builds the same spec in-process.
+
     ``snapshot_every`` checkpoints every shard after that many fed
     chunks (between-chunk snapshots, so each is consistent) — the warm
     base a crashed shard restarts from.  ``0`` disables checkpointing;
@@ -97,7 +101,7 @@ class FleetSupervisor(ShardLifecycle):
         self,
         plan: ShardPlan,
         workdir: str,
-        spec: Optional[ShardFilterSpec] = None,
+        spec: Optional[FilterSpec] = None,
         default_verdict: Verdict = Verdict.PASS,
         snapshot_every: int = 8,
         boot_timeout: float = ShardDaemon.BOOT_TIMEOUT,
@@ -106,11 +110,11 @@ class FleetSupervisor(ShardLifecycle):
             raise ValueError(f"snapshot_every must be >= 0: {snapshot_every}")
         self.plan = plan
         self.workdir = workdir
-        self.spec = spec if spec is not None else ShardFilterSpec()
+        self.spec = spec if spec is not None else FilterSpec()
         self.default_verdict = default_verdict
         self.snapshot_every = snapshot_every
         os.makedirs(workdir, exist_ok=True)
-        serve_args = self.spec.serve_args()
+        serve_args = self.spec.argv()
         self.daemons: List[ShardDaemon] = [
             ShardDaemon(lane, plan.label(lane), workdir, serve_args,
                         boot_timeout=boot_timeout)
@@ -157,7 +161,7 @@ class FleetSupervisor(ShardLifecycle):
         manifest = {
             "version": 1,
             "plan": self.plan.as_spec(),
-            "filter": self.spec.as_spec(),
+            "filter": asdict(self.spec),
             "default_verdict": self.default_verdict.name,
             "shards": [
                 {
@@ -436,7 +440,7 @@ class FleetSupervisor(ShardLifecycle):
 def offline_reference(
     packets,
     plan: ShardPlan,
-    spec: ShardFilterSpec,
+    spec: FilterSpec,
     default_verdict: Verdict = Verdict.PASS,
 ):
     """The fleet's equivalence baseline: a single-process partitioned
@@ -447,7 +451,7 @@ def offline_reference(
     from repro.filters.sharded import ShardedFilter
     from repro.sim.parallel import parallel_replay
 
-    members = [spec.build_filter() for _ in range(plan.lanes)]
+    members = [spec.build()[0] for _ in range(plan.lanes)]
     sharded = ShardedFilter.from_plan(
         plan, members, default_verdict=default_verdict
     )

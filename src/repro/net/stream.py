@@ -388,58 +388,9 @@ def _decode_binary(payload: bytes, pool: Optional[PacketTable]) -> PacketTable:
             f"{len(payload) - offset} trailing bytes after the last column"
         )
 
-    standalone = pair_base == 0 and payload_base == 1
-    if pool is None:
-        if not standalone:
-            raise FramingError(
-                f"delta frame (pair_base={pair_base}, "
-                f"payload_base={payload_base}) needs a pool table"
-            )
-        table = PacketTable()
-        table.pairs = new_pairs
-        table.payloads = [b""] + new_payloads
-        table._pair_index = None
-        table._payload_index = None
-        pair_count, payload_count = len(new_pairs), 1 + len(new_payloads)
-    elif pair_base == len(pool.pairs) and payload_base == len(pool.payloads):
-        # Lockstep delta: append in place, ids index the pool directly.
-        pair_index = pool._ensure_pair_index()
-        for pair in new_pairs:
-            pair_index[pair] = len(pool.pairs)
-            pool.pairs.append(pair)
-        payload_index = pool._ensure_payload_index()
-        for blob in new_payloads:
-            payload_index[blob] = len(pool.payloads)
-            pool.payloads.append(blob)
-        table = pool.spawn()
-        pair_count, payload_count = len(pool.pairs), len(pool.payloads)
-    elif standalone:
-        # A full-pool frame against an already-populated pool: re-intern
-        # so independent feeders can share one receiver pool at the cost
-        # of an id remap.
-        remap_pair = array("l", (pool._pair_id(pair) for pair in new_pairs))
-        remap_payload = array("l", [0])
-        remap_payload.extend(pool._payload_id(blob) for blob in new_payloads)
-        try:
-            columns["pair_ids"] = array(
-                "l", (remap_pair[pid] for pid in columns["pair_ids"])
-            )
-            columns["payload_ids"] = array(
-                "l", (remap_payload[pid] for pid in columns["payload_ids"])
-            )
-        except IndexError:
-            raise FramingError("id column references a pair/payload beyond "
-                               "the frame's pool") from None
-        table = pool.spawn()
-        pair_count, payload_count = len(pool.pairs), len(pool.payloads)
-    else:
-        raise FramingError(
-            f"pool desync: frame expects {pair_base} pairs / {payload_base} "
-            f"payloads already interned, pool holds {len(pool.pairs)} / "
-            f"{len(pool.payloads)}"
-        )
-
     if rows:
+        # Ids are checked against the frame's own id space, before any
+        # remap or pool append: a rejected frame leaves the pool as it was.
         np = _numpy() if rows > 64 else None
         if np is None:
             least, most = min, max
@@ -453,12 +404,56 @@ def _decode_binary(payload: bytes, pool: Optional[PacketTable]) -> PacketTable:
                 return int(np.frombuffer(column, dtype=column.typecode).max())
         pair_ids = columns["pair_ids"]
         payload_ids = columns["payload_ids"]
-        if least(pair_ids) < 0 or most(pair_ids) >= pair_count:
+        if least(pair_ids) < 0 or most(pair_ids) >= pair_base + pair_new:
             raise FramingError("pair_ids column indexes beyond the pool")
-        if least(payload_ids) < 0 or most(payload_ids) >= payload_count:
+        if least(payload_ids) < 0 or most(payload_ids) >= payload_base + payload_new:
             raise FramingError("payload_ids column indexes beyond the pool")
         if least(columns["sizes"]) < 0:
             raise FramingError("negative packet size in sizes column")
+
+    standalone = pair_base == 0 and payload_base == 1
+    if pool is None:
+        if not standalone:
+            raise FramingError(
+                f"delta frame (pair_base={pair_base}, "
+                f"payload_base={payload_base}) needs a pool table"
+            )
+        table = PacketTable()
+        table.pairs = new_pairs
+        table.payloads = [b""] + new_payloads
+        table._pair_index = None
+        table._payload_index = None
+    elif pair_base == len(pool.pairs) and payload_base == len(pool.payloads):
+        # Lockstep delta: append in place, ids index the pool directly.
+        pair_index = pool._ensure_pair_index()
+        for pair in new_pairs:
+            pair_index[pair] = len(pool.pairs)
+            pool.pairs.append(pair)
+        payload_index = pool._ensure_payload_index()
+        for blob in new_payloads:
+            payload_index[blob] = len(pool.payloads)
+            pool.payloads.append(blob)
+        table = pool.spawn()
+    elif standalone:
+        # A full-pool frame against an already-populated pool: re-intern
+        # so independent feeders can share one receiver pool at the cost
+        # of an id remap.
+        remap_pair = array("l", (pool._pair_id(pair) for pair in new_pairs))
+        remap_payload = array("l", [0])
+        remap_payload.extend(pool._payload_id(blob) for blob in new_payloads)
+        columns["pair_ids"] = array(
+            "l", (remap_pair[pid] for pid in columns["pair_ids"])
+        )
+        columns["payload_ids"] = array(
+            "l", (remap_payload[pid] for pid in columns["payload_ids"])
+        )
+        table = pool.spawn()
+    else:
+        raise FramingError(
+            f"pool desync: frame expects {pair_base} pairs / {payload_base} "
+            f"payloads already interned, pool holds {len(pool.pairs)} / "
+            f"{len(pool.payloads)}"
+        )
     for name, _, _ in _WIRE_COLUMNS:
         setattr(table, name, columns[name])
     return table

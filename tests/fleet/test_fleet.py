@@ -1,5 +1,8 @@
-"""Tests for the fleet plane (repro.fleet): spec mirroring, supervised
-daemons, and the fleet-vs-offline exactness invariant under disruption.
+"""Tests for the fleet plane (repro.fleet): supervised daemons and the
+fleet-vs-offline exactness invariant under disruption.  The daemons and
+the offline reference build their filters from one
+:class:`~repro.filters.spec.FilterSpec` (its own tests are in
+``tests/filters/test_spec.py``).
 
 The integration tests spawn real ``repro serve`` subprocesses, so they
 use a small trace and few shards; the invariant they hold is the PR's
@@ -8,18 +11,14 @@ bit-identical to the offline partitioned replay, including across a
 mid-trace crash-kill and a rolling restart.
 """
 
-import argparse
 import json
 import os
 
 import pytest
 
 from repro.filters.base import Verdict
-from repro.fleet import (
-    FleetSupervisor,
-    ShardFilterSpec,
-    offline_reference,
-)
+from repro.filters.spec import FilterSpec
+from repro.fleet import FleetSupervisor, offline_reference
 from repro.fleet.supervisor import MANIFEST_NAME
 from repro.shard.plan import HashShardPlan, SubnetShardPlan, plan_from_spec
 from repro.workload import TraceConfig, TraceGenerator
@@ -37,36 +36,8 @@ def chunks_of(table, size=512):
 
 
 def red_spec():
-    return ShardFilterSpec(size_bits=12, vectors=3, hashes=2,
-                           low_mbps=0.1, high_mbps=1.0)
-
-
-class TestShardFilterSpec:
-    def test_round_trip(self):
-        spec = ShardFilterSpec(size_bits=14, hole_punching=True,
-                               low_mbps=0.5, high_mbps=2.0,
-                               use_blocklist=False)
-        assert ShardFilterSpec.from_spec(spec.as_spec()) == spec
-
-    def test_serve_args_mirror_build_filter(self):
-        """serve_args fed through the CLI's own filter builder must
-        produce the same filter build_filter constructs in-process."""
-        from repro.cli import _build_serve_filter, build_parser
-
-        for spec in (ShardFilterSpec(size_bits=12),
-                     red_spec(),
-                     ShardFilterSpec(size_bits=12, hole_punching=True)):
-            parser = build_parser()
-            args = parser.parse_args(["serve"] + spec.serve_args())
-            via_cli, _ = _build_serve_filter(args)
-            direct = spec.build_filter()
-            assert via_cli.snapshot() == direct.snapshot()
-            assert args.no_blocklist is (not spec.use_blocklist)
-
-    def test_no_blocklist_arg(self):
-        assert "--no-blocklist" in ShardFilterSpec(
-            use_blocklist=False).serve_args()
-        assert "--no-blocklist" not in ShardFilterSpec().serve_args()
+    return FilterSpec(size_bits=12, vectors=3, hashes=2,
+                      low_mbps=0.1, high_mbps=1.0)
 
 
 class TestFleetIntegration:
@@ -83,6 +54,7 @@ class TestFleetIntegration:
                 (tmp_path / MANIFEST_NAME).read_text()
             )
             assert len(manifest["shards"]) == 2
+            assert FilterSpec(**manifest["filter"]) == spec
             rebuilt = plan_from_spec(manifest["plan"])
             assert isinstance(rebuilt, HashShardPlan)
             assert all(s["status"] in ("running", "draining")

@@ -23,7 +23,7 @@ from repro.net.stream import (
 from repro.net.table import PacketTable
 from repro.workload import TraceConfig, TraceGenerator
 
-from tests.conftest import in_packet, out_packet
+from tests.conftest import in_packet, out_packet, tcp_pair
 
 _HEADER_SIZE = struct.calcsize("!4sBBIIIII")
 
@@ -241,6 +241,22 @@ class TestBinaryCodec:
         with pytest.raises(FramingError, match="pool desync"):
             decode_table(delta, pool=PacketTable())
 
+    def test_rejected_delta_leaves_the_pool_unchanged(self):
+        source = PacketTable()
+        source.append_packet(out_packet(t=1.0))
+        encoder = TableEncoder()
+        pool = PacketTable()
+        decode_table(encoder.encode(source.slice(0, 1)), pool=pool)
+        # A lockstep delta interning one new pair and one new payload,
+        # whose single pair id is out of range.
+        source.append_packet(out_packet(t=2.0, pair=tcp_pair(sport=9999),
+                                        payload=b"\x07"))
+        delta = bytearray(encoder.encode(source.slice(1, 2)))
+        struct.pack_into("<q", delta, len(delta) - (4 + 8) - 8, -1)
+        with pytest.raises(FramingError, match="pair_ids column indexes"):
+            decode_table(bytes(delta), pool=pool)
+        assert (len(pool.pairs), len(pool.payloads)) == (1, 1)
+
     def test_frame_writer_sends_deltas_and_keepalives(self):
         buffer = io.BytesIO()
         writer = FrameWriter(buffer)
@@ -349,7 +365,9 @@ class TestCorruptFrames:
         with pytest.raises(FramingError, match="negative packet size"):
             decode_table(bytes(corrupt))
 
-    @pytest.mark.parametrize("path", ["numpy", "stdlib"])
+    @pytest.mark.parametrize("path, pooled", [
+        ("numpy", False), ("stdlib", False), ("numpy", True), ("stdlib", True),
+    ], ids=["numpy", "stdlib", "numpy-populated-pool", "stdlib-populated-pool"])
     @pytest.mark.parametrize("column, value, message", [
         ("pair_ids", 2, "pair_ids column indexes"),
         ("pair_ids", -1, "pair_ids column indexes"),
@@ -358,18 +376,24 @@ class TestCorruptFrames:
         ("sizes", -5, "negative packet size"),
     ], ids=["pair-id-at-pool-size", "negative-pair-id",
             "payload-id-at-pool-size", "negative-payload-id", "negative-size"])
-    def test_out_of_range_column_in_a_long_frame(self, monkeypatch, path,
+    def test_out_of_range_column_in_a_long_frame(self, monkeypatch, path, pooled,
                                                  column, value, message):
         """Frames past 64 rows check their id bounds and sizes with
         numpy's reductions (when numpy is on) and with the builtins
-        otherwise; both reject the same corruption."""
+        otherwise; both reject the same corruption, decoded alone or
+        re-interned into a populated pool (ids checked before the remap,
+        so -1 cannot wrap around)."""
         if path == "stdlib":
             monkeypatch.setattr(stream_mod, "_numpy", lambda: None)
+        pool = None
+        if pooled:
+            pool = PacketTable()
+            pool.append_packet(out_packet(t=0.5, pair=tcp_pair(sport=9999)))
         corrupt = long_frame()
         struct.pack_into("<q", corrupt, long_frame_offset(column, LONG_ROWS // 2),
                          value)
         with pytest.raises(FramingError, match=message):
-            decode_table(bytes(corrupt))
+            decode_table(bytes(corrupt), pool=pool)
 
     def test_long_frame_decodes_on_both_paths(self, monkeypatch):
         numpy_table = decode_table(bytes(long_frame()))

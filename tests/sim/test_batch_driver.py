@@ -327,15 +327,23 @@ def test_process_table_matches_forward(name, use_blocklist, numpy, steps, sizes,
         table_module._use_numpy = saved
 
 
-@pytest.mark.parametrize("name", sorted(FILTERS))
+@pytest.mark.parametrize(
+    "name, use_blocklist",
+    [(name, use_blocklist) for use_blocklist in (False, True)
+     for name in sorted(FILTERS)],
+    ids=[name + ("-blocklist" if use_blocklist else "")
+         for use_blocklist in (False, True) for name in sorted(FILTERS)],
+)
 @settings(max_examples=100, deadline=None)
 @given(steps=reordered_events, sizes=chunk_sizes, cuts=cuts)
 @example(steps=UPLOAD_AFTER_LATER_READ, sizes=[500], cuts=set())
 @example(steps=POLICED_AFTER_LATER_DROP, sizes=[500], cuts=set())
-def test_rows_going_back_in_time(name, steps, sizes, cuts):
+def test_rows_going_back_in_time(name, use_blocklist, steps, sizes, cuts):
     # A skipped rate read's eviction must land before a row goes back
     # past it, or the batched meter drops a sample the per-row one kept.
-    assert_batched_matches_forward(name, False, steps, sizes, cuts)
+    # With the store on, blocks and suppressions meet timestamps that go
+    # back too.
+    assert_batched_matches_forward(name, use_blocklist, steps, sizes, cuts)
 
 
 def assert_batched_matches_forward(name, use_blocklist, steps, sizes, cuts):

@@ -2,11 +2,12 @@
 
 Every evasion-frontier cell of ``BENCH_swarm.json`` (bitmap, counting,
 SPI and chain, each with evasion off and on) is re-run at the committed
-configuration through ``benchmarks/bench_swarm.py``'s own builders, and
-its row, verdict fingerprint included, must equal the committed one.
-The swarm sends every packet through ``ReplayPipeline.process``, so a
-change anywhere on the per-packet path that moves one verdict, one RNG
-draw or one counter shows here.
+configuration, its defender built from ``benchmarks/bench_swarm.py``'s
+own :class:`~repro.filters.spec.FilterSpec` (``DEFENDER``), and its row,
+verdict fingerprint included, must equal the committed one.  The swarm
+sends every packet through ``ReplayPipeline.process``, so a change
+anywhere on the per-packet path that moves one verdict, one RNG draw or
+one counter shows here.
 
 Without evasion, every attempt is a fresh connection whose first inbound
 packet misses the filter unless its m bits are set by chance, so it
@@ -17,14 +18,15 @@ cell's admissions must lie in a binomial interval around that rate.
 import functools
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from benchmarks.bench_swarm import (
+    DEFENDER,
     FRONTIER_PD,
-    build_filter,
     result_row,
     run_swarm,
     swarm_config,
@@ -49,7 +51,7 @@ def committed_args() -> SimpleNamespace:
 
 @functools.lru_cache(maxsize=None)
 def run_cell(kind: str, label: str):
-    packet_filter, _ = build_filter(kind, FRONTIER_PD)
+    packet_filter, _ = replace(DEFENDER, kind=kind, pd=FRONTIER_PD).build()
     result = run_swarm(packet_filter,
                        swarm_config(committed_args(), label == "evasion_on"))
     return packet_filter, result

@@ -1,8 +1,36 @@
 """Tests for the command-line interface."""
 
+import argparse
+import json
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.filters import FilterSpec, Verdict
+
+from tests.conftest import in_packet, out_packet, tcp_pair
+
+#: Every (sub)command's options, one row each (see :func:`option_table`).
+OPTIONS = pathlib.Path(__file__).resolve().parent / "data" / "cli_options.json"
+
+
+def option_table(parser, path="repro"):
+    """{command path: one row per option}: option strings (or the
+    positional's dest), dest, default, choices, nargs, action class and
+    type converter."""
+    table = {path: []}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                table.update(option_table(sub, f"{path} {name}"))
+            continue
+        table[path].append([
+            action.option_strings or [action.dest], action.dest, action.default,
+            list(action.choices) if action.choices else None, action.nargs,
+            type(action).__name__, getattr(action.type, "__name__", None),
+        ])
+    return table
 
 
 @pytest.fixture
@@ -30,6 +58,13 @@ class TestParser:
     def test_plan_requires_connections(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["plan"])
+
+    def test_every_command_keeps_its_options(self):
+        """The filter flags of filter, serve, fleet serve and swarm come
+        from one declaration; every command's options (help text aside)
+        stay as pinned."""
+        table = json.loads(json.dumps(option_table(build_parser())))
+        assert table == json.loads(OPTIONS.read_text(encoding="utf-8"))
 
 
 class TestTrace:
@@ -111,6 +146,18 @@ class TestFilter:
     def test_hole_punching_flag(self, trace_path, capsys):
         assert main(["filter", trace_path, "--filter", "bitmap",
                      "--hole-punching"]) == 0
+
+    @pytest.mark.parametrize("flags, verdict", [
+        (["--hole-punching"], Verdict.PASS),
+        ([], Verdict.DROP),
+    ], ids=["hole-punching", "strict"])
+    def test_naive_filter_takes_the_field_mode(self, flags, verdict):
+        """An inbound packet from another port of the peer the inside
+        socket sent to passes only when the remote port is ignored."""
+        args = build_parser().parse_args(["filter", "--filter", "naive"] + flags)
+        naive, _ = FilterSpec.from_args(args).build()
+        assert naive.process(out_packet(tcp_pair(dport=6000), t=1.0)) is Verdict.PASS
+        assert naive.process(in_packet(tcp_pair(dport=7000).inverse, t=1.5)) is verdict
 
     def test_sharded_replay(self, trace_path, capsys):
         assert main(["filter", trace_path, "--filter", "bitmap",
