@@ -24,7 +24,7 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.filters.spec import FilterSpec, add_filter_flags
+from repro.filters.spec import FilterSpec, add_filter_flags, red_band_error
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -37,6 +37,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             open(path, "rb").close()
         except OSError as exc:
             parser.error(f"cannot read {path}: {exc.strerror or exc}")
+    if getattr(args, "handler", None) in (cmd_filter, cmd_serve, cmd_fleet_serve):
+        error = red_band_error(args)
+        if error is not None:
+            parser.error(error)
     if not hasattr(args, "handler"):
         parser.print_help()
         return 2

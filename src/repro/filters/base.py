@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.net.packet import Direction, Packet
-from repro.net.table import _numpy
 
 
 class Verdict(enum.Enum):
@@ -91,38 +90,17 @@ class FilterStats:
             self.dropped[direction] += 1
             self.dropped_bytes[direction] += packet.size
 
-    def account_rows(self, sizes, outbound, codes) -> None:
-        """Account a batch of rows: the batched twin of :meth:`account`.
-
-        ``sizes`` and ``outbound`` are row columns and ``codes`` holds
-        one verdict code per row; :data:`CODE_UNSEEN` rows never reached
-        the filter and are not counted.  A table's buffer columns take
-        numpy's ``bincount`` when :func:`~repro.net.table._numpy` returns
-        it; list columns (the router's per-packet row accountant) and
-        small tables take a plain loop.  Both give identical counters
-        (the float64 byte sums are exact below 2**53 bytes).
-        """
-        np = _numpy() if len(codes) > 64 and not isinstance(sizes, list) else None
-        if np is not None:
-            slot = (np.frombuffer(outbound, dtype=np.int8) != 0) * 3 + np.frombuffer(
-                codes, dtype=np.uint8
-            )
-            counts = np.bincount(slot, minlength=6).tolist()
-            volume = np.bincount(
-                slot, weights=np.frombuffer(sizes, dtype=np.int64), minlength=6
-            ).astype(np.int64).tolist()
-        else:
-            counts = [0] * 6
-            volume = [0] * 6
-            for size, is_out, code in zip(sizes, outbound, codes):
-                slot = code + 3 if is_out else code
-                counts[slot] += 1
-                volume[slot] += size
+    def account_tally(self, tally) -> None:
+        """:meth:`account` for the rows of a
+        :class:`~repro.sim.metrics.VerdictTally` (row counts by slot
+        ``3 * outbound + code``, byte sums six slots on), but for the
+        :data:`CODE_UNSEEN` rows, which never reached the filter."""
+        totals = tally.totals
         for direction, base in ((Direction.INBOUND, 0), (Direction.OUTBOUND, 3)):
-            self.passed[direction] += counts[base + CODE_PASS]
-            self.passed_bytes[direction] += volume[base + CODE_PASS]
-            self.dropped[direction] += counts[base + CODE_DROP]
-            self.dropped_bytes[direction] += volume[base + CODE_DROP]
+            self.passed[direction] += totals[base + CODE_PASS]
+            self.passed_bytes[direction] += totals[6 + base + CODE_PASS]
+            self.dropped[direction] += totals[base + CODE_DROP]
+            self.dropped_bytes[direction] += totals[6 + base + CODE_DROP]
 
     @property
     def total(self) -> int:
@@ -195,7 +173,7 @@ class PacketFilter(ABC):
     statistics, exact after every call — the entry point for direct
     callers and for the members of a chain or a sharded filter.  The
     router calls :meth:`decide` and counts its verdicts into ``stats``
-    in batches (:meth:`FilterStats.account_rows`), so a routed filter's
+    in batches (:meth:`FilterStats.account_tally`), so a routed filter's
     ``stats`` are exact whenever the router has folded its rows (see
     :class:`repro.sim.router.EdgeRouter`).  Filters receive packets in
     timestamp order; any internal timers are driven by packet timestamps

@@ -16,7 +16,10 @@ is answered "no" for nearly all of them, so the batched path asks it only
 of the rows that can say "yes": :meth:`BlockedConnectionStore.gate` gives
 a table's batch function the set of its flows that may be suppressed —
 those in the store when the table starts and those blocked during it,
-with their σ̄ twins — and one suppression call for their rows.  The GC
+with their σ̄ twins — and one suppression call for their rows.  It
+reads each of the table's flows once, into a table-local pair → id map,
+and flags them by walking the smaller of the store and that map, so
+its work follows the table and the store, never the pool.  The GC
 clock, the one other per-packet step, fires at rows that depend only on
 the timestamps (:meth:`BlockedConnectionStore.gc_rows`), so the router
 splits its table there and compacts between the pieces
@@ -26,7 +29,7 @@ splits its table there and compacts between the pieces
 from __future__ import annotations
 
 from itertools import compress, count, islice, repeat
-from operator import le
+from operator import le, rshift
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.net.packet import Packet, SocketPair
@@ -109,30 +112,56 @@ class BlockedConnectionStore:
 
         The GC clock is not applied here: :meth:`gc_rows` finds the rows
         where it fires and the caller gates each piece between them.
-        Canonical pairs are computed once per flow of the table, when the
-        store holds an entry at table start or at the first block, so the
-        table's pool is read once per flow, whatever its size.
+        When the store holds entries at table start, or at the first
+        block, the table's distinct flows
+        (:meth:`~repro.net.table.PacketTable.flow_slots`) are read from
+        the pool once each into a pair → id map, so nothing is sized by
+        the pool.  Flows are flagged by walking the smaller side: each
+        entry's σ and σ̄ looked up in the map, or each flow's canonical
+        pair looked up in the store.  Canonical pairs are kept only for
+        flagged flows, and a block finds the σ̄ twin with one map lookup.
         """
         blocked = self._blocked
         pairs = table.pairs
-        #: Pair id → canonical σ, for every flow of the table once indexed.
+        #: Pair id → pair and pair → pair id, for every flow of the table
+        #: once indexed; ``aliases`` holds every id of a pair the pool
+        #: interns more than once, under the id ``ids`` maps it to.
+        flows: Dict[int, SocketPair] = {}
+        ids: Dict[SocketPair, int] = {}
+        aliases: Dict[int, List[int]] = {}
+        #: Pair id → canonical σ, for the flagged flows.
         canonical: Dict[int, SocketPair] = {}
-        #: Canonical σ → the table's pair ids of σ and σ̄.
-        sharing: Dict[SocketPair, List[int]] = {}
+        flagged: Set[int] = set()
 
         def index() -> None:
-            for pid in set(table.pair_ids):
-                key = canonical[pid] = pairs[pid].canonical
-                twins = sharing.get(key)
-                if twins is None:
-                    sharing[key] = [pid]
-                else:
-                    twins.append(pid)
+            pids = set(map(rshift, table.flow_slots(), repeat(1)))
+            flows.update(zip(pids, map(pairs.__getitem__, pids)))
+            ids.update(zip(flows.values(), flows))
+            if len(ids) < len(flows):
+                for pid, pair in flows.items():
+                    first = ids[pair]
+                    if first != pid:
+                        aliases.setdefault(first, [first]).append(pid)
+
+        def flag(pair: SocketPair, key: SocketPair) -> None:
+            first = ids.get(pair)
+            if first is not None:
+                for pid in aliases.get(first, (first,)):
+                    flagged.add(pid)
+                    canonical[pid] = key
 
         # An empty store flags nothing: the index waits for a first block.
         if blocked:
             index()
-        flagged = {pid for pid, key in canonical.items() if key in blocked}
+            if len(blocked) < len(ids):
+                for key in blocked:
+                    flag(key, key)
+                    flag(key.inverse, key)
+            else:
+                for pair in ids:
+                    key = pair.canonical
+                    if key in blocked:
+                        flag(pair, key)
 
         def suppress(pid: int, now: float, size: int) -> bool:
             key = canonical[pid]
@@ -148,11 +177,13 @@ class BlockedConnectionStore:
             return False
 
         def block(pid: int, now: float) -> None:
-            if not canonical:
+            if not flows:
                 index()
-            key = canonical[pid]
+            pair = flows[pid]
+            key = pair.canonical
             blocked[key] = now
-            flagged.update(sharing[key])
+            flag(pair, key)
+            flag(key.inverse if key is pair else key, key)  # σ̄
 
         return flagged, suppress, block
 

@@ -39,9 +39,10 @@ def auto_red_thresholds(uplink_mbps: float) -> Tuple[float, float]:
 class FilterSpec:
     """A filter kind and its parameters.
 
-    ``pd`` is a static ``P_d``; when both ``low_mbps`` and ``high_mbps``
-    are set, Equation 1's RED ramp replaces it.  ``use_blocklist`` is
-    the router's blocked-connection store, not part of the filter.
+    ``pd`` is a static ``P_d``; ``low_mbps`` and ``high_mbps``, given
+    both or neither, replace it with Equation 1's RED ramp.
+    ``use_blocklist`` is the router's blocked-connection store, not part
+    of the filter.
     """
 
     kind: str = "bitmap"
@@ -58,6 +59,11 @@ class FilterSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r} (one of {KINDS})")
+        if (self.low_mbps is None) != (self.high_mbps is None):
+            raise ValueError(
+                f"a RED band needs both low_mbps and high_mbps: "
+                f"low_mbps={self.low_mbps}, high_mbps={self.high_mbps}"
+            )
 
     @property
     def red(self) -> bool:
@@ -155,6 +161,24 @@ class FilterSpec:
             return f"RED L={self.low_mbps:.2f} H={self.high_mbps:.2f} Mbps"
         note = f"P_d = {self.pd:g}"
         return note + " (drop all stateless inbound)" if self.pd == 1.0 else note
+
+
+def red_band_error(args) -> Optional[str]:
+    """Why parsed :func:`add_filter_flags` flags do not give one RED band,
+    or None.
+
+    Equation 1 needs both thresholds, and ``--auto-red`` derives both from
+    the measured uplink, so a lone ``--low-mbps`` or ``--high-mbps``, or
+    either beside ``--auto-red``, would be ignored; the commands refuse
+    them as usage errors before reading any trace.
+    """
+    given = args.low_mbps is not None or args.high_mbps is not None
+    if getattr(args, "auto_red", False) and given:
+        return ("--auto-red sets --low-mbps and --high-mbps from the "
+                "measured uplink: give neither with it")
+    if given and (args.low_mbps is None or args.high_mbps is None):
+        return "Equation 1 needs both --low-mbps and --high-mbps, or neither"
+    return None
 
 
 def add_filter_flags(parser, size_bits: int, kinds: Sequence[str] = (),

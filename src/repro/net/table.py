@@ -484,9 +484,13 @@ class PacketTable:
         outbound slot first.
 
         What the batched engine needs to hash each flow at most once per
-        direction per table instead of once per packet.  The scan reads
-        the table's own rows only, never its pool, so its cost follows
-        the chunk however large a stream's interned pool has grown.
+        direction per table instead of once per packet, and the blocked-σ
+        gate its distinct flows.  The scan reads the table's own rows
+        only, never its pool, so its cost follows the chunk however large
+        a stream's interned pool has grown.  With numpy, a chunk whose
+        pair ids span at most four times its rows marks its slots in an
+        array over that span, one linear pass; a sparser chunk sorts
+        them (``unique``).
         """
         if not len(self):
             return []
@@ -496,9 +500,15 @@ class PacketTable:
                 self.pair_ids, dtype=_column_dtype(self.pair_ids)
             ).astype(np.int64, copy=False)
             inbound = np.frombuffer(self.outbound, dtype=np.int8) == 0
-            # ``pair_id << 1 | inbound`` sorts a pair's outbound slot
+            low = int(pair_ids.min())
+            span = int(pair_ids.max()) - low + 1
+            # ``pair_id << 1 | inbound`` orders a pair's outbound slot
             # first; flipping the low bit turns it into the slot.
-            return (np.unique((pair_ids << 1) | inbound) ^ 1).tolist()
+            if span > 4 * len(self):
+                return (np.unique((pair_ids << 1) | inbound) ^ 1).tolist()
+            seen = np.zeros(2 * span, dtype=np.bool_)
+            seen[((pair_ids - low) << 1) | inbound] = True
+            return ((np.flatnonzero(seen) ^ 1) + (low << 1)).tolist()
         slots = {
             pid << 1 | (is_out != 0)
             for pid, is_out in set(zip(self.pair_ids, self.outbound))

@@ -41,8 +41,8 @@ goes back before it.  Every path therefore leaves the same meter.
 
 Everything around the filter — the store's GC clock (the router splits
 the table where it fires), the offered/passed series and drop windows
-(:func:`repro.sim.metrics.record_rows`) and the filter's
-:class:`~repro.filters.base.FilterStats` — happens once, in
+and the filter's :class:`~repro.filters.base.FilterStats`, all folded
+from one :func:`repro.sim.metrics.tally_rows` — happens once, in
 :meth:`repro.sim.router.EdgeRouter.process_table`.
 
 :func:`kernel_for` is an **exact-type** lookup: a subclass of a
@@ -70,6 +70,7 @@ from repro.filters.spi import SPIFilter, _FlowState
 from repro.net.inet import IPPROTO_TCP
 from repro.net.packet import Direction
 from repro.net.table import PacketTable
+from repro.sim.metrics import tally_rows
 
 __all__ = [
     "KERNELS",
@@ -796,7 +797,8 @@ def _member_codes(member: PacketFilter, table: PacketTable) -> bytearray:
             codes[position] = process(view) is PASS
         return codes
     kernel(member, table, codes, OPEN_GATE)
-    member.stats.account_rows(table.sizes, table.outbound, codes)
+    member.stats.account_tally(
+        tally_rows(table.timestamps, table.sizes, table.outbound, codes))
     return codes
 
 

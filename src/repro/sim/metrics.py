@@ -3,16 +3,20 @@
 :class:`ThroughputSeries` bins passed bytes per direction into fixed
 intervals — the data behind Figure 9's uplink/downlink bands.
 :class:`DropRateSampler` bins verdicts per interval — the data behind
-Figure 8's per-window drop-rate scatter.  :func:`record_rows` fills both
-from replayed rows.
+Figure 8's per-window drop-rate scatter.  An accounting step counts its
+rows once (:func:`tally_rows`, one pass keyed by series bin, direction,
+verdict code and drop window), and that :class:`VerdictTally` fills both,
+the filter's counters and the pipeline's counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from math import inf
+from operator import add
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.filters.base import CODE_PASS
+from repro.filters.base import CODE_DROP, CODE_PASS
 from repro.net.packet import Direction
 from repro.net.table import _numpy
 
@@ -236,131 +240,159 @@ class DropRateSampler:
         return sampler
 
 
-def record_rows(
-    offered: ThroughputSeries,
-    passed: ThroughputSeries,
-    drops: DropRateSampler,
-    timestamps,
-    sizes,
-    outbound,
-    codes,
-) -> None:
-    """Bin replayed rows into the router's series and drop windows.
+#: A tally cell: the row count of each slot ``3 * outbound + code`` (code
+#: :data:`~repro.filters.base.CODE_DROP` 0, ``CODE_PASS`` 1 or
+#: ``CODE_UNSEEN`` 2), then each slot's byte sum at ``BYTES + slot``.
+BYTES = 6
 
-    Every row's bytes go to ``offered``, the bytes of rows whose code is
-    :data:`~repro.filters.base.CODE_PASS` to ``passed``, and every
-    inbound row to a drop window, counted as dropped unless it passed.
-    Bins are order-independent sums, so a table accounted in one pass
-    and per-packet rows accounted in folds of any length fill exactly
-    the same bins — a bin touched only by zero-byte packets still gets
-    its key.  A table's buffer columns take numpy (``unique`` +
-    ``bincount``) when :func:`~repro.net.table._numpy` returns it; list
-    columns (the per-packet row accountant's) and small tables take the
-    plain loop, so per-packet replay never imports numpy.  Both give
-    identical bins.
+
+class VerdictTally(NamedTuple):
+    """Rows counted once by :func:`tally_rows`, for every counter of an
+    accounting step: :meth:`record` fills the series and drop windows,
+    :meth:`~repro.filters.base.FilterStats.account_tally` the filter's
+    counters, and a pipeline's count step reads ``totals``."""
+
+    #: Series bin ``int(t / interval)`` → cell, for each bin a row touches.
+    bins: Dict[int, List[int]]
+    #: Drop window ``int(t / window)`` → [inbound rows, those not passed].
+    windows: Dict[int, List[int]]
+    #: The cells summed over the bins.
+    totals: List[int]
+
+    def record(self, offered: ThroughputSeries, passed: ThroughputSeries,
+               drops: DropRateSampler) -> None:
+        """Add the rows' bytes to ``offered``, the passed rows' bytes to
+        ``passed`` and the inbound rows to ``drops``, dropped unless they
+        passed; a bin or window a row touches gets its key, whatever the
+        row's size.  The series and sampler must share the tally's binning."""
+        offered_in = offered._bins[Direction.INBOUND]
+        offered_out = offered._bins[Direction.OUTBOUND]
+        passed_in = passed._bins[Direction.INBOUND]
+        passed_out = passed._bins[Direction.OUTBOUND]
+        for key, cell in self.bins.items():
+            # Slots 0-2 are inbound, 3-5 outbound; 1 and 4 passed.
+            n0, n1, n2, n3, n4, n5, b0, b1, b2, b3, b4, b5 = cell
+            if n0 or n1 or n2:
+                offered_in[key] = offered_in.get(key, 0) + b0 + b1 + b2
+            if n3 or n4 or n5:
+                offered_out[key] = offered_out.get(key, 0) + b3 + b4 + b5
+            if n1:
+                passed_in[key] = passed_in.get(key, 0) + b1
+            if n4:
+                passed_out[key] = passed_out.get(key, 0) + b4
+        packets, dropped = drops._packets, drops._dropped
+        for key, (rows, missed) in self.windows.items():
+            packets[key] = packets.get(key, 0) + rows
+            if missed:
+                dropped[key] = dropped.get(key, 0) + missed
+
+
+def tally_rows(timestamps, sizes, outbound, codes,
+               interval: Optional[float] = None,
+               window: Optional[float] = None) -> VerdictTally:
+    """The :class:`VerdictTally` of four row columns (timestamp, size,
+    outbound flag, verdict code) by series ``interval`` and drop
+    ``window``; without them, one bin keyed 0 and no windows.
+
+    Table columns of more than 64 rows take numpy when
+    :func:`~repro.net.table._numpy` returns it (one ``unique`` per index
+    kind, ``bincount`` over ``bin * 6 + slot``: sized by the bins present,
+    never by the span); list columns and small tables one plain loop, so
+    per-packet replay never imports numpy.  Both give identical tallies.
     """
-    interval = offered.interval
-    if passed.interval != interval:
-        raise ValueError(f"interval mismatch: {interval} vs {passed.interval}")
     np = _numpy() if len(codes) > 64 and not isinstance(sizes, list) else None
     if np is None:
-        _record_runs(offered, passed, drops, timestamps, sizes, outbound, codes)
-        return
-    window = drops.window
-    offered_out = offered._bins[Direction.OUTBOUND]
-    offered_in = offered._bins[Direction.INBOUND]
-    passed_out = passed._bins[Direction.OUTBOUND]
-    passed_in = passed._bins[Direction.INBOUND]
-    window_packets = drops._packets
-    window_dropped = drops._dropped
-    # A float64 → int64 cast truncates toward zero exactly like int().
+        bins, windows = _tally_runs(timestamps, sizes, outbound, codes,
+                                    interval or inf, window or inf)
+    else:
+        bins, windows = _tally_numpy(np, timestamps, sizes, outbound, codes,
+                                     interval, window)
+    totals = [sum(column) for column in zip(*bins.values())] or [0] * 2 * BYTES
+    return VerdictTally(bins, windows if window else {}, totals)
+
+
+def _tally_numpy(np, timestamps, sizes, outbound, codes, interval, window):
     times = np.frombuffer(timestamps, dtype=np.float64)
-    volume = np.frombuffer(sizes, dtype=np.int64)
+    code = np.frombuffer(codes, dtype=np.uint8)
     out = np.frombuffer(outbound, dtype=np.int8) != 0
-    ok = np.frombuffer(codes, dtype=np.uint8) == CODE_PASS
-    index = (times / interval).astype(np.int64)
-    inbound = ~out
-    for bins, mask in ((offered_out, out), (offered_in, inbound),
-                       (passed_out, out & ok), (passed_in, inbound & ok)):
-        _add_bins(np, bins, index[mask], volume[mask])
-    window_index = (times[inbound] / window).astype(np.int64)
-    _add_bins(np, window_packets, window_index)
-    _add_bins(np, window_dropped, window_index[~ok[inbound]])
+    cell, keys = code + 3 * out.view(np.uint8), [0]
+    # A float64 → int64 cast truncates toward zero exactly like int().
+    if interval:
+        keys, inverse = np.unique((times / interval).astype(np.int64),
+                                  return_inverse=True)
+        keys, cell = keys.tolist(), inverse * BYTES + cell
+    counts = np.bincount(cell, minlength=BYTES * len(keys)).reshape(-1, BYTES)
+    # float64 sums of integer sizes are exact below 2**53 bytes per bin.
+    volume = np.bincount(cell, weights=np.frombuffer(sizes, dtype=np.int64),
+                         minlength=BYTES * len(keys)).astype(np.int64)
+    bins = dict(zip(keys, np.hstack((counts, volume.reshape(-1, BYTES))).tolist()))
+    if not window:
+        return bins, {}
+    # ``take`` at the inbound positions: a boolean mask copies slower.
+    inbound = np.flatnonzero(~out)
+    keys, inverse = np.unique((times.take(inbound) / window).astype(np.int64),
+                              return_inverse=True)
+    missed = np.bincount(inverse * 2 + (code.take(inbound) != CODE_PASS),
+                         minlength=2 * len(keys)).reshape(-1, 2)
+    missed[:, 0] += missed[:, 1]
+    return bins, dict(zip(keys.tolist(), missed.tolist()))
 
 
-def _add_run(bins: Dict[int, int], key, rows: int, total: int) -> None:
-    """``bins[key] += total`` when a run had ``rows`` for the bin."""
-    if rows:
-        bins[key] = bins.get(key, 0) + total
+def _add_cell(cells: Dict[int, List[int]], key: int, run: List[int]) -> None:
+    """``cells[key] += run``, elementwise."""
+    cell = cells.get(key)
+    cells[key] = run if cell is None else list(map(add, cell, run))
 
 
-def _record_runs(offered, passed, drops, timestamps, sizes, outbound, codes) -> None:
-    """:func:`record_rows`' plain loop.  Rows mostly come in time order,
-    so neighbours share a series bin and a drop window: each run of rows
-    in one bin is summed in locals and added to the dicts when the bin
-    changes."""
-    interval, window = offered.interval, drops.window
-    offered_out = offered._bins[Direction.OUTBOUND]
-    offered_in = offered._bins[Direction.INBOUND]
-    passed_out = passed._bins[Direction.OUTBOUND]
-    passed_in = passed._bins[Direction.INBOUND]
-    window_packets, window_dropped = drops._packets, drops._dropped
-    run = window_run = None
-    out_rows = out_bytes = in_rows = in_bytes = 0
-    out_ok = out_ok_bytes = in_ok = in_ok_bytes = 0
-    inbound = dropped = 0
+def _tally_runs(timestamps, sizes, outbound, codes, interval, window):
+    """:func:`tally_rows`' plain loop.  Rows mostly come in time order: a
+    run of rows in one bin is summed in locals, all six slots at once, and
+    added to its cell when the bin changes; drop windows likewise."""
+    bins, windows, run, window_run = {}, {}, None, None
+    PASS, DROP = CODE_PASS, CODE_DROP
+    # The run's rows and bytes by slot; the window's inbound rows and misses.
+    n0 = n1 = n2 = n3 = n4 = n5 = b0 = b1 = b2 = b3 = b4 = b5 = seen = missed = 0
     for now, size, is_out, code in zip(timestamps, sizes, outbound, codes):
         index = int(now / interval)
         if index != run:
-            _add_run(offered_out, run, out_rows, out_bytes)
-            _add_run(offered_in, run, in_rows, in_bytes)
-            _add_run(passed_out, run, out_ok, out_ok_bytes)
-            _add_run(passed_in, run, in_ok, in_ok_bytes)
+            if run is not None:
+                _add_cell(bins, run, [n0, n1, n2, n3, n4, n5, b0, b1, b2, b3, b4, b5])
             run = index
-            out_rows = out_bytes = in_rows = in_bytes = 0
-            out_ok = out_ok_bytes = in_ok = in_ok_bytes = 0
+            n0 = n1 = n2 = n3 = n4 = n5 = b0 = b1 = b2 = b3 = b4 = b5 = 0
         if is_out:
-            out_rows += 1
-            out_bytes += size
-            if code == CODE_PASS:
-                out_ok += 1
-                out_ok_bytes += size
+            if code == PASS:
+                n4 += 1
+                b4 += size
+            elif code == DROP:
+                n3 += 1
+                b3 += size
+            else:
+                n5 += 1
+                b5 += size
             continue
-        in_rows += 1
-        in_bytes += size
         slot = int(now / window)
         if slot != window_run:
-            _add_run(window_packets, window_run, inbound, inbound)
-            _add_run(window_dropped, window_run, dropped, dropped)
+            if seen:
+                _add_cell(windows, window_run, [seen, missed])
             window_run = slot
-            inbound = dropped = 0
-        inbound += 1
-        if code == CODE_PASS:
-            in_ok += 1
-            in_ok_bytes += size
+            seen = missed = 0
+        seen += 1
+        if code == PASS:
+            n1 += 1
+            b1 += size
+            continue
+        missed += 1
+        if code == DROP:
+            n0 += 1
+            b0 += size
         else:
-            dropped += 1
-    _add_run(offered_out, run, out_rows, out_bytes)
-    _add_run(offered_in, run, in_rows, in_bytes)
-    _add_run(passed_out, run, out_ok, out_ok_bytes)
-    _add_run(passed_in, run, in_ok, in_ok_bytes)
-    _add_run(window_packets, window_run, inbound, inbound)
-    _add_run(window_dropped, window_run, dropped, dropped)
-
-
-def _add_bins(np, bins: Dict[int, int], keys, weights=None) -> None:
-    """``bins[key] +=`` the summed weights (or the count) of each key's
-    rows.  The float64 ``bincount`` sums of integer sizes are exact below
-    2**53 bytes per bin."""
-    if not keys.size:
-        return
-    unique, inverse = np.unique(keys, return_inverse=True)
-    sums = np.bincount(inverse, weights=weights)
-    if weights is not None:
-        sums = sums.astype(np.int64)
-    get = bins.get
-    for key, value in zip(unique.tolist(), sums.tolist()):
-        bins[key] = get(key, 0) + value
+            n2 += 1
+            b2 += size
+    if run is not None:
+        _add_cell(bins, run, [n0, n1, n2, n3, n4, n5, b0, b1, b2, b3, b4, b5])
+    if seen:
+        _add_cell(windows, window_run, [seen, missed])
+    return bins, windows
 
 
 def scatter_points(

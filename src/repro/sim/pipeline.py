@@ -12,16 +12,18 @@ the CLI — drives the same four-stage packet pipeline:
    filter's fused function in :mod:`repro.sim.kernels`;
 3. **metrics / accounting** — offered/passed throughput bins, inbound
    drop windows, filter counters, replay counters and the verdict
-   fingerprint, summed once per table or per fold of per-packet rows;
+   fingerprint, all folded from one tally of the rows
+   (:func:`~repro.sim.metrics.tally_rows`) per table or per fold of
+   per-packet rows;
 4. **blocklist update** — a dropped inbound σ is registered as blocked.
 
 The stages are implemented once in :class:`repro.sim.router.EdgeRouter`
 (:meth:`~repro.sim.router.EdgeRouter.forward` per packet,
 :meth:`~repro.sim.router.EdgeRouter.process_table` per table);
-:class:`ReplayPipeline` adds its counters to every accounting step and
-the finalize hook (end-of-replay blocklist compaction, result assembly)
-behind.  An :class:`ExecutionBackend` decides *how* the stream
-traverses the stages:
+:class:`ReplayPipeline` adds its counters to every accounting step (its
+inbound and drop counts read from the step's tally) and the finalize
+hook (end-of-replay blocklist compaction, result assembly) behind.  An
+:class:`ExecutionBackend` decides *how* the stream traverses the stages:
 
 * :class:`SequentialBackend` — one packet at a time; the reference
   every other backend must reproduce.
@@ -131,8 +133,6 @@ _FNV_MASK = (1 << 64) - 1
 _FNV_PRIME_8 = pow(_FNV_PRIME, 8, 1 << 64)
 #: Row code → 1 for a drop (CODE_DROP or CODE_UNSEEN), 0 for a pass.
 _DROP_BITS = bytes(code != CODE_PASS for code in range(256))
-#: Row code → 1 for a pass, 0 otherwise.
-_PASS_BITS = bytes(code == CODE_PASS for code in range(256))
 #: (block word | low-2-bit state << 1) → block constant; see
 #: :func:`_block_offsets`.
 _BLOCK_OFFSETS: Optional[Dict[int, int]] = None
@@ -283,21 +283,16 @@ class ReplayPipeline:
         verdict code per row (see :meth:`EdgeRouter.process_table`)."""
         return self.router.process_table(table)
 
-    def _count_rows(self, timestamps, outbound, codes) -> None:
+    def _count_rows(self, tally, timestamps, codes) -> None:
         """The pipeline's share of every router accounting step (see
         :class:`EdgeRouter`): the trace span, the inbound and inbound-drop
-        counts, and the verdict fingerprint, in stream order."""
+        counts from the step's tally, and the verdict fingerprint."""
         if self.first_ts is None:
             self.first_ts = timestamps[0]
         self.last_ts = timestamps[-1]
-        total = len(codes)
-        outbound = bytes(outbound)
-        # One byte per row, 1 when the row is outbound or passed: the
-        # zero bytes are the inbound drops.
-        kept = (int.from_bytes(outbound, "little")
-                | int.from_bytes(codes.translate(_PASS_BITS), "little"))
-        self.inbound += total - outbound.count(1)
-        self.dropped += kept.to_bytes(total, "little").count(0)
+        drop, passed, unseen = tally.totals[:3]  # the inbound slots, by code
+        self.inbound += drop + passed + unseen
+        self.dropped += drop + unseen
         if self.fingerprint is not None:
             self.fingerprint = fingerprint_verdicts(self.fingerprint, codes)
 

@@ -13,14 +13,16 @@ flows it may suppress, tested as one flag per row), the filter's fused
 batch function (:mod:`repro.sim.kernels`) and one accounting pass over
 the whole table.
 
-Both paths account through the same three steps: the series and drop
-windows (:func:`~repro.sim.metrics.record_rows`), the filter's counters
-(:meth:`FilterStats.account_rows`) and the owner's count step (the
-pipeline's inbound, drop and fingerprint counters).  A table is
-accounted once, when its verdicts are in; ``forward`` only appends
-``(timestamp, size, outbound, code)`` to four row columns, which the
-router folds through those steps every :data:`FOLD_ROWS` rows and
-before anything reads what they fill.
+Both paths account through one step: one tally of the rows
+(:func:`~repro.sim.metrics.tally_rows`, counted by series bin, slot
+``3 * outbound + code`` and drop window), from which the series and
+drop windows, the filter's counters
+(:meth:`FilterStats.account_tally`), the packet count and the owner's
+count step (the pipeline's inbound, drop and fingerprint counters) all
+fold.  A table is accounted once, when its verdicts are in;
+``forward`` only appends ``(timestamp, size, outbound, code)`` to four
+row columns, which the router folds through that step every
+:data:`FOLD_ROWS` rows and before anything reads what they fill.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from repro.filters.base import CODE_DROP, CODE_PASS, CODE_UNSEEN, PacketFilter, 
 from repro.filters.blocklist import BlockedConnectionStore
 from repro.net.packet import Direction, Packet
 from repro.sim.kernels import OPEN_GATE, kernel_for
-from repro.sim.metrics import DropRateSampler, ThroughputSeries, record_rows
+from repro.sim.metrics import DropRateSampler, ThroughputSeries, tally_rows
 
 #: Per-packet rows the router holds before it folds them.
 FOLD_ROWS = 4096
@@ -48,10 +50,11 @@ class EdgeRouter:
     :meth:`merge_lane` and :meth:`process_table`.  A caller that holds
     the filter itself reads its ``stats`` exact after :meth:`fold`.
 
-    ``count(timestamps, outbound, codes)``, when given, is a bound
-    method of the router's owner, called as its share of every
-    accounting step (a :class:`~repro.sim.pipeline.ReplayPipeline`
-    counts inbound drops and folds the verdict fingerprint there).  It
+    ``count(tally, timestamps, codes)``, when given, is a bound method
+    of the router's owner, called as its share of every accounting step
+    with the step's :class:`~repro.sim.metrics.VerdictTally` (a
+    :class:`~repro.sim.pipeline.ReplayPipeline` counts inbound drops
+    and folds the verdict fingerprint there).  It
     is held weakly: the owner holds the router, and a reference cycle
     would keep every replayed filter alive until the cyclic GC ran.
     """
@@ -122,15 +125,17 @@ class EdgeRouter:
 
     def _account(self, timestamps, sizes, outbound, codes) -> None:
         """The one accounting step of both paths (callers hold the fold
-        lock): series and drop windows, filter counters, the packet
-        count and the owner's count step."""
-        record_rows(self._offered, self._passed, self._inbound_drops,
-                    timestamps, sizes, outbound, codes)
-        self._filter.stats.account_rows(sizes, outbound, codes)
+        lock): one tally of the rows, folded into the series and drop
+        windows, the filter counters, the packet count and the owner's
+        count step."""
+        tally = tally_rows(timestamps, sizes, outbound, codes,
+                           self._offered.interval, self._inbound_drops.window)
+        tally.record(self._offered, self._passed, self._inbound_drops)
+        self._filter.stats.account_tally(tally)
         self._packets += len(codes)
         count = self._count() if self._count is not None else None
         if count is not None:
-            count(timestamps, outbound, codes)
+            count(tally, timestamps, codes)
 
     def process_table(self, table) -> bytearray:
         """Run a timestamp-ordered :class:`~repro.net.table.PacketTable`
@@ -155,8 +160,8 @@ class EdgeRouter:
         2. the filter's batch function writes one verdict code per row
            it does not suppress — it tests one flag per row, and a drop
            flags its connection's later rows in time;
-        3. one accounting pass over the table's columns, the step every
-           fold runs too.
+        3. one accounting pass over the table's columns (one tally), the
+           step every fold runs too.
         """
         self.fold()
         flt = self._filter
@@ -280,9 +285,14 @@ class EdgeRouter:
         :meth:`snapshot`'s contents (the filter is untouched — restore it
         separately).  Returns ``self``."""
         self.fold()
+        offered = ThroughputSeries.restore(snapshot["offered"])
+        passed = ThroughputSeries.restore(snapshot["passed"])
+        # One tally bins both series: they must share an interval.
+        if passed.interval != offered.interval:
+            raise ValueError(f"interval mismatch: offered {offered.interval} "
+                             f"vs passed {passed.interval}")
         self._packets = snapshot["packets"]
-        self._offered = ThroughputSeries.restore(snapshot["offered"])
-        self._passed = ThroughputSeries.restore(snapshot["passed"])
+        self._offered, self._passed = offered, passed
         self._inbound_drops = DropRateSampler.restore(snapshot["inbound_drops"])
         blocked = snapshot["blocklist"]
         if blocked is not None:

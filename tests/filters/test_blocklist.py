@@ -132,3 +132,43 @@ class TestCompact:
         store.compact(now)
         assert store.entries() == {pair.canonical: stamp}
 
+
+
+class TestGate:
+    """The batched gate flags every id of a blocked pair, σ̄ included,
+    even when a pool interns one pair under two ids (a decoded frame's
+    pool is taken as sent)."""
+
+    @staticmethod
+    def table():
+        from array import array
+
+        from repro.net.table import PacketTable
+
+        pair = tcp_pair()
+        table = PacketTable()
+        for _ in range(5):
+            table.append_row(0.0, pair, 40, 0, b"", True)
+        # Ids 0 and 2 are the same pair; 1 is its σ̄, 3 another flow.
+        table.pairs = [pair, pair.inverse, pair, tcp_pair(sport=7)]
+        table._pair_index = None
+        table.pair_ids = array("l", [0, 1, 2, 3, 2])
+        return table
+
+    @pytest.mark.parametrize("others", [0, 5], ids=["store-walk", "flow-walk"])
+    def test_entries_at_table_start(self, others):
+        store = BlockedConnectionStore()
+        store.block(tcp_pair(), now=0.0)
+        for sport in range(100, 100 + others):
+            store.block(tcp_pair(sport=sport), now=0.0)
+        flagged, _, _ = store.gate(self.table())
+        assert flagged == {0, 1, 2}
+
+    def test_block_flags_every_id_and_the_twin(self):
+        store = BlockedConnectionStore()
+        flagged, suppress, block = store.gate(self.table())
+        assert flagged == set()
+        block(2, 0.5)
+        assert flagged == {0, 1, 2}
+        assert suppress(1, 1.0, 40) and suppress(0, 1.0, 40)
+        assert store.suppressed_packets == 2

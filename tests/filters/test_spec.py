@@ -155,7 +155,14 @@ def test_auto_red_sets_thresholds_from_the_uplink():
     (FilterSpec(kind="spi", low_mbps=0.05, high_mbps=0.2), "RED L=0.05 H=0.20 Mbps"),
     (FilterSpec(kind="none"), "no filtering"),
     (FilterSpec(pd=0.9), "P_d = 0.9"),
-    (FilterSpec(low_mbps=0.5), "P_d = 1 (drop all stateless inbound)"),
-], ids=["static", "red", "none", "static-pd", "half-red"])
+], ids=["static", "red", "none", "static-pd"])
 def test_describe(spec, note):
     assert spec.describe() == note
+
+
+@pytest.mark.parametrize("low, high", [(0.5, None), (None, 2.0)],
+                         ids=["low-only", "high-only"])
+def test_half_red_band_is_rejected(low, high):
+    # One threshold alone used to replay at the static P_d without a word.
+    with pytest.raises(ValueError, match="needs both low_mbps and high_mbps"):
+        FilterSpec(low_mbps=low, high_mbps=high)

@@ -10,7 +10,7 @@ replay over a table is bit-identical to a replay over the equivalent
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.net.table as table_mod
@@ -288,6 +288,42 @@ class TestFlowSlots:
     """``flow_slots``: the table's distinct ``pair_id << 1 | outbound``
     slots, ascending by pair id with a pair's outbound slot first — the
     order the batched kernels hand their hash keys to the memo in."""
+
+    @staticmethod
+    def table_of(pair_ids, outbound):
+        table = PacketTable()
+        for position, (pid, is_out) in enumerate(zip(pair_ids, outbound)):
+            table.timestamps.append(float(position))
+            table.sizes.append(40)
+            table.flags.append(0)
+            table.outbound.append(int(is_out))
+            table.pair_ids.append(pid)
+            table.payload_ids.append(0)
+        return table
+
+    @pytest.mark.skipif(not table_mod.HAVE_NUMPY, reason="numpy not installed")
+    @pytest.mark.parametrize("base, stride, dense", [
+        (0, 1, True), (50_000, 1, True), (0, 997, False), (50_000, 1_500, False),
+    ], ids=["compact-dense", "fillers-dense", "compact-sparse", "fillers-sparse"])
+    @given(rows=st.lists(st.tuples(st.integers(0, 40), st.booleans()),
+                         min_size=65, max_size=200))
+    @settings(max_examples=50, deadline=None)
+    def test_numpy_branches_match_stdlib(self, base, stride, dense, rows):
+        # Chunk ids of a compact pool and of one behind 50,000 fillers:
+        # the span is at most 4x the rows (marked in one pass) or wider
+        # (sorted), and both branches give the stdlib slots.
+        pair_ids = [base + pid * stride for pid, _ in rows]
+        span = max(pair_ids) - min(pair_ids) + 1
+        assume((span <= 4 * len(rows)) == dense)
+        table = self.table_of(pair_ids, [is_out for _, is_out in rows])
+        saved = table_mod._use_numpy
+        try:
+            table_mod._use_numpy = False
+            want = table.flow_slots()
+            table_mod._use_numpy = True
+            assert table.flow_slots() == want
+        finally:
+            table_mod._use_numpy = saved
 
     @given(st.lists(st.tuples(st.integers(0, 40), st.booleans()), max_size=200))
     @settings(max_examples=100, deadline=None)

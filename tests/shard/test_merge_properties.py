@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.core.bitmap_filter import BitmapFilterStats  # noqa: E402
 from repro.filters.base import CODE_DROP, CODE_PASS, FilterStats, Verdict  # noqa: E402
-from repro.sim.metrics import DropRateSampler, ThroughputSeries, record_rows  # noqa: E402
+from repro.sim.metrics import DropRateSampler, ThroughputSeries, tally_rows  # noqa: E402
 
 from tests.conftest import in_packet, out_packet  # noqa: E402
 
@@ -51,7 +51,7 @@ def filter_stats_of(events):
 
 
 def columns_of(events):
-    """The events as record_rows' columns (timestamp, size, outbound, code)."""
+    """The events as a tally's columns (timestamp, size, outbound, code)."""
     return ([timestamp for _, _, timestamp, _ in events],
             [size for _, _, _, size in events],
             bytearray(is_outbound for is_outbound, _, _, _ in events),
@@ -60,14 +60,15 @@ def columns_of(events):
 
 def throughput_of(events, interval):
     series = ThroughputSeries(interval=interval)
-    record_rows(ThroughputSeries(interval=interval), series, DropRateSampler(),
-                *columns_of(events))
+    tally_rows(*columns_of(events), interval, 10.0).record(
+        ThroughputSeries(interval=interval), series, DropRateSampler())
     return series
 
 
 def sampler_of(events, window):
     sampler = DropRateSampler(window=window)
-    record_rows(ThroughputSeries(), ThroughputSeries(), sampler, *columns_of(events))
+    tally_rows(*columns_of(events), 1.0, window).record(
+        ThroughputSeries(), ThroughputSeries(), sampler)
     return sampler
 
 

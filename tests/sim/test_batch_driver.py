@@ -179,6 +179,31 @@ EXPIRED_ENTRY_MET = [
 ]
 
 
+#: Two uploads put every RED ramp at P_d = 1, then three unsolicited
+#: inbound rows drop and block three connections.  With chunks of 5, 1,
+#: 1, 1, 1 and the rest, the single-row chunks meet a store holding more
+#: entries than they have flows (the gate walks their flows), and the
+#: last chunk, with six flows, more flows than entries (the gate walks
+#: the store's entries, σ and σ̄ alike).
+MORE_ENTRIES_THAN_FLOWS = [
+    (0.0, ONLY_OUT, True, 1500, 0x10),
+    (0.0, ONLY_OUT, True, 1500, 0x10),
+    (0.0, ONLY_IN, False, 40, 0x02),
+    (0.0, 0, False, 40, 0x02),
+    (0.0, 1, False, 40, 0x00),
+    (0.25, 0, True, 40, 0x12),
+    (0.0, 1, True, 40, 0x00),
+    (0.0, ONLY_IN, False, 40, 0x02),
+    (0.0, 0, False, 40, 0x10),
+    (0.25, ONLY_OUT, True, 40, 0x10),
+    (0.0, 0, True, 40, 0x10),
+    (0.0, 0, False, 40, 0x10),
+    (0.0, 1, False, 40, 0x00),
+    (0.0, 1, True, 40, 0x00),
+    (0.0, ONLY_IN, False, 40, 0x02),
+]
+
+
 def build_packets(steps):
     now = 0.0
     packets = []
@@ -316,6 +341,7 @@ def test_every_shipped_filter_but_the_subclass_is_registered():
 @example(steps=GC_THEN_BACK_IN_TIME, sizes=[3, 1], cuts={0, 1})
 @example(steps=EXPIRED_ENTRY_MET, sizes=[500], cuts=set())
 @example(steps=EXPIRED_ENTRY_MET, sizes=[4, 1], cuts={0})
+@example(steps=MORE_ENTRIES_THAN_FLOWS, sizes=[5, 1, 1, 1, 1, 500], cuts={0, 2, 5})
 def test_process_table_matches_forward(name, use_blocklist, numpy, steps, sizes, cuts):
     if numpy and not table_module.HAVE_NUMPY:
         pytest.skip("numpy is not installed")

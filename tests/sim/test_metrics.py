@@ -1,33 +1,53 @@
-"""Tests for replay measurement series."""
+"""Tests for replay measurement series and the verdict tally."""
+
+from array import array
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.filters.base import CODE_DROP, CODE_PASS
+import repro.net.table as table_module
+from repro.filters.base import CODE_DROP, CODE_PASS, CODE_UNSEEN, AcceptAllFilter
 from repro.net.packet import Direction
 from repro.sim.metrics import (
+    BYTES,
     DropRateSampler,
     ThroughputSeries,
     least_squares_slope,
-    record_rows,
     scatter_points,
+    tally_rows,
+)
+from repro.sim.pipeline import (
+    FINGERPRINT_SEED,
+    PipelineConfig,
+    ReplayPipeline,
+    fingerprint_verdicts,
 )
 
 from tests.conftest import in_packet, out_packet
 
 
+def tally_and_record(offered, passed, drops, timestamps, sizes, outbound, codes):
+    """Tally rows and fold the tally into two series and a sampler."""
+    tally_rows(timestamps, sizes, outbound, codes,
+               offered.interval, drops.window).record(offered, passed, drops)
+
+
 def record(series, *packets):
-    """Bin passed ``packets`` into ``series`` through :func:`record_rows`."""
-    record_rows(ThroughputSeries(interval=series.interval), series, DropRateSampler(),
-                [packet.timestamp for packet in packets],
-                [packet.size for packet in packets],
-                bytearray(packet.direction is Direction.OUTBOUND for packet in packets),
-                bytearray([CODE_PASS]) * len(packets))
+    """Bin passed ``packets`` into ``series`` through a tally."""
+    tally_and_record(
+        ThroughputSeries(interval=series.interval), series, DropRateSampler(),
+        [packet.timestamp for packet in packets],
+        [packet.size for packet in packets],
+        bytearray(packet.direction is Direction.OUTBOUND for packet in packets),
+        bytearray([CODE_PASS]) * len(packets))
 
 
 def verdict(sampler, timestamp, dropped):
-    """Count one inbound verdict into ``sampler`` through :func:`record_rows`."""
-    record_rows(ThroughputSeries(), ThroughputSeries(), sampler, [timestamp], [40],
-                bytearray(1), bytearray([CODE_DROP if dropped else CODE_PASS]))
+    """Count one inbound verdict into ``sampler`` through a tally."""
+    tally_and_record(ThroughputSeries(), ThroughputSeries(), sampler, [timestamp],
+                     [40], bytearray(1),
+                     bytearray([CODE_DROP if dropped else CODE_PASS]))
 
 
 class TestThroughputSeries:
@@ -131,9 +151,16 @@ class TestRecordRows:
 
     @staticmethod
     def row_by_row(rows, interval, window):
+        """Everything one accounting step fills, counted row by row: the
+        series bins, the drop windows, the filter's counters (which skip
+        :data:`CODE_UNSEEN` rows) and the pipeline's inbound and drop
+        counts."""
         offered = {Direction.OUTBOUND: {}, Direction.INBOUND: {}}
         passed = {Direction.OUTBOUND: {}, Direction.INBOUND: {}}
         packets, dropped = {}, {}
+        stats = {name: {direction.value: 0 for direction in Direction}
+                 for name in ("passed", "dropped", "passed_bytes", "dropped_bytes")}
+        inbound = inbound_dropped = 0
         for now, size, is_out, code in rows:
             index = int(now / interval)
             direction = Direction.OUTBOUND if is_out else Direction.INBOUND
@@ -143,9 +170,17 @@ class TestRecordRows:
             if not is_out:
                 slot = int(now / window)
                 packets[slot] = packets.get(slot, 0) + 1
+                inbound += 1
                 if code != CODE_PASS:
                     dropped[slot] = dropped.get(slot, 0) + 1
-        return offered, passed, packets, dropped
+                    inbound_dropped += 1
+            if code != CODE_UNSEEN:
+                verdict = "passed" if code == CODE_PASS else "dropped"
+                stats[verdict][direction.value] += 1
+                stats[verdict + "_bytes"][direction.value] += size
+        return {"offered": offered, "passed": passed, "packets": packets,
+                "dropped": dropped, "stats": stats, "inbound": inbound,
+                "inbound_dropped": inbound_dropped}
 
     @pytest.mark.parametrize("seed", range(6))
     def test_runs_match_row_by_row(self, seed):
@@ -164,10 +199,137 @@ class TestRecordRows:
             fold = rows[start:start + rng.choice([1, 3, 64, 200])]
             start += len(fold)
             times, sizes, outbound, codes = zip(*fold)
-            record_rows(offered, passed, drops, list(times), list(sizes),
-                        bytearray(outbound), bytearray(codes))
-        assert (offered._bins, passed._bins, drops._packets, drops._dropped) == \
-            self.row_by_row(rows, 0.5, 2.0)
+            tally_and_record(offered, passed, drops, list(times), list(sizes),
+                             bytearray(outbound), bytearray(codes))
+        expected = self.row_by_row(rows, 0.5, 2.0)
+        assert (offered._bins, passed._bins, drops._packets, drops._dropped) == (
+            expected["offered"], expected["passed"], expected["packets"],
+            expected["dropped"])
+
+
+#: Series interval and drop window are binary fractions, so sums of the
+#: steps below land exactly on their edges.
+INTERVAL, WINDOW = 0.5, 2.0
+#: A service's restart gap, inside one table.
+GAP = 1.0e9
+tally_rows_strategy = st.tuples(
+    st.sampled_from([0.0, -3.0, 7.5]),
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.0, 0.25, INTERVAL, WINDOW, 2.0 ** -20,
+                             -INTERVAL, -WINDOW - 0.25, GAP]),
+            st.sampled_from([0, 0, 40, 1500]),
+            st.booleans(),
+            st.sampled_from([CODE_DROP, CODE_PASS, CODE_PASS, CODE_UNSEEN]),
+        ),
+        min_size=1, max_size=300,
+    ),
+)
+fold_lengths = st.lists(st.sampled_from([1, 3, 64, 65, 200, 300]), min_size=1,
+                        max_size=6)
+
+#: Zero-byte rows alone in a bin and a window, all three codes both ways,
+#: rows back in an earlier bin and window, and the restart gap, in
+#: groups long enough for the numpy formulation.
+EDGES = (0.0, [
+    (0.0, 0, True, CODE_PASS), (0.0, 0, False, CODE_UNSEEN),
+    (INTERVAL, 40, False, CODE_PASS), (0.0, 1500, True, CODE_DROP),
+    (WINDOW, 0, False, CODE_DROP), (0.0, 40, True, CODE_UNSEEN),
+    (-WINDOW - 0.25, 1500, False, CODE_UNSEEN), (0.25, 40, True, CODE_PASS),
+    (GAP, 0, True, CODE_DROP), (0.0, 1500, False, CODE_PASS),
+    (-INTERVAL, 40, False, CODE_DROP),
+] * 10)
+
+
+class TestTally:
+    """One tally per accounting step, computed three ways — numpy on
+    array columns of more than 64 rows, the plain loop on the per-packet
+    accountant's list columns, and row by row — must leave identical
+    series bins, drop windows, filter counters and pipeline counters,
+    whatever the grouping of the rows into folds."""
+
+    @staticmethod
+    def fold(rows, lengths, columns):
+        """Account ``rows`` through a pipeline's router in folds of the
+        given lengths (cycled), each fold's columns built by
+        ``columns``; returns everything the folds filled."""
+        pipeline = ReplayPipeline(PipelineConfig(
+            AcceptAllFilter(), use_blocklist=False, throughput_interval=INTERVAL,
+            drop_window=WINDOW, record_fingerprint=True))
+        router = pipeline.router
+        start = position = 0
+        while start < len(rows):
+            group = rows[start:start + lengths[position % len(lengths)]]
+            start += len(group)
+            position += 1
+            router._account(*columns(*zip(*group)))
+        return {
+            "offered": router.offered._bins, "passed": router.passed._bins,
+            "packets": router.inbound_drops._packets,
+            "dropped": router.inbound_drops._dropped,
+            "stats": router.filter.stats.snapshot(),
+            "inbound": pipeline.inbound, "inbound_dropped": pipeline.dropped,
+            "rows": router.packets, "span": (pipeline.first_ts, pipeline.last_ts),
+            "fingerprint": pipeline.fingerprint,
+        }
+
+    @staticmethod
+    def lists(times, sizes, outbound, codes):
+        """The per-packet accountant's columns."""
+        return list(times), list(sizes), bytearray(outbound), bytearray(codes)
+
+    @staticmethod
+    def arrays(times, sizes, outbound, codes):
+        """A table's columns."""
+        return (array("d", times), array("q", sizes), array("b", outbound),
+                bytearray(codes))
+
+    @settings(max_examples=150, deadline=None)
+    @given(trace=tally_rows_strategy, lengths=fold_lengths)
+    @example(trace=EDGES, lengths=[300])
+    @example(trace=EDGES, lengths=[65, 1, 3])
+    def test_three_formulations_agree(self, trace, lengths):
+        start, steps = trace
+        now, rows = start, []
+        for step, size, is_out, code in steps:
+            now += step
+            rows.append((now, size, is_out, code))
+        expected = TestRecordRows.row_by_row(rows, INTERVAL, WINDOW)
+        expected.update(
+            rows=len(rows), span=(rows[0][0], rows[-1][0]),
+            fingerprint=fingerprint_verdicts(
+                FINGERPRINT_SEED, bytearray(row[3] for row in rows)))
+        assert self.fold(rows, lengths, self.lists) == expected
+        if table_module.HAVE_NUMPY:
+            saved = table_module._use_numpy
+            table_module._use_numpy = True
+            try:
+                assert self.fold(rows, lengths, self.arrays) == expected
+            finally:
+                table_module._use_numpy = saved
+
+    @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "stdlib"])
+    def test_keys_are_the_bins_present(self, numpy):
+        # A restart gap inside one table: the tally holds the bins and
+        # windows its rows touch, never one entry per interval between.
+        if numpy and not table_module.HAVE_NUMPY:
+            pytest.skip("numpy is not installed")
+        start, steps = EDGES
+        times = [start + sum(step for step, _, _, _ in steps[:end + 1])
+                 for end in range(len(steps))]
+        _, sizes, outbound, codes = zip(*steps)
+        saved = table_module._use_numpy
+        table_module._use_numpy = numpy
+        try:
+            tally = tally_rows(*self.arrays(times, sizes, outbound, codes),
+                               INTERVAL, WINDOW)
+        finally:
+            table_module._use_numpy = saved
+        assert sorted(tally.bins) == sorted({int(now / INTERVAL) for now in times})
+        assert sorted(tally.windows) == sorted(
+            {int(now / WINDOW) for now, is_out in zip(times, outbound) if not is_out})
+        assert sum(tally.totals[:BYTES]) == len(times)
+        assert max(times) - min(times) > GAP
 
 
 class TestSparseWallClockSpans:

@@ -124,6 +124,24 @@ CASES = [(name, use_blocklist) for name in sorted(FILTERS)
          if not (use_blocklist and name == "chain")]
 
 
+@pytest.mark.skipif(not table_mod.HAVE_NUMPY, reason="numpy not installed")
+def test_flow_slot_branches_match_the_stdlib_scan(trace, monkeypatch):
+    # The chunks' ids sit behind the fillers in a compact run (the numpy
+    # scan marks their span); a filler row put in a chunk widens the span
+    # past four times the rows (it sorts).  Both give the stdlib slots.
+    _, pieces = chunks(trace, 4096)
+    for chunk, _ in pieces:
+        mixed = chunk.materialize()
+        mixed.pair_ids[0] = 0
+        for table, dense in ((chunk, True), (mixed, False)):
+            span = max(table.pair_ids) - min(table.pair_ids) + 1
+            assert (span <= 4 * len(table)) == dense
+            monkeypatch.setattr(table_mod, "_use_numpy", False)
+            want = table.flow_slots()
+            monkeypatch.setattr(table_mod, "_use_numpy", True)
+            assert table.flow_slots() == want
+
+
 @pytest.mark.parametrize("rows", [4096, 40])
 @pytest.mark.parametrize("name, use_blocklist", CASES,
                          ids=[f"{name}-{'blocklist' if gated else 'open'}"

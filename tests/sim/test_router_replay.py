@@ -56,6 +56,16 @@ class TestEdgeRouter:
         with pytest.raises(ValueError):
             router.forward(Packet(0.0, tcp_pair(), 40))
 
+    def test_restore_refuses_series_of_two_intervals(self):
+        # One tally bins the offered and passed series alike; a snapshot
+        # whose two series disagree would bin one of them wrong.
+        router = EdgeRouter(AcceptAllFilter())
+        router.forward(out_packet(t=0.0, size=1000))
+        snapshot = router.snapshot()
+        snapshot["passed"]["interval"] = 2.0
+        with pytest.raises(ValueError, match="interval mismatch"):
+            EdgeRouter(AcceptAllFilter()).restore_state(snapshot)
+
 
 class TestRowAccountant:
     """``forward`` appends rows; the router folds them every

@@ -117,7 +117,42 @@ def test_missing_input_pcap_is_a_usage_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+#: Flag sets that do not give one RED band: a lone threshold, and
+#: ``--auto-red`` (which derives both) beside one.
+HALF_BANDS = {
+    "low-only": ["--low-mbps", "0.05"],
+    "high-only": ["--high-mbps", "0.5"],
+}
+AUTO_RED_BANDS = {
+    "auto-red-low": ["--auto-red", "--low-mbps", "0.05"],
+    "auto-red-high": ["--auto-red", "--high-mbps", "0.5"],
+}
+
+
+def assert_band_refused(monkeypatch, capsys, argv):
+    """``argv`` is a usage error naming both thresholds, raised before
+    any trace is read or generated."""
+    import repro.cli as cli
+
+    def no_trace(*args, **kwargs):
+        raise AssertionError("a trace was read or generated")
+
+    monkeypatch.setattr(cli, "_trace_generator", no_trace)
+    monkeypatch.setattr(cli, "_load_table", no_trace)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--low-mbps" in captured.err and "--high-mbps" in captured.err
+    assert captured.out == ""
+
+
 class TestFilter:
+    @pytest.mark.parametrize("flags", [*HALF_BANDS.values(), *AUTO_RED_BANDS.values()],
+                             ids=[*HALF_BANDS, *AUTO_RED_BANDS])
+    def test_half_red_band_is_a_usage_error(self, monkeypatch, capsys, flags):
+        assert_band_refused(monkeypatch, capsys, ["filter", "--batched", *flags])
+
     def test_bitmap_replay(self, trace_path, capsys):
         assert main(["filter", trace_path, "--filter", "bitmap"]) == 0
         out = capsys.readouterr().out
@@ -277,6 +312,10 @@ class TestFigures:
 
 
 class TestServeAndCtl:
+    @pytest.mark.parametrize("flags", HALF_BANDS.values(), ids=HALF_BANDS)
+    def test_half_red_band_is_a_usage_error(self, monkeypatch, capsys, flags):
+        assert_band_refused(monkeypatch, capsys, ["serve", "--duration", "5", *flags])
+
     def test_serve_flat_out_generator(self, capsys):
         assert main(["serve", "--source", "generator", "--duration", "8",
                      "--rate", "5", "--seed", "3", "--chunk-size", "256",
@@ -384,6 +423,12 @@ class TestFleet:
         assert args.command == "config" and args.low_mbps == 0.5
         with pytest.raises(SystemExit):
             parser.parse_args(["fleet", "serve", "--keying", "geo"])
+
+    @pytest.mark.parametrize("flags", HALF_BANDS.values(), ids=HALF_BANDS)
+    def test_half_red_band_is_a_usage_error(self, monkeypatch, capsys, tmp_path,
+                                            flags):
+        assert_band_refused(monkeypatch, capsys, [
+            "fleet", "serve", "--workdir", str(tmp_path / "fleet"), *flags])
 
     def test_fleet_status_without_manifest(self, tmp_path):
         with pytest.raises(SystemExit, match="manifest"):
