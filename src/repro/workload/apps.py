@@ -5,6 +5,14 @@ description of one connection (who initiates, ports, payload prefixes,
 byte volumes, pacing) — and :func:`connection_packets` expands a spec into
 a time-ordered packet schedule.
 
+A spec expands to rows in one of two ways that give the same rows.
+:func:`connection_rows` draws from a ``random.Random`` and returns
+sorted tuples; every per-packet caller uses it.  :func:`tcp_columns`
+builds a large TCP connection's rows as numpy columns from numpy's
+legacy MT19937, seeded so that it returns the same doubles; the trace
+materializer (:mod:`repro.workload.parallel`) takes it for connections
+expected to send more than :data:`COLUMN_ROWS` rows.
+
 Payload prefixes are crafted to match the Table 1 identification patterns,
 so the section-3 traffic analyzer classifies the synthetic trace the same
 way the paper's analyzer classified the campus trace.  The *unknown* model
@@ -17,9 +25,12 @@ from __future__ import annotations
 
 import enum
 import random
+import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from itertools import repeat
+from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
+from repro.net import table as _table
 from repro.net.headers import TCPFlags
 from repro.net.inet import IPPROTO_TCP, IPPROTO_UDP
 from repro.net.packet import Direction, Packet, SocketPair
@@ -150,7 +161,10 @@ def _row(
 def _tcp_rows(spec: ConnectionSpec, rng: random.Random) -> List[ConnectionRow]:
     """Expand a TCP spec: handshake, scripted dialogue, bulk data with
     delayed ACKs, and a FIN/RST close — all inside ``spec.duration`` so the
-    SYN-to-FIN lifetime matches the drawn value."""
+    SYN-to-FIN lifetime matches the drawn value.
+
+    :func:`tcp_columns` builds the same rows as numpy columns; a change
+    to the draws or the arithmetic here must be made there too."""
     rows: List[ConnectionRow] = []
     append = rows.append
     initiator_is_client = spec.initiator is Initiator.CLIENT
@@ -223,6 +237,190 @@ def _tcp_rows(spec: ConnectionSpec, rng: random.Random) -> List[ConnectionRow]:
 
     rows.sort(key=_row_time)
     return rows
+
+
+#: A TCP connection expected to send more than this many rows takes
+#: :func:`tcp_columns` in the trace materializer.  On a 2-vCPU host one
+#: numpy pass cost about 105 µs plus 0.05 µs per row, and the stdlib rows
+#: about 0.7 µs per row with their transposition: the two meet near 150
+#: rows (``docs/architecture.md``, *Workload plane*).
+COLUMN_ROWS = 150
+
+_TCP_BARE = IP_HEADER + TCP_HEADER
+_SYN = int(TCPFlags.SYN)
+_SYN_ACK = int(TCPFlags.SYN | TCPFlags.ACK)
+_ACK = int(TCPFlags.ACK)
+_PSH_ACK = int(TCPFlags.PSH | TCPFlags.ACK)
+_FIN_ACK = int(TCPFlags.FIN | TCPFlags.ACK)
+_RST = int(TCPFlags.RST)
+#: The smallest factor ``split_bytes`` scales ``mean_packet`` by (a draw
+#: of 0.0), in the same float arithmetic.
+_SHRINK = 1.0 + 0.3 * (0.0 * 2.0 - 1.0)
+_mt_cache = threading.local()
+
+
+def expected_rows(spec: ConnectionSpec) -> int:
+    """A TCP connection's bulk rows as its byte volumes predict them:
+    one per ``mean_packet`` bytes and a delayed ACK for every second."""
+    chunks = (spec.bytes_client_to_remote + spec.bytes_remote_to_client) // max(
+        1, min(spec.mean_packet, 1460))
+    return chunks + chunks // 2
+
+
+class TcpColumns(NamedTuple):
+    """A TCP connection's rows as columns, in the order :func:`_tcp_rows`
+    appends them (before its sort)."""
+
+    timestamps: Any  # float64
+    from_client: Any  # bool
+    sizes: Any  # int64
+    flags: Any  # uint32
+    #: ``(row, payload)`` for every row with a payload, in the order the
+    #: sorted rows present them (time, then append order).
+    payloads: List[Tuple[int, bytes]]
+
+
+def _mt19937(np, seed: int):
+    """numpy's legacy MT19937 in the state ``random.Random(seed)`` starts
+    in, so that ``random_sample`` returns ``random()``'s doubles.
+
+    ``random.Random`` seeds with ``init_by_array`` over the 32-bit words
+    of ``abs(seed)``; ``RandomState.seed`` runs the same routine on an
+    array of two or more words, but takes a one-word key as a scalar
+    seed (``init_genrand``), so a seed below 2**32 copies the stdlib
+    state in instead.  One generator per thread is reseeded per call:
+    building one costs about ten reseeds.
+    """
+    generator = getattr(_mt_cache, "generator", None)
+    if generator is None:
+        generator = _mt_cache.generator = np.random.RandomState()
+    key = []
+    rest = abs(seed)
+    while rest:
+        key.append(rest & 0xFFFFFFFF)
+        rest >>= 32
+    if len(key) > 1:
+        generator.seed(np.array(key, dtype=np.uint32))
+    else:
+        state = random.Random(seed).getstate()[1]
+        generator.set_state(
+            ("MT19937", np.array(state[:-1], dtype=np.uint32), state[-1]))
+    return generator
+
+
+def tcp_columns(spec: ConnectionSpec, seed: int) -> TcpColumns:
+    """``_tcp_rows(spec, random.Random(seed))`` as numpy columns.
+
+    Every draw of :func:`_tcp_rows` is a ``random()`` double, so the
+    connection draws them all at once from :func:`_mt19937` and reads
+    them in the stdlib layout: per direction with bytes (client→remote
+    first), one per chunk for ``split_bytes`` until the bytes are
+    covered, then per chunk one jitter and, for every second chunk, the
+    delayed ACK's branch and ``uniform`` draws; an abortive close draws
+    one more.  Each float expression keeps :func:`_tcp_rows`' operation
+    order, so every value is the same double.
+
+    The rows stay in append order: a stable timestamp sort of them gives
+    :func:`_tcp_rows`' rows exactly, and the trace merge is one.  Needs
+    numpy (``repro.net.table._numpy()``).
+    """
+    np = _table._numpy()
+    initiator_is_client = spec.initiator is Initiator.CLIENT
+    rtt = spec.rtt
+    bare = _TCP_BARE
+    t0 = spec.start
+    ts = [t0, t0 + rtt, t0 + rtt + rtt * 0.1]
+    ob = [initiator_is_client, not initiator_is_client, initiator_is_client]
+    sz = [bare, bare, bare]
+    fl = [_SYN, _SYN_ACK, _ACK]
+    carried: List[Tuple[float, int, bytes]] = []
+
+    def message(when: float, from_client: bool, payload: bytes) -> None:
+        if payload:
+            carried.append((when, len(ts), payload))
+        ts.append(when)
+        ob.append(from_client)
+        sz.append(bare + len(payload))
+        fl.append(_PSH_ACK)
+
+    data_start = t0 + rtt * 1.2
+    close_start = max(data_start + rtt, spec.end - 2.2 * rtt)
+    cursor = data_start
+    if spec.request_payload:
+        message(cursor, initiator_is_client, spec.request_payload)
+        cursor += rtt
+    if spec.response_payload:
+        message(cursor, not initiator_is_client, spec.response_payload)
+        cursor += rtt * 0.5
+    for scripted in spec.script:
+        message(min(data_start + scripted.offset, close_start - rtt * 0.5),
+                initiator_is_client == scripted.from_initiator, scripted.payload)
+
+    bulk_start = max(cursor, data_start)
+    span = max(close_start - bulk_start, rtt)
+    directions = [(from_client, total) for from_client, total in (
+        (True, spec.bytes_client_to_remote),
+        (False, spec.bytes_remote_to_client),
+    ) if total > 0]
+    mean = min(spec.mean_packet, 1460)
+    # Every chunk but the last is at least ``least`` bytes, so a direction
+    # draws at most ``-(-total // least)`` sizes and twice that after.
+    least = max(1, int(mean * _SHRINK))
+    bounds = [-(-total // least) for _, total in directions]
+    budget = 3 * sum(bounds) + spec.abortive_close
+    draws = _mt19937(np, seed).random_sample(budget) if budget else None
+    at = 0
+    parts = [(ts, ob, sz, fl)]
+    for (from_client, total), bound in zip(directions, bounds):
+        sizes = np.clip(
+            mean * (1.0 + 0.3 * (draws[at:at + bound] * 2.0 - 1.0)), 1.0, 1460.0
+        ).astype(np.int64)
+        ends = np.cumsum(sizes)
+        n = int(np.searchsorted(ends, total)) + 1
+        chunks = sizes[:n]
+        chunks[-1] = total - (int(ends[n - 2]) if n > 1 else 0)
+        at += n
+        gap = span / (n + 1)
+        index = np.arange(n)
+        jitter_at = at + index + (index >> 1) * 2
+        when = bulk_start + (index + 1) * gap * (1.0 + 0.1 * (draws[jitter_at] - 0.5))
+        acked = jitter_at[1::2]
+        branch = draws[acked + 1]
+        low = np.where(branch < 0.90, 0.005, np.where(branch < 0.99, 0.45, 2.8))
+        high = np.where(branch < 0.90, 0.45, np.where(branch < 0.99, 2.8, 12.0))
+        delay = np.minimum(np.minimum(low + (high - low) * draws[acked + 2], gap * 1.8), 1.0)
+        at += n + 2 * len(acked)
+        # Append order: data rows, each second one followed by its ACK.
+        data_at = index + (index >> 1)
+        ack_at = data_at[1::2] + 1
+        rows = n + len(acked)
+        t = np.empty(rows)
+        t[data_at] = when
+        t[ack_at] = when[1::2] + delay
+        o = np.full(rows, from_client)
+        o[ack_at] = not from_client
+        s = np.full(rows, bare, dtype=np.int64)
+        s[data_at] += chunks
+        f = np.full(rows, _PSH_ACK, dtype=np.uint32)
+        f[ack_at] = _ACK
+        parts.append((t, o, s, f))
+
+    if spec.abortive_close:
+        closer = initiator_is_client if draws[at] < 0.5 else not initiator_is_client
+        parts.append(([spec.end], [closer], [bare], [_RST]))
+    else:
+        parts.append((
+            [spec.end, spec.end + rtt, spec.end + 1.1 * rtt],
+            [initiator_is_client, not initiator_is_client, initiator_is_client],
+            [bare, bare, bare],
+            [_FIN_ACK, _FIN_ACK, _ACK],
+        ))
+    columns = [
+        np.concatenate(column, dtype=dtype, casting="unsafe")
+        for column, dtype in zip(zip(*parts), (np.float64, np.bool_, np.int64, np.uint32))
+    ]
+    carried.sort()
+    return TcpColumns(*columns, [(row, payload) for _, row, payload in carried])
 
 
 def _udp_rows(spec: ConnectionSpec, rng: random.Random) -> List[ConnectionRow]:
@@ -387,11 +585,11 @@ def random_encrypted(rng: random.Random, length: int = 96) -> bytes:
 
 
 def _random_bytes(rng: random.Random, length: int) -> bytes:
-    return bytes(rng.getrandbits(8) for _ in range(length))
+    return bytes(map(rng.getrandbits, repeat(8, length)))
 
 
 def _random_hex(rng: random.Random, length: int) -> bytes:
-    return bytes(rng.choice(b"0123456789abcdef") for _ in range(length))
+    return bytes(map(rng.choice, repeat(b"0123456789abcdef", length)))
 
 
 # ---------------------------------------------------------------------------

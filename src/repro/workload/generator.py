@@ -7,7 +7,7 @@ default).  A small fraction of client-initiated P2P transfers schedule a
 the host's OS port-reuse timeout — the mechanism behind the Figure 5
 port-reuse peaks at multiples of 60 seconds.
 
-Packet streams are produced by a lazy k-way merge so memory stays
+Packet streams are produced by a lazy merge so memory stays
 proportional to the number of *concurrent* connections, not trace length.
 
 The synthesiser is split in two phases with a determinism contract
@@ -18,10 +18,11 @@ between them:
   single source of truth for connection count and ordering;
 * **materialization** expands each spec to packet rows with a *private*
   RNG seeded by ``derive_seed(config.seed, spec_index)`` — no spec's
-  rows depend on any other spec's draws, which is what lets
-  ``workers=N`` farm materialization out to a process pool
-  (:mod:`repro.workload.parallel`) and still produce byte-identical
-  column streams.
+  rows depend on any other spec's draws, which is what lets one batch
+  materializer (:mod:`repro.workload.parallel`) run in-process or farm
+  batches out to a process pool and still produce byte-identical
+  column streams.  :meth:`TraceGenerator.packets` keeps its own heap
+  merge over per-connection ``Packet`` schedules.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ import heapq
 import random
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.hashing import derive_seed
-from repro.net import table as _table_mod
 from repro.net.headers import encode_packet
 from repro.net.inet import IPPROTO_TCP
 from repro.net.packet import Packet
@@ -44,9 +44,9 @@ from repro.workload.apps import (
     ConnectionSpec,
     Initiator,
     connection_packets,
-    connection_rows,
 )
 from repro.workload.calibrate import DEFAULT_APP_MIX
+from repro.workload.parallel import parallel_tables
 from repro.workload.topology import AddressSpace, ClientNetwork, HostModel
 
 #: :meth:`TraceGenerator.packet_list` warns once past this many ``Packet``
@@ -91,159 +91,6 @@ class TraceConfig:
             raise ValueError(f"unknown apps in mix: {sorted(unknown)}")
         if not 0.0 <= self.port_reuse_fraction <= 1.0:
             raise ValueError(f"port_reuse_fraction out of [0,1]: {self.port_reuse_fraction}")
-
-
-class _PendingMerger:
-    """The timestamp merge shared by the serial and parallel streams.
-
-    Merge columns are ordered (timestamps, sizes, flags, payload_ids,
-    outbound, pair_ids) — the order :class:`_ChunkEmitter` writes them
-    into a :class:`PacketTable`.
-
-    Pending rows live as six parallel columns, not row tuples — merging
-    is an *index* sort by timestamp plus a gather per column, which
-    numpy's stable argsort turns into a few C passes.  The heap merge's
-    total order is (timestamp, admission counter, schedule position) —
-    and rows enter the pending columns in exactly (counter, position)
-    order, an order every *stable* timestamp sort preserves on ties, so
-    sorting by timestamp alone reproduces the heap stream without
-    carrying tiebreak fields.  (After a flush the surviving tail is kept
-    timestamp-sorted with ties in counter order, and newly appended rows
-    carry strictly larger counters, so the invariant holds across
-    flushes.)
-
-    The numpy path keeps the surviving (already-sorted) tail as numpy
-    arrays between flushes — only the rows appended since the last flush
-    cross the Python-object boundary, once.  The mode is latched at
-    construction so tail state stays one type for the stream's lifetime.
-    The numpy and stdlib paths compute the identical permutation (both
-    are stable sorts keyed on timestamp with insertion-order ties).
-    """
-
-    __slots__ = ("use_numpy", "_np", "_dtypes", "tails")
-
-    def __init__(self) -> None:
-        self._np = _table_mod._numpy()
-        self.use_numpy = self._np is not None
-        if self.use_numpy:
-            np = self._np
-            self._dtypes = (np.float64, np.int64, np.uint32, np.int64,
-                            np.int8, np.int64)
-            self.tails = [np.empty(0, dtype=dtype) for dtype in self._dtypes]
-        else:
-            self._dtypes = None
-            self.tails = [[], [], [], [], [], []]
-
-    def merge(self, fresh: Sequence, frontier: Optional[float]) -> Tuple[tuple, int]:
-        """Stable-sort the pending rows (sorted tail + fresh columns) by
-        timestamp and split them at ``frontier``: rows timestamped at or
-        before it are final (every future row is no earlier and carries a
-        larger admission counter).  Returns ``(columns, count)`` — six
-        merged columns of which the first ``count`` rows are ready to
-        emit — and retains the rest, still sorted, as the new tail.
-
-        ``fresh`` is six same-length column sequences in merge order; on
-        the numpy path they may be lists, ``array.array`` columns, or
-        ndarrays, on the stdlib path they must be plain lists.
-        """
-        if self.use_numpy:
-            np = self._np
-            combined = [
-                np.concatenate([tail, np.asarray(values, dtype=dtype)])
-                if len(values) else tail
-                for tail, values, dtype in zip(self.tails, fresh, self._dtypes)
-            ]
-            ts = combined[0]
-            order = np.argsort(ts, kind="stable")
-            merged_ts = ts[order]
-            cut = (
-                len(order) if frontier is None
-                else int(np.searchsorted(merged_ts, frontier, side="right"))
-            )
-            head, rest = order[:cut], order[cut:]
-            columns = [merged_ts[:cut]]
-            new_tails = [merged_ts[cut:]]
-            for column in combined[1:]:
-                columns.append(column[head])
-                new_tails.append(column[rest])
-            self.tails = new_tails
-        else:
-            combined = [tail + values for tail, values in zip(self.tails, fresh)]
-            ts = combined[0]
-            order = sorted(range(len(ts)), key=ts.__getitem__)
-            if frontier is None:
-                cut = len(order)
-            else:
-                # Manual bisect over the permutation — 3.9's bisect
-                # has no key=.
-                lo, hi = 0, len(order)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if ts[order[mid]] <= frontier:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                cut = lo
-            head, rest = order[:cut], order[cut:]
-            columns = []
-            new_tails = []
-            for column in combined:
-                columns.append([column[i] for i in head])
-                new_tails.append([column[i] for i in rest])
-            self.tails = new_tails
-        return tuple(columns), cut
-
-
-class _ChunkEmitter:
-    """Fills bounded :class:`PacketTable` chunks from merged columns.
-
-    All chunks spawn from one pool table so ``pair_ids``/``payload_ids``
-    stay valid across the whole stream.  Emitted chunk boundaries are a
-    pure function of the merged row stream and ``limit`` — consecutive
-    ``limit``-row windows — so they are independent of *when* the caller
-    flushed, which is what lets the parallel driver flush on batch
-    boundaries and still emit the exact chunks the serial path emits.
-    """
-
-    __slots__ = ("pool", "limit", "current")
-
-    def __init__(self, pool: PacketTable, limit: Optional[int]) -> None:
-        self.pool = pool
-        self.limit = limit
-        self.current = pool.spawn()
-
-    def emit(self, columns: tuple, count: int) -> List[PacketTable]:
-        """Append ``count`` merged rows to the current chunk; return the
-        chunks that filled up.  numpy columns land via raw-buffer
-        ``frombytes`` (same element layout as the array typecodes);
-        list columns via plain ``extend``.
-        """
-        limit = self.limit
-        current = self.current
-        done: List[PacketTable] = []
-        start = 0
-        raw = not isinstance(columns[0], list)
-        while start < count:
-            take = count - start
-            if limit is not None:
-                take = min(take, limit - len(current))
-            stop = start + take
-            targets = (
-                current.timestamps, current.sizes, current.flags,
-                current.payload_ids, current.outbound, current.pair_ids,
-            )
-            if raw:
-                for target, column in zip(targets, columns):
-                    target.frombytes(column[start:stop].tobytes())
-            else:
-                for target, column in zip(targets, columns):
-                    target.extend(column[start:stop])
-            start = stop
-            if limit is not None and len(current) >= limit:
-                done.append(current)
-                current = self.pool.spawn()
-        self.current = current
-        return done
 
 
 class TraceGenerator:
@@ -407,13 +254,13 @@ class TraceGenerator:
         Emits the *same packets in the same order* as :meth:`packets`
         (``tests/workload/test_table_generation.py`` holds the two
         representations field-identical), but never builds a
-        ``List[Packet]``: each connection expands straight to schedule
-        rows, rows are merged by sorting — valid because every packet of
-        a connection is timestamped at or after its spec's start, so a
+        ``List[Packet]``: batches of connections expand straight to
+        columns, rows are merged by sorting — valid because every packet
+        of a connection is timestamped at or after its spec's start, so a
         row is final once the next unexpanded spec starts later than it —
         and chunks of at most ``chunk_size`` rows are emitted as they
         fill.  Memory stays bounded by the rows of *concurrent*
-        connections plus one chunk, exactly the heap merge's guarantee.
+        connections plus a batch and one chunk.
 
         All chunks share one growing interned-flow pool
         (:meth:`PacketTable.spawn`), so ``pair_ids`` are stable across the
@@ -421,73 +268,17 @@ class TraceGenerator:
         chunks.  ``chunk_size=None`` emits a single table at the end —
         that is :meth:`table`.
 
-        ``workers > 1`` materializes connections on a process pool
-        (:func:`repro.workload.parallel.parallel_tables`) — the emitted
-        chunk stream is **byte-identical** (columns, pools, chunk
-        boundaries) for every worker count; ``stats`` (a
-        :class:`repro.workload.parallel.GenerationStats`) then receives
+        The batches run through one materializer
+        (:func:`repro.workload.parallel.parallel_tables`): in-process for
+        ``workers=1``, on a process pool for more.  The emitted chunk
+        stream is **byte-identical** (columns, pools, chunk boundaries)
+        for every worker count; ``stats`` (a
+        :class:`repro.workload.parallel.GenerationStats`) receives
         per-worker utilization accounting.
         """
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1: {chunk_size}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1: {workers}")
-        if workers > 1:
-            from repro.workload.parallel import parallel_tables
-
-            yield from parallel_tables(
-                self, chunk_size=chunk_size, workers=workers, stats=stats
-            )
-            return
-
-        specs = self.specs()
-        seed = self.config.seed
-        pool = PacketTable()
-        intern_pair = pool._pair_id
-        intern_payload = pool._payload_id
-        flush_floor = max(chunk_size or 0, 65536)
-
-        merger = _PendingMerger()
-        emitter = _ChunkEmitter(pool, chunk_size)
-        ts_l: List[float] = []
-        sz_l: List[int] = []
-        fl_l: List[int] = []
-        py_l: List[int] = []
-        ob_l: List[int] = []
-        pi_l: List[int] = []
-
-        # Flush on *growth* since the last sort, not absolute pending size:
-        # long-lived connections keep O(concurrent rows) pending at all
-        # times, and re-sorting that floor per spec would be quadratic.
-        grown = 0
-        for index, spec in enumerate(specs):
-            if grown >= flush_floor:
-                grown = 0
-                fresh = (ts_l, sz_l, fl_l, py_l, ob_l, pi_l)
-                ts_l, sz_l, fl_l, py_l, ob_l, pi_l = [], [], [], [], [], []
-                columns, cut = merger.merge(fresh, spec.start)
-                if cut:
-                    for chunk in emitter.emit(columns, cut):
-                        yield chunk
-            rows = connection_rows(spec, random.Random(derive_seed(seed, index)))
-            if not rows:
-                continue
-            base = spec.pair_from_client
-            pid_out = intern_pair(base)
-            pid_in = intern_pair(base.inverse)
-            ts_l += [row[0] for row in rows]
-            ob_l += [1 if row[1] else 0 for row in rows]
-            sz_l += [row[2] for row in rows]
-            fl_l += [row[3] for row in rows]
-            py_l += [intern_payload(row[4]) if row[4] else 0 for row in rows]
-            pi_l += [pid_out if row[1] else pid_in for row in rows]
-            grown += len(rows)
-
-        columns, cut = merger.merge((ts_l, sz_l, fl_l, py_l, ob_l, pi_l), None)
-        for chunk in emitter.emit(columns, cut):
-            yield chunk
-        if len(emitter.current):
-            yield emitter.current
+        yield from parallel_tables(
+            self, chunk_size=chunk_size, workers=workers, stats=stats
+        )
 
     def table(self, workers: int = 1, stats=None) -> PacketTable:
         """The whole trace as one :class:`PacketTable`."""

@@ -1,33 +1,37 @@
-"""Parallel trace materialization: the synthesiser's process-pool path.
+"""Trace materialization: the one path from connection specs to chunks.
 
 Spec synthesis is cheap and inherently serial (one shared RNG walks the
 Poisson arrival loop), but materialization — expanding each
 :class:`~repro.workload.apps.ConnectionSpec` to packet rows — is seeded
 *per spec* via ``derive_seed(seed, index)``, so any partition of the
-spec list can be expanded anywhere.  :func:`parallel_tables` exploits
-that split:
+spec list can be expanded anywhere.  :func:`parallel_tables` is
+``TraceGenerator.iter_tables`` for every worker count:
 
-1. the parent partitions the (start-sorted) spec list into contiguous
-   batches and ships them to a :class:`~repro.shard.lifecycle.WorkerPool`;
-2. each worker expands its specs with their private RNGs and returns a
-   :class:`RowBatch` — ready-made ``array`` columns plus a *batch-local*
-   payload pool (arrays pickle as raw buffers, so a batch crosses the
-   process boundary as a handful of byte blobs, the same
-   columns-not-objects idea as :mod:`repro.net.stream`);
-3. the parent interns pairs/payloads into the shared pool in the exact
-   order the serial path would (pairs per spec in index order, payloads
-   in first-appearance row order — batch-local pools remap cleanly
-   because batches are consumed in spec order), then feeds the columns
-   through the same :class:`~repro.workload.generator._PendingMerger` /
-   :class:`~repro.workload.generator._ChunkEmitter` machinery the serial
-   path uses.
+1. it cuts the (start-sorted) spec list into contiguous batches;
+2. :func:`_materialize_batch` expands each batch to a :class:`RowBatch`
+   — columns plus the batch's payload rows — in-process for
+   ``workers=1``, on a :class:`~repro.shard.lifecycle.WorkerPool`
+   otherwise (``array`` columns pickle as raw buffers, so a batch
+   crosses the process boundary as a handful of byte blobs, the same
+   columns-not-objects idea as :mod:`repro.net.stream`).  With numpy
+   on, a TCP connection expected to send more than
+   :data:`~repro.workload.apps.COLUMN_ROWS` rows is built as numpy
+   columns (:func:`~repro.workload.apps.tcp_columns`); every other
+   connection takes the stdlib rows
+   (:func:`~repro.workload.apps.connection_rows`), which give the same
+   rows;
+3. the consumer interns pairs and payloads into the stream's shared pool
+   in the order a spec-by-spec expansion would (pairs per spec in index
+   order, payloads in each spec's time order), then feeds the columns
+   through one timestamp merge (:class:`_PendingMerger`) and one chunk
+   emitter (:class:`_ChunkEmitter`).
 
-The emitted chunk stream is **byte-identical** to the serial
-``iter_tables`` for every worker count: the merge is a stable timestamp
-sort over rows appended in admission order (same tiebreak invariant),
-and chunk boundaries are consecutive ``chunk_size`` windows of the
-merged stream regardless of flush cadence.
-``tests/workload/test_parallel_generation.py`` pins all of this.
+The emitted chunk stream is the same bytes for every worker count and
+with numpy on or off: the merge is a stable timestamp sort over rows
+appended in admission order (same tiebreak invariant), and chunk
+boundaries are consecutive ``chunk_size`` windows of the merged stream
+regardless of flush cadence.  ``tests/workload/test_parallel_generation.py``
+and ``tests/workload/test_tcp_columns.py`` pin all of this.
 """
 
 from __future__ import annotations
@@ -36,32 +40,198 @@ import random
 import time
 from array import array
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.hashing import derive_seed
+from repro.net import table as _table
+from repro.net.inet import IPPROTO_TCP
 from repro.net.table import PacketTable
 from repro.shard.lifecycle import WorkerPool
-from repro.workload.apps import ConnectionSpec, connection_rows
-from repro.workload.generator import _ChunkEmitter, _PendingMerger
+from repro.workload.apps import (
+    COLUMN_ROWS,
+    ConnectionSpec,
+    connection_rows,
+    expected_rows,
+    tcp_columns,
+)
 
 __all__ = ["GenerationStats", "RowBatch", "parallel_tables"]
 
 
+class _PendingMerger:
+    """The timestamp merge of the trace materializer.
+
+    Merge columns are ordered (timestamps, sizes, flags, payload_ids,
+    outbound, pair_ids) — the order :class:`_ChunkEmitter` writes them
+    into a :class:`PacketTable`.
+
+    Pending rows live as six parallel columns, not row tuples — merging
+    is an *index* sort by timestamp plus a gather per column, which
+    numpy's stable argsort turns into a few C passes.  The heap merge's
+    total order is (timestamp, admission counter, schedule position) —
+    and rows enter the pending columns in (counter, position) order, an
+    order every *stable* timestamp sort preserves on ties, so sorting by
+    timestamp alone reproduces the heap stream without carrying tiebreak
+    fields.  A connection's own rows may arrive unsorted (numpy columns
+    come in append order): the stable sort then orders them as a stable
+    sort of the connection alone would, which is how its schedule is
+    sorted.  (After a flush the surviving tail is kept timestamp-sorted
+    with ties in counter order, and newly appended rows carry strictly
+    larger counters, so the invariant holds across flushes.)
+
+    The numpy path keeps the surviving (already-sorted) tail as numpy
+    arrays between flushes.  The mode is latched at construction so tail
+    state stays one type for the stream's lifetime.  The numpy and
+    stdlib paths compute the identical permutation (both are stable
+    sorts keyed on timestamp with insertion-order ties).
+    """
+
+    __slots__ = ("use_numpy", "_np", "tails")
+
+    def __init__(self) -> None:
+        self._np = _table._numpy()
+        self.use_numpy = self._np is not None
+        if self.use_numpy:
+            np = self._np
+            self.tails = [
+                np.empty(0, dtype=dtype)
+                for dtype in (np.float64, np.int64, np.uint32, np.int64,
+                              np.int8, np.int64)
+            ]
+        else:
+            self.tails = [[], [], [], [], [], []]
+
+    def merge(self, fresh: Sequence[list], frontier: Optional[float]) -> Tuple[tuple, int]:
+        """Stable-sort the pending rows (sorted tail + fresh columns) by
+        timestamp and split them at ``frontier``: rows timestamped at or
+        before it are final (every future row is no earlier and carries a
+        larger admission counter).  Returns ``(columns, count)`` — six
+        merged columns of which the first ``count`` rows are ready to
+        emit — and retains the rest, still sorted, as the new tail.
+
+        ``fresh`` holds, per merge column, the pieces staged since the
+        last merge, in admission order: ndarrays of the tail's dtype on
+        the numpy path, any sequences on the stdlib path.
+        """
+        if self.use_numpy:
+            np = self._np
+            combined = [
+                np.concatenate([tail, *pieces]) if pieces else tail
+                for tail, pieces in zip(self.tails, fresh)
+            ]
+            ts = combined[0]
+            order = np.argsort(ts, kind="stable")
+            merged_ts = ts[order]
+            cut = (
+                len(order) if frontier is None
+                else int(np.searchsorted(merged_ts, frontier, side="right"))
+            )
+            head, rest = order[:cut], order[cut:]
+            columns = [merged_ts[:cut]]
+            new_tails = [merged_ts[cut:]]
+            for column in combined[1:]:
+                columns.append(column[head])
+                new_tails.append(column[rest])
+            self.tails = new_tails
+        else:
+            combined = self.tails  # owned: extended in place, replaced below
+            for column, pieces in zip(combined, fresh):
+                for piece in pieces:
+                    column += piece
+            ts = combined[0]
+            order = sorted(range(len(ts)), key=ts.__getitem__)
+            if frontier is None:
+                cut = len(order)
+            else:
+                # Manual bisect over the permutation — 3.9's bisect
+                # has no key=.
+                lo, hi = 0, len(order)
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if ts[order[mid]] <= frontier:
+                        lo = mid + 1
+                    else:
+                        hi = mid
+                cut = lo
+            head, rest = order[:cut], order[cut:]
+            columns = []
+            new_tails = []
+            for column in combined:
+                columns.append([column[i] for i in head])
+                new_tails.append([column[i] for i in rest])
+            self.tails = new_tails
+        return tuple(columns), cut
+
+
+class _ChunkEmitter:
+    """Fills bounded :class:`PacketTable` chunks from merged columns.
+
+    All chunks spawn from one pool table so ``pair_ids``/``payload_ids``
+    stay valid across the whole stream.  Emitted chunk boundaries are a
+    pure function of the merged row stream and ``limit`` — consecutive
+    ``limit``-row windows — so they are independent of *when* the caller
+    flushed, which is what lets the materializer flush on batch
+    boundaries of any size and still emit the same chunks.
+    """
+
+    __slots__ = ("pool", "limit", "current")
+
+    def __init__(self, pool: PacketTable, limit: Optional[int]) -> None:
+        self.pool = pool
+        self.limit = limit
+        self.current = pool.spawn()
+
+    def emit(self, columns: tuple, count: int) -> List[PacketTable]:
+        """Append ``count`` merged rows to the current chunk; return the
+        chunks that filled up.  numpy columns land via raw-buffer
+        ``frombytes`` (same element layout as the array typecodes);
+        list columns via plain ``extend``.
+        """
+        limit = self.limit
+        current = self.current
+        done: List[PacketTable] = []
+        start = 0
+        raw = not isinstance(columns[0], list)
+        while start < count:
+            take = count - start
+            if limit is not None:
+                take = min(take, limit - len(current))
+            stop = start + take
+            targets = (
+                current.timestamps, current.sizes, current.flags,
+                current.payload_ids, current.outbound, current.pair_ids,
+            )
+            if raw:
+                for target, column in zip(targets, columns):
+                    target.frombytes(column[start:stop].tobytes())
+            else:
+                for target, column in zip(targets, columns):
+                    target.fromlist(column[start:stop])
+            start = stop
+            if limit is not None and len(current) >= limit:
+                done.append(current)
+                current = self.pool.spawn()
+        self.current = current
+        return done
+
+
 @dataclass
 class GenerationStats:
-    """Utilization accounting for one parallel generation run.
+    """Utilization accounting for one generation run.
 
-    ``busy_s`` sums the workers' in-materialization wall clock; compared
-    against ``wall_s × workers`` it shows how much of the pool actually
-    worked — the per-worker utilization the benchmark JSONs record.
+    ``busy_s`` sums the in-materialization wall clock of every batch;
+    compared against ``wall_s × workers`` it shows how much of the pool
+    actually worked — the per-worker utilization the benchmark JSONs
+    record.
     """
 
     workers: int = 0
     batches: int = 0
     rows: int = 0
-    #: Summed worker-side materialization seconds (across all batches).
+    #: Summed materialization seconds (across all batches).
     busy_s: float = 0.0
-    #: Parent wall clock from pool launch to the last emitted chunk.
+    #: Consumer wall clock from the first batch to the last emitted chunk.
     wall_s: float = 0.0
 
     def utilization(self) -> float:
@@ -73,78 +243,78 @@ class GenerationStats:
 
 @dataclass
 class RowBatch:
-    """One worker's expanded spec batch, shipped back as raw columns.
+    """One spec batch, expanded to columns.
 
     ``counts[j]`` is the row count of spec ``base_index + j`` — zero
-    counts are reported so the parent can skip pair interning for empty
-    specs exactly like the serial path does.  ``py_local`` indexes the
-    *batch-local* ``payloads`` pool (0 = empty payload, ``i`` = the
-    pool's ``i-1``-th entry); the parent remaps it onto the shared pool.
+    counts are reported so the consumer skips pair interning for empty
+    specs.  The columns hold each spec's rows in turn: in timestamp order
+    from the stdlib rows, in append order from numpy columns; the
+    merge's stable sort puts both in the same places.  With numpy on they
+    are ``array`` columns; without it, lists of per-spec tuples that the
+    stdlib merge flattens once.  ``payloads[i]`` is the payload of batch
+    row ``payload_rows[i]``, in the order a spec-by-spec expansion meets
+    them.
     """
 
     base_index: int
-    counts: array
-    ts: array
-    ob: array
-    sz: array
-    fl: array
-    py_local: array
+    counts: List[int]
+    ts: Sequence
+    ob: Sequence
+    sz: Sequence
+    fl: Sequence
+    payload_rows: List[int] = field(default_factory=list)
     payloads: List[bytes] = field(default_factory=list)
-    #: Worker-side seconds spent materializing this batch.
+    #: Seconds spent materializing this batch.
     busy_s: float = 0.0
 
 
 def _materialize_batch(task: Tuple[int, int, Sequence[ConnectionSpec]]) -> RowBatch:
-    """Worker entry: expand a contiguous spec slice to column arrays.
+    """Expand a contiguous spec slice to columns, in-process or in a pool
+    worker.
 
-    Runs in a pool process.  Every spec uses its private
-    ``derive_seed(seed, spec_index)`` RNG — the same stream the serial
-    path would draw — so the rows are bit-identical to a serial
-    expansion of the same slice.
+    Every spec uses its private ``derive_seed(seed, spec_index)`` stream,
+    so the rows are those of a spec-by-spec expansion whichever process
+    runs the batch and whichever of the two row builders a spec takes.
+    The column type follows ``repro.net.table._numpy()`` here, which a
+    forked pool worker shares with the consumer that reads the batch.
     """
     seed, base_index, specs = task
     started = time.perf_counter()
-    counts = array("l")
-    ts = array("d")
-    ob = array("b")
-    sz = array("q")
-    fl = array("I")
-    py_local = array("l")
-    pool_index = {}
+    columnar = _table._numpy() is not None
+    if columnar:
+        columns = (array("d"), array("b"), array("q"), array("I"))
+        stage = array.extend
+    else:
+        columns = ([], [], [], [])
+        stage = list.append
+    counts: List[int] = []
+    payload_rows: List[int] = []
     payloads: List[bytes] = []
-    for offset, spec in enumerate(specs):
-        rows = connection_rows(
-            spec, random.Random(derive_seed(seed, base_index + offset))
-        )
-        counts.append(len(rows))
-        if not rows:
-            continue
-        ts.extend([row[0] for row in rows])
-        ob.extend([1 if row[1] else 0 for row in rows])
-        sz.extend([row[2] for row in rows])
-        fl.extend([row[3] for row in rows])
-        for row in rows:
-            payload = row[4]
-            if not payload:
-                py_local.append(0)
-                continue
-            pid = pool_index.get(payload)
-            if pid is None:
-                pid = len(payloads) + 1
-                pool_index[payload] = pid
+    position = 0
+    for index, spec in enumerate(specs, base_index):
+        if (columnar and spec.protocol == IPPROTO_TCP
+                and expected_rows(spec) > COLUMN_ROWS):
+            built = tcp_columns(spec, derive_seed(seed, index))
+            for column, values in zip(columns, built):
+                column.frombytes(values.tobytes())
+            for row, payload in built.payloads:
+                payload_rows.append(position + row)
                 payloads.append(payload)
-            py_local.append(pid)
-    return RowBatch(
-        base_index=base_index,
-        counts=counts,
-        ts=ts,
-        ob=ob,
-        sz=sz,
-        fl=fl,
-        py_local=py_local,
-        payloads=payloads,
-        busy_s=time.perf_counter() - started,
-    )
+            count = len(built.timestamps)
+        else:
+            rows = connection_rows(spec, random.Random(derive_seed(seed, index)))
+            count = len(rows)
+            if count:
+                *values, carried = zip(*rows)
+                for column, value in zip(columns, values):
+                    stage(column, value)
+                for row in compress(range(count), carried):
+                    payload_rows.append(position + row)
+                    payloads.append(carried[row])
+        counts.append(count)
+        position += count
+    return RowBatch(base_index, counts, *columns, payload_rows, payloads,
+                    busy_s=time.perf_counter() - started)
 
 
 def _batch_size_for(spec_count: int, workers: int) -> int:
@@ -162,20 +332,19 @@ def parallel_tables(
     batch_size: Optional[int] = None,
     stats: Optional[GenerationStats] = None,
 ) -> Iterator[PacketTable]:
-    """``TraceGenerator.iter_tables`` on a process pool.
+    """``TraceGenerator.iter_tables``: the trace's chunk stream.
 
-    Yields the byte-identical chunk stream of the serial path (same
-    columns, same shared pools, same chunk boundaries) while the heavy
-    per-connection materialization runs on ``workers`` processes.
+    ``workers=1`` materializes each batch in-process; more workers run
+    :func:`_materialize_batch` on a process pool, and the stream is the
+    same bytes (same columns, same shared pools, same chunk boundaries).
     Ordered ``imap`` consumption keeps memory bounded by a few in-flight
-    batches plus the pending merge window, and overlaps the parent's
+    batches plus the pending merge window, and overlaps the consumer's
     interning/merging with the workers' materialization.
     """
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1: {chunk_size}")
-    if workers < 2:
-        yield from generator.iter_tables(chunk_size=chunk_size)
-        return
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1: {workers}")
 
     specs = generator.specs()
     seed = generator.config.seed
@@ -199,102 +368,70 @@ def parallel_tables(
         stats.workers = workers
         stats.batches = len(tasks)
 
-    # Fresh columns pending the next merge.  numpy mode buffers the
-    # batches' ndarrays and concatenates at flush; stdlib mode keeps six
-    # flat lists (what the stdlib merge consumes).
-    buffers: List[list] = [[], [], [], [], [], []]
+    # Per merge column, the pieces staged since the last merge.
+    pending: List[list] = [[], [], [], [], [], []]
 
-    def take_fresh() -> tuple:
-        nonlocal buffers
+    def append_batch(batch: RowBatch, batch_specs: Sequence[ConnectionSpec]) -> int:
+        """Intern the batch into the shared pools (spec order), stage its
+        six columns for the next merge and return its row count."""
+        # Pairs per spec in index order, empty specs skipped.
+        spans = []
+        for spec, count in zip(batch_specs, batch.counts):
+            if count:
+                base_pair = spec.pair_from_client
+                spans.append((intern_pair(base_pair),
+                              intern_pair(base_pair.inverse), count))
+        payload_ids = [intern_payload(payload) for payload in batch.payloads]
+        rows = sum(batch.counts)
         if use_numpy:
-            dtypes = (np.float64, np.int64, np.uint32, np.int64,
-                      np.int8, np.int64)
-            fresh = tuple(
-                np.concatenate(buf) if buf else np.empty(0, dtype=dtype)
-                for buf, dtype in zip(buffers, dtypes)
-            )
-        else:
-            fresh = tuple(buffers)
-        buffers = [[], [], [], [], [], []]
-        return fresh
-
-    def append_batch(batch: RowBatch, batch_specs: Sequence[ConnectionSpec]) -> None:
-        """Intern the batch into the shared pools (serial order contract)
-        and stage its six columns for the next merge."""
-        if use_numpy:
-            counts = np.asarray(batch.counts, dtype=np.int64)
-            ts = np.asarray(batch.ts, dtype=np.float64)
             ob = np.asarray(batch.ob, dtype=np.int8)
-            sz = np.asarray(batch.sz, dtype=np.int64)
-            fl = np.asarray(batch.fl, dtype=np.uint32)
-            # Pairs: per spec in index order, empty specs skipped — the
-            # serial path's interning order exactly.
-            outs = np.zeros(len(counts), dtype=np.int64)
-            ins = np.zeros(len(counts), dtype=np.int64)
-            for j, count in enumerate(counts.tolist()):
-                if not count:
-                    continue
-                base_pair = batch_specs[j].pair_from_client
-                outs[j] = intern_pair(base_pair)
-                ins[j] = intern_pair(base_pair.inverse)
+            outs, ins, counts = np.array(spans, dtype=np.int64).reshape(-1, 3).T
             pi = np.where(ob != 0, np.repeat(outs, counts), np.repeat(ins, counts))
-            # Payloads: the batch-local pool lists payloads in first-
-            # appearance row order, so interning it front to back lands
-            # new payloads at the exact global ids the serial path's
-            # row-order interning would assign.
-            remap = np.empty(len(batch.payloads) + 1, dtype=np.int64)
-            remap[0] = 0
-            for k, payload in enumerate(batch.payloads):
-                remap[k + 1] = intern_payload(payload)
-            py = remap[np.asarray(batch.py_local, dtype=np.int64)]
-            staged = (ts, sz, fl, py, ob, pi)
-            for buf, column in zip(buffers, staged):
-                buf.append(column)
+            py = np.zeros(rows, dtype=np.int64)
+            py[np.asarray(batch.payload_rows, dtype=np.int64)] = payload_ids
+            staged = ([np.asarray(batch.ts, dtype=np.float64)],
+                      [np.asarray(batch.sz, dtype=np.int64)],
+                      [np.asarray(batch.fl, dtype=np.uint32)], [py], [ob], [pi])
         else:
-            ob = list(batch.ob)
-            remap = [0] + [intern_payload(payload) for payload in batch.payloads]
-            py = [remap[index] for index in batch.py_local]
+            py = [0] * rows
+            for row, payload_id in zip(batch.payload_rows, payload_ids):
+                py[row] = payload_id
             pi: List[int] = []
-            position = 0
-            for j, count in enumerate(batch.counts):
-                if not count:
-                    continue
-                base_pair = batch_specs[j].pair_from_client
-                pid_out = intern_pair(base_pair)
-                pid_in = intern_pair(base_pair.inverse)
-                pi.extend(
-                    pid_out if ob[position + row] else pid_in
-                    for row in range(count)
-                )
-                position += count
-            staged = (list(batch.ts), list(batch.sz), list(batch.fl),
-                      py, ob, pi)
-            for buf, column in zip(buffers, staged):
-                buf.extend(column)
+            for (pid_out, pid_in, _), outbound in zip(spans, batch.ob):
+                pi += [pid_out if flag else pid_in for flag in outbound]
+            staged = (batch.ts, batch.sz, batch.fl, [py], batch.ob, [pi])
+        for pieces, column in zip(pending, staged):
+            pieces += column
+        return rows
 
-    pool = WorkerPool(workers)
-    pool.launch()
+    pool = None
+    if workers > 1:
+        pool = WorkerPool(workers)
+        pool.launch()
+        batches = pool.imap(_materialize_batch, tasks)
+    else:
+        batches = map(_materialize_batch, tasks)
     started = time.perf_counter()
     completed = False
     try:
         grown = 0
-        results = pool.imap(_materialize_batch, tasks)
-        for (_, base, batch_specs), batch in zip(tasks, results):
+        for (_, base, batch_specs), batch in zip(tasks, batches):
             if grown >= flush_floor:
                 grown = 0
                 # Valid frontier: every row of this batch and all later
                 # ones is timestamped at or after this batch's first
                 # spec start (specs are start-sorted; rows never precede
                 # their spec's start).
-                columns, cut = merger.merge(take_fresh(), batch_specs[0].start)
+                columns, cut = merger.merge(pending, batch_specs[0].start)
+                pending = [[], [], [], [], [], []]
                 if cut:
                     yield from emitter.emit(columns, cut)
-            append_batch(batch, batch_specs)
-            grown += len(batch.ts)
+            rows = append_batch(batch, batch_specs)
+            grown += rows
             if stats is not None:
-                stats.rows += len(batch.ts)
+                stats.rows += rows
                 stats.busy_s += batch.busy_s
-        columns, cut = merger.merge(take_fresh(), None)
+        columns, cut = merger.merge(pending, None)
         yield from emitter.emit(columns, cut)
         if len(emitter.current):
             yield emitter.current
@@ -302,9 +439,10 @@ def parallel_tables(
     finally:
         if stats is not None:
             stats.wall_s = time.perf_counter() - started
-        if completed:
-            pool.stop()
-        else:
-            # Abandoned mid-stream (consumer stopped early or an error
-            # propagated): close() would wait out every queued batch.
-            pool.terminate()
+        if pool is not None:
+            if completed:
+                pool.stop()
+            else:
+                # Abandoned mid-stream (consumer stopped early or an error
+                # propagated): close() would wait out every queued batch.
+                pool.terminate()
