@@ -25,8 +25,6 @@ trace *factory*, calls it once, and feeds each bounded-memory
 next, so the campaign generates its trace once.  It is forced
 automatically above ``STREAM_THRESHOLD`` packets — at 100M rows one
 merged table would not fit comfortably.
-``--workers`` parallelizes trace materialization (byte-identical output;
-speedup scales with physical cores).
 """
 
 from __future__ import annotations
@@ -109,10 +107,6 @@ def main(argv=None) -> int:
     parser.add_argument("--rate", type=float, default=16.0,
                         help="connection arrivals per second")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int,
-                        default=max(1, min(4, os.cpu_count() or 1)),
-                        help="trace-generation worker processes "
-                             "(default: min(4, cores))")
     parser.add_argument("--chunk-size", type=int, default=262144,
                         help="rows per chunk in --stream mode")
     parser.add_argument("--stream", action="store_true",
@@ -139,7 +133,6 @@ def main(argv=None) -> int:
     from repro.sim.metrics import least_squares_slope
     from repro.sim.replay import compare_drop_rates
     from repro.workload.generator import TraceConfig, TraceGenerator
-    from repro.workload.parallel import GenerationStats
 
     target = min(args.packets, QUICK_PACKETS) if args.quick else args.packets
     stream = args.stream or target > STREAM_THRESHOLD
@@ -149,15 +142,13 @@ def main(argv=None) -> int:
     calibrate_s = time.perf_counter() - started
     print(f"target ~{target:,} packets -> {duration:.0f}s of trace time "
           f"(rate {args.rate:g}/s, seed {args.seed}, "
-          f"{'stream' if stream else 'materialized'}, "
-          f"{args.workers} generation worker(s))")
+          f"{'stream' if stream else 'materialized'})")
 
     # Generate, then correct: the probe's first guess runs short on long
     # traces, so up to two regeneration passes scale the duration by the
     # measured shortfall (plus 2 % pad).  Stream mode counts with a
     # bounded-memory chunk pass; materialized mode keeps the table of
     # the passing attempt.
-    generation = GenerationStats()
     generate_s = None
     table = None
     attempts = 0
@@ -170,12 +161,11 @@ def main(argv=None) -> int:
             count = sum(
                 len(chunk)
                 for chunk in TraceGenerator(config).iter_tables(
-                    chunk_size=args.chunk_size, workers=args.workers
+                    chunk_size=args.chunk_size
                 )
             )
         else:
-            table = TraceGenerator(config).table(workers=args.workers,
-                                                 stats=generation)
+            table = TraceGenerator(config).table()
             count = len(table)
         if count >= target or attempts >= 3:
             break
@@ -184,17 +174,14 @@ def main(argv=None) -> int:
               f"{target:,} -> retrying with {duration:.0f}s")
     generate_s = time.perf_counter() - gen_started
     print(f"generated {count:,} packets in {generate_s:.1f}s "
-          f"({attempts} calibration attempt(s))"
-          + (f" (utilization {generation.utilization():.0%})"
-             if args.workers > 1 and not stream else ""))
+          f"({attempts} calibration attempt(s))")
 
     if stream:
         # compare_drop_rates calls the factory once and feeds each
         # bounded-memory chunk to every filter before generating the next.
         def trace():
             return TraceGenerator(config).iter_tables(
-                chunk_size=args.chunk_size, workers=args.workers,
-                stats=generation,
+                chunk_size=args.chunk_size
             )
     else:
         trace = table
@@ -298,7 +285,6 @@ def main(argv=None) -> int:
             "connection_rate": args.rate,
             "seed": args.seed,
             "mode": "stream" if stream else "materialized",
-            "generation_workers": args.workers,
             "host_cpu_cores": os.cpu_count(),
         },
         "paper": {
@@ -311,8 +297,6 @@ def main(argv=None) -> int:
             "calibrate_s": round(calibrate_s, 3),
             "calibration_attempts": attempts,
             "generate_s": round(generate_s, 3),
-            "generation_utilization": (round(generation.utilization(), 3)
-                                       if args.workers > 1 else 1.0),
             "trace_s": round(comparison.timings["trace_s"], 3),
             "replay_s": {name: round(value, 3)
                          for name, value in replay_s.items()},

@@ -63,9 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--seed", type=int, default=7, help="random seed")
     trace.add_argument("--snaplen", type=int, default=65535,
                        help="bytes captured per packet (64 = headers only)")
-    trace.add_argument("--workers", type=int, default=1,
-                       help="worker processes for trace materialization "
-                            "(byte-identical output, scales with cores)")
     trace.set_defaults(handler=cmd_trace)
 
     analyze = sub.add_parser("analyze", help="run the section-3 traffic analysis")
@@ -86,9 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="synthetic connection arrivals/sec")
     filt.add_argument("--hosts", type=int, default=120)
     filt.add_argument("--seed", type=int, default=7)
-    filt.add_argument("--gen-workers", type=int, default=1,
-                      help="worker processes for synthetic trace "
-                           "materialization (--workers is replay workers)")
     add_filter_flags(filt, size_bits=20,
                      kinds=("bitmap", "spi", "naive", "counting", "none"),
                      auto_red=True)
@@ -114,9 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="synthetic trace seconds (no pcap given)")
     figures.add_argument("--rate", type=float, default=12.0)
     figures.add_argument("--seed", type=int, default=7)
-    figures.add_argument("--gen-workers", type=int, default=1,
-                         help="worker processes for synthetic trace "
-                              "materialization")
     figures.set_defaults(handler=cmd_figures)
 
     serve = sub.add_parser(
@@ -177,9 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     feed.add_argument("--seed", type=int, default=7)
     feed.add_argument("--chunk-size", type=int, default=4096,
                       help="packets per frame")
-    feed.add_argument("--workers", type=int, default=1,
-                      help="worker processes for synthetic trace "
-                           "materialization (byte-identical frames)")
     feed.set_defaults(handler=cmd_feed)
 
     fleet = sub.add_parser(
@@ -368,7 +356,6 @@ def cmd_trace(args) -> int:
     generator = _trace_generator(args)
     reporter = ProgressReporter("trace", duration=args.duration)
     count = generator.write_pcap(args.out, snaplen=args.snaplen,
-                                 workers=args.workers,
                                  progress=reporter.update)
     reporter.finish()
     print(f"wrote {count:,} packets ({len(generator.specs()):,} connections) "
@@ -438,10 +425,8 @@ def cmd_filter(args) -> int:
         packets = _load_table(args.pcap, args.network)
     else:
         print(f"synthesizing trace ({args.duration:g}s at {args.rate:g} "
-              f"conn/s, seed {args.seed}"
-              + (f", {args.gen_workers} workers" if args.gen_workers > 1 else "")
-              + ")...")
-        packets = _trace_generator(args).table(workers=args.gen_workers)
+              f"conn/s, seed {args.seed})...")
+        packets = _trace_generator(args).table()
     if not len(packets):
         print("no parseable packets", file=sys.stderr)
         return 1
@@ -527,7 +512,7 @@ def cmd_figures(args) -> int:
         packets = TraceGenerator(
             TraceConfig(duration=args.duration, connection_rate=args.rate,
                         seed=args.seed)
-        ).table(workers=args.gen_workers)
+        ).table()
     if not len(packets):
         print("no parseable packets", file=sys.stderr)
         return 1
@@ -690,8 +675,7 @@ def cmd_feed(args) -> int:
                   for start in range(0, len(table), args.chunk_size))
         label = f"pcap {args.pcap}"
     else:
-        chunks = _trace_generator(args).iter_tables(args.chunk_size,
-                                                    workers=args.workers)
+        chunks = _trace_generator(args).iter_tables(args.chunk_size)
         label = (f"synthetic trace ({args.duration:g}s at "
                  f"{args.rate:g} conn/s, seed {args.seed})")
 

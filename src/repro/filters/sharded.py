@@ -100,20 +100,6 @@ class ShardedFilter(PacketFilter):
             for (network, prefix_len), member in zip(subnets, self.members)
         ]
 
-    @property
-    def _route_cache(self) -> Dict[int, int]:
-        return getattr(self.plan, "_route_cache", {})
-
-    def _scan_shard_index(self, inner: int) -> int:
-        """Uncached lane resolution (-1 = unrouted)."""
-        scan = getattr(self.plan, "scan", None)
-        return scan(inner) if scan is not None else self.plan.lane_of(inner)
-
-    def shard_index_for(self, inner: int) -> int:
-        """Index of the shard owning an inner address, or -1 for transit
-        traffic — memoized through the plan's bounded route cache."""
-        return self.plan.lane_of(inner)
-
     def _shard_for(self, packet: Packet) -> Optional[PacketFilter]:
         position = self.plan.lane_of(self.inner_address(packet))
         if position < 0:

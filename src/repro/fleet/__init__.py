@@ -3,9 +3,8 @@
 One :class:`FleetSupervisor` owns N :class:`~repro.fleet.daemon.ShardDaemon`
 subprocesses — each a full ``repro serve`` filter service listening on a
 unix feed socket and a unix control socket — plus the shard plan that
-partitions the packet stream between them.  The supervisor is itself a
-:class:`~repro.shard.lifecycle.ShardLifecycle`, so the whole fleet
-launches, pings and stops through the same contract as a single lane.
+partitions the packet stream between them.  The supervisor launches,
+pings and stops the whole fleet as one daemon handle does one shard.
 
 The fleet reproduces the offline partitioned replay exactly: per-lane
 verdict fingerprints combine through

@@ -1,13 +1,10 @@
 """The shard-daemon handle: one supervised ``repro serve`` subprocess.
 
-A :class:`ShardDaemon` is the third in-tree
-:class:`~repro.shard.lifecycle.ShardLifecycle` implementation (after the
-in-process :class:`~repro.shard.lifecycle.MemberLane` and the
-multiprocess :class:`~repro.shard.lifecycle.WorkerPool`): ``launch``
-spawns a full :class:`~repro.service.service.FilterService` as a child
-process listening on a unix *feed* socket (binary columnar frames,
-:mod:`repro.net.stream`) and a unix *control* socket (JSON lines,
-:mod:`repro.service.control`), with its own snapshot directory.
+A :class:`ShardDaemon` handle launches, pings and stops one shard:
+``launch`` spawns a full :class:`~repro.service.service.FilterService`
+as a child process listening on a unix *feed* socket (binary columnar
+frames, :mod:`repro.net.stream`) and a unix *control* socket (JSON
+lines, :mod:`repro.service.control`), with its own snapshot directory.
 
 The handle owns the feed connection (a stateful
 :class:`~repro.net.stream.FrameWriter`, so frames carry pool deltas) and
@@ -34,7 +31,6 @@ from repro.net.stream import FrameWriter
 from repro.net.table import PacketTable
 from repro.service.control import ControlClient, ControlError
 from repro.service.state import latest_snapshot
-from repro.shard.lifecycle import ShardLifecycle
 
 
 class FleetError(RuntimeError):
@@ -49,7 +45,7 @@ def _log_tail(path: str, lines: int = 12) -> str:
         return "<no log>"
 
 
-class ShardDaemon(ShardLifecycle):
+class ShardDaemon:
     """Lifecycle handle for one shard's filter-service subprocess."""
 
     #: How long ``launch`` waits for the child's control socket.

@@ -1,4 +1,4 @@
-"""The fleet supervisor: shard daemons under one lifecycle.
+"""The fleet supervisor: shard daemons under one supervisor.
 
 :class:`FleetSupervisor` spawns one :class:`~repro.fleet.daemon.ShardDaemon`
 per lane of a :class:`~repro.shard.plan.ShardPlan`, partitions each
@@ -46,11 +46,7 @@ from repro.net.packet import SocketPair
 from repro.net.table import PacketTable
 from repro.service.control import ControlError
 from repro.service.state import read_snapshot
-from repro.shard.lifecycle import (
-    DefaultLaneFilter,
-    ShardLifecycle,
-    combine_lane_fingerprints,
-)
+from repro.shard.lifecycle import DefaultLaneFilter, combine_lane_fingerprints
 from repro.shard.plan import ShardPlan
 
 MANIFEST_NAME = "fleet.json"
@@ -83,7 +79,7 @@ class FleetResult:
         return self.inbound_dropped / self.inbound_packets
 
 
-class FleetSupervisor(ShardLifecycle):
+class FleetSupervisor:
     """N shard daemons, one plan, one lifecycle.
 
     Every daemon runs ``repro serve`` with ``spec.argv()``, which raises

@@ -1,11 +1,11 @@
-"""Shared shard lifecycle layer: one partition/spawn/merge stack.
+"""Shared shard layer: one partition/spawn/merge stack.
 
 Three shard-shaped mechanisms grew up independently in this codebase —
 :class:`~repro.filters.sharded.ShardedFilter` lanes (in-process
 per-subnet member filters), :mod:`repro.sim.parallel` workers (one
 process per lane) and :class:`~repro.service.service.FilterService`
 daemons (long-lived shards under a fleet supervisor).  They all answer
-the same three questions:
+the same questions:
 
 * **Which lane owns a packet?** — :mod:`repro.shard.plan`:
   :class:`ShardPlan` keys the client-address space onto N lanes, either
@@ -13,12 +13,9 @@ the same three questions:
   core-router placement) or by consistent-hashing client subnets onto a
   ring (:class:`HashShardPlan`, the ISP-scale fleet keying), and
   partitions packet lists and columnar tables into per-lane sub-streams.
-* **How does a lane come up, stay up, go down?** —
-  :mod:`repro.shard.lifecycle`: the :class:`ShardLifecycle` contract
-  (launch / ping / stop / snapshot–restore delegation) implemented by
-  the in-process member-filter lane, the multiprocess
-  :class:`WorkerPool`, and — in :mod:`repro.fleet` — the shard-daemon
-  subprocess handle.
+* **Where do lanes run?** — in-process, in the multiprocess
+  :class:`WorkerPool` of :mod:`repro.shard.lifecycle`, or in the
+  shard-daemon subprocesses of :mod:`repro.fleet`.
 * **How do lane results merge back?** — :func:`fold_lane_record` for
   filter statistics, the metrics ``merge()`` layer for series/windows,
   and :func:`combine_lane_fingerprints` for lane-keyed verdict
@@ -30,8 +27,6 @@ the same three questions:
 
 from repro.shard.lifecycle import (
     DefaultLaneFilter,
-    MemberLane,
-    ShardLifecycle,
     WorkerPool,
     combine_lane_fingerprints,
     fold_lane_record,
@@ -48,8 +43,6 @@ from repro.shard.plan import (
 __all__ = [
     "DefaultLaneFilter",
     "HashShardPlan",
-    "MemberLane",
-    "ShardLifecycle",
     "ShardPlan",
     "SubnetShardPlan",
     "WorkerPool",

@@ -1,17 +1,11 @@
-"""Shard lifecycles: how a lane comes up, reports health, goes down.
+"""Shard lanes: the multiprocess worker set and the lane merge arm.
 
-Before this layer existed, three mechanisms each carried a private copy
-of the same lifecycle: the parallel backend deep-copied lane filters and
-hand-rolled pool teardown, the sharded filter reset its members one way,
-and the filter service serialized/rehydrated pipeline state another.
-:class:`ShardLifecycle` is the shared contract — launch / ping / stop
-plus snapshot–restore delegation — with two in-tree implementations
-(:class:`MemberLane` for in-process lanes, :class:`WorkerPool` for the
-multiprocess worker set) and a third in :mod:`repro.fleet` (the
-shard-daemon subprocess handle).
-
-The merge side lives here too, because every shard mechanism folds lane
-results identically:
+:class:`WorkerPool` owns the worker processes of a partitioned replay
+(launch / map / stop, with guaranteed teardown), and
+:class:`DefaultLaneFilter` stands in for the sharded filter on the
+default (transit) lane.  The merge side lives here too, because every
+shard mechanism — the offline parallel replay and the fleet aggregator
+— folds lane results identically:
 
 * :func:`fold_lane_record` — one lane's filter statistics (and
   optionally its blocked-σ rows) into a sharded filter;
@@ -23,107 +17,14 @@ results identically:
 
 from __future__ import annotations
 
-import copy
 import multiprocessing
 import signal
-from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.core.bitmap_filter import BitmapFilterStats
 from repro.core.hashing import FNV64_OFFSET, splitmix64
-from repro.filters.base import PacketFilter, SnapshotUnsupported, Verdict
+from repro.filters.base import PacketFilter, Verdict
 from repro.net.packet import Packet
-
-
-class ShardLifecycle(ABC):
-    """One shard's lifecycle contract.
-
-    ``launch`` brings the shard up, ``ping`` reports liveness as a plain
-    dict (shape varies by implementation: an in-process lane reports its
-    counters, a daemon handle reports process health), ``stop`` tears it
-    down; all three are idempotent.  Snapshot delegation is optional —
-    the default raises :class:`~repro.filters.base.SnapshotUnsupported`,
-    matching the filter-snapshot protocol's refusal convention.
-    Lifecycles are context managers: ``launch`` on enter, ``stop`` on
-    exit (even on error).
-    """
-
-    @abstractmethod
-    def launch(self) -> None:
-        """Bring the shard up (spawn / isolate / bind)."""
-
-    @abstractmethod
-    def ping(self) -> dict:
-        """Liveness and basic counters, as JSON-safe data."""
-
-    @abstractmethod
-    def stop(self) -> None:
-        """Tear the shard down, releasing what ``launch`` acquired."""
-
-    def snapshot_state(self) -> Any:
-        raise SnapshotUnsupported(
-            f"{type(self).__name__} does not delegate snapshots"
-        )
-
-    def restore_state(self, state: Any, clock: str = "resume") -> None:
-        raise SnapshotUnsupported(
-            f"{type(self).__name__} does not delegate restore"
-        )
-
-    def __enter__(self) -> "ShardLifecycle":
-        self.launch()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-class MemberLane(ShardLifecycle):
-    """An in-process lane over one member filter.
-
-    This is the lifecycle of a :class:`~repro.filters.sharded.ShardedFilter`
-    lane and of the parallel backend's serial (``workers=1``) path:
-    ``launch`` optionally deep-copies the member so a measurement replay
-    leaves the owner's filter state untouched (the isolation the
-    parallel merge contract requires — the owner's filter accumulates
-    only the merged statistics afterwards), and snapshot delegation goes
-    straight through the filter-snapshot protocol.
-    """
-
-    def __init__(
-        self, lane: int, member: PacketFilter, isolate: bool = False
-    ) -> None:
-        self.lane = lane
-        self.member = member
-        self.isolate = isolate
-        self.filter: Optional[PacketFilter] = None
-
-    def launch(self) -> None:
-        if self.filter is None:
-            self.filter = (
-                copy.deepcopy(self.member) if self.isolate else self.member
-            )
-
-    def ping(self) -> dict:
-        target = self.filter if self.filter is not None else self.member
-        return {
-            "lane": self.lane,
-            "status": "up" if self.filter is not None else "down",
-            "packets": target.stats.total,
-        }
-
-    def stop(self) -> None:
-        self.filter = None
-
-    def snapshot_state(self) -> dict:
-        target = self.filter if self.filter is not None else self.member
-        return target.snapshot()
-
-    def restore_state(self, state: Any, clock: str = "resume") -> None:
-        from repro.filters import restore_filter
-
-        self.member = restore_filter(state, clock=clock)
-        self.filter = None
 
 
 def pool_context():
@@ -145,15 +46,17 @@ def _init_worker() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-class WorkerPool(ShardLifecycle):
-    """The multiprocess worker set's lifecycle, with guaranteed teardown.
+class WorkerPool:
+    """The multiprocess worker set, with guaranteed teardown.
 
     One :class:`WorkerPool` owns the process lanes of a partitioned
     replay: ``launch`` builds a fork-preferred pool whose workers mask
     SIGINT, :meth:`map` runs lane tasks and — on *any* failure while
     waiting, including SIGINT landing in the parent — terminates and
     joins every worker before re-raising, so an interrupted replay never
-    leaks processes.  ``stop`` is the normal reap (close + join).
+    leaks processes.  ``stop`` is the normal reap (close + join).  The
+    pool is a context manager: ``launch`` on enter, ``stop`` on exit
+    (even on error).
     """
 
     def __init__(self, workers: int) -> None:
@@ -179,34 +82,6 @@ class WorkerPool(ShardLifecycle):
             self.terminate()
             raise
 
-    def imap(self, func: Callable, tasks: Sequence) -> Iterator:
-        """Ordered streaming map: results arrive as they finish, in task
-        order, so the consumer overlaps its own work with the workers'.
-        Same teardown contract as :meth:`map` — any exception while
-        waiting (including SIGINT in the parent) terminates and joins
-        every worker before re-raising."""
-        if self._pool is None:
-            raise RuntimeError("worker pool is not launched")
-        results = self._pool.imap(func, tasks)
-
-        def drain() -> Iterator:
-            try:
-                for result in results:
-                    yield result
-            except BaseException:
-                self.terminate()
-                raise
-
-        return drain()
-
-    def ping(self) -> dict:
-        processes = getattr(self._pool, "_pool", None) or []
-        return {
-            "workers": self.workers,
-            "status": "up" if self._pool is not None else "down",
-            "alive": sum(1 for process in processes if process.is_alive()),
-        }
-
     def stop(self) -> None:
         if self._pool is None:
             return
@@ -221,6 +96,13 @@ class WorkerPool(ShardLifecycle):
         self._pool.terminate()
         self._pool.join()
         self._pool = None
+
+    def __enter__(self) -> "WorkerPool":
+        self.launch()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
 
 
 class DefaultLaneFilter(PacketFilter):

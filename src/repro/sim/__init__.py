@@ -25,14 +25,13 @@ from repro.sim.pipeline import (
 from repro.sim.replay import compare_drop_rates, replay
 from repro.sim.closedloop import ClosedLoopResult, ClosedLoopSimulator
 from repro.sim.kernels import KERNELS, kernel_for, register_kernel
-from repro.sim.parallel import LaneResult, ParallelReplayResult, parallel_replay
+from repro.sim.parallel import LaneResult, parallel_replay
 
 __all__ = [
     "KERNELS",
     "kernel_for",
     "register_kernel",
     "LaneResult",
-    "ParallelReplayResult",
     "parallel_replay",
     "ThroughputSeries",
     "DropRateSampler",

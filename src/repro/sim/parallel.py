@@ -16,10 +16,10 @@ sharded replay therefore decomposes exactly:
    backend.  Lane processes live under a
    :class:`~repro.shard.lifecycle.WorkerPool` and read their lane's
    columns from one shared-memory segment (:mod:`repro.sim.shm`); the
-   serial (``workers=1``) path isolates each lane through a
-   :class:`~repro.shard.lifecycle.MemberLane` instead.  Every lane's
-   filter carries its own RNG (seeded deterministically at
-   construction), so verdicts are independent of worker scheduling.
+   serial (``workers=1``) path replays a deep copy of each lane filter
+   instead.  Every lane's filter carries its own RNG (seeded
+   deterministically at construction), so verdicts are independent of
+   worker scheduling.
 3. **Merge** the picklable per-lane records back into one aggregate
    (:func:`~repro.shard.lifecycle.fold_lane_record` plus the metrics
    ``merge()`` layer): throughput-series bins and drop-rate windows are
@@ -33,6 +33,7 @@ shard count; ``workers`` caps the number of simultaneous processes.
 
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -43,7 +44,6 @@ from repro.net.packet import SocketPair
 from repro.net.table import PacketTable, as_table
 from repro.shard.lifecycle import (
     DefaultLaneFilter,
-    MemberLane,
     WorkerPool,
     combine_lane_fingerprints,
     fold_lane_record,
@@ -54,7 +54,6 @@ from repro.sim.pipeline import PipelineConfig, ReplayPipeline, ReplayResult
 __all__ = [
     "DefaultLaneFilter",
     "LaneResult",
-    "ParallelReplayResult",
     "parallel_replay",
 ]
 
@@ -84,18 +83,6 @@ class LaneResult:
     suppressed_packets: int
     suppressed_bytes: int
     fingerprint: Optional[int] = None
-
-
-#: A parallel replay returns the same unified :class:`ReplayResult` as
-#: every other backend, with ``workers`` and per-lane ``lanes`` filled
-#: in.  ``router.filter`` is the caller's :class:`ShardedFilter` with
-#: lane statistics flushed back in (top-level and per-shard counters,
-#: ``unrouted_packets``), so ``shard_stats()`` reads as if the replay
-#: had run in-process.  Filter *state* (bitmap bits, rotation clocks)
-#: stays in the worker processes — a parallel replay is a measurement
-#: run, not a warm filter you can keep feeding.  The name survives as a
-#: compatibility alias for the pre-unification result split.
-ParallelReplayResult = ReplayResult
 
 
 def _replay_lane(task) -> LaneResult:
@@ -181,7 +168,7 @@ def parallel_replay(
     throughput_interval: float = 1.0,
     drop_window: float = 10.0,
     record_fingerprint: bool = False,
-) -> ParallelReplayResult:
+) -> ReplayResult:
     """Replay a packet stream through a sharded filter, one worker per lane.
 
     ``packets`` may be a packet list, a :class:`PacketTable`, or an
@@ -200,6 +187,14 @@ def parallel_replay(
     but the same merge path.  A multiprocess dispatch publishes every
     lane's columns into one shared-memory segment and ships workers only
     offsets (:mod:`repro.sim.shm`).
+
+    The result is the :class:`ReplayResult` every backend returns, with
+    ``workers`` and per-lane ``lanes`` filled in.  ``router.filter`` is
+    the caller's :class:`ShardedFilter` with lane statistics flushed back
+    in, so ``shard_stats()`` reads as if the replay had run in-process;
+    filter *state* (bitmap bits, rotation clocks) stays with the lanes —
+    a parallel replay is a measurement run, not a warm filter you can
+    keep feeding.
 
     ``record_fingerprint`` records each lane's own FNV-1a verdict
     fingerprint (``result.lanes[i].fingerprint``) and sets
@@ -241,19 +236,16 @@ def parallel_replay(
     options = (use_blocklist, throughput_interval, drop_window,
                record_fingerprint)
     if workers <= 1 or len(lane_work) <= 1:
-        # The in-process path replays the parent's own filter objects; a
-        # MemberLane isolates each (deep copy on launch) so the parent's
-        # filter only accumulates the merged statistics afterwards.
-        # Multiprocess dispatch skips this — pickling into the worker is
-        # already a copy, and a parent-side deepcopy would just double
-        # the dispatch cost.
-        records = []
-        for lane, lane_filter, lane_table in lane_work:
-            member = MemberLane(lane, lane_filter, isolate=True)
-            member.launch()
-            records.append(
-                _replay_lane((lane, member.filter, lane_table, *options))
-            )
+        # The in-process path replays a deep copy of each lane filter, so
+        # the parent's filter only accumulates the merged statistics
+        # afterwards.  Multiprocess dispatch skips this — pickling into
+        # the worker is already a copy, and a parent-side deepcopy would
+        # just double the dispatch cost.
+        records = [
+            _replay_lane((lane, copy.deepcopy(lane_filter), lane_table,
+                          *options))
+            for lane, lane_filter, lane_table in lane_work
+        ]
     else:
         arena = SharedTableArena.publish(
             [(lane, lane_table) for lane, _, lane_table in lane_work]

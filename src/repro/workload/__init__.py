@@ -25,7 +25,6 @@ from repro.workload.apps import (
     connection_packets,
 )
 from repro.workload.generator import TraceConfig, TraceGenerator, generate_trace
-from repro.workload.parallel import GenerationStats, parallel_tables
 from repro.workload.progress import ProgressReporter
 from repro.workload.calibrate import PAPER_TARGETS, CalibrationTargets
 from repro.workload.mixes import (
@@ -56,8 +55,6 @@ __all__ = [
     "TraceConfig",
     "TraceGenerator",
     "generate_trace",
-    "GenerationStats",
-    "parallel_tables",
     "ProgressReporter",
     "PAPER_TARGETS",
     "CalibrationTargets",

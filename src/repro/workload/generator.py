@@ -18,11 +18,11 @@ between them:
   single source of truth for connection count and ordering;
 * **materialization** expands each spec to packet rows with a *private*
   RNG seeded by ``derive_seed(config.seed, spec_index)`` — no spec's
-  rows depend on any other spec's draws, which is what lets one batch
-  materializer (:mod:`repro.workload.parallel`) run in-process or farm
-  batches out to a process pool and still produce byte-identical
-  column streams.  :meth:`TraceGenerator.packets` keeps its own heap
-  merge over per-connection ``Packet`` schedules.
+  rows depend on any other spec's draws, which is what lets the batch
+  materializer (:mod:`repro.workload.parallel`) expand specs a batch at
+  a time, in columns, and still produce the rows of a spec-by-spec
+  expansion.  :meth:`TraceGenerator.packets` keeps its own heap merge
+  over per-connection ``Packet`` schedules.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from repro.workload.apps import (
     connection_packets,
 )
 from repro.workload.calibrate import DEFAULT_APP_MIX
-from repro.workload.parallel import parallel_tables
+from repro.workload.parallel import materialize_tables
 from repro.workload.topology import AddressSpace, ClientNetwork, HostModel
 
 #: :meth:`TraceGenerator.packet_list` warns once past this many ``Packet``
@@ -244,10 +244,7 @@ class TraceGenerator:
     # ------------------------------------------------------------------
 
     def iter_tables(
-        self,
-        chunk_size: Optional[int] = 65536,
-        workers: int = 1,
-        stats=None,
+        self, chunk_size: Optional[int] = 65536
     ) -> Iterator[PacketTable]:
         """The trace as a stream of :class:`PacketTable` chunks.
 
@@ -266,44 +263,26 @@ class TraceGenerator:
         (:meth:`PacketTable.spawn`), so ``pair_ids`` are stable across the
         whole stream and consumers can carry per-flow state between
         chunks.  ``chunk_size=None`` emits a single table at the end —
-        that is :meth:`table`.
-
-        The batches run through one materializer
-        (:func:`repro.workload.parallel.parallel_tables`): in-process for
-        ``workers=1``, on a process pool for more.  The emitted chunk
-        stream is **byte-identical** (columns, pools, chunk boundaries)
-        for every worker count; ``stats`` (a
-        :class:`repro.workload.parallel.GenerationStats`) receives
-        per-worker utilization accounting.
+        that is :meth:`table`.  The batches run through one materializer,
+        :func:`repro.workload.parallel.materialize_tables`.
         """
-        yield from parallel_tables(
-            self, chunk_size=chunk_size, workers=workers, stats=stats
-        )
+        yield from materialize_tables(self, chunk_size)
 
-    def table(self, workers: int = 1, stats=None) -> PacketTable:
+    def table(self) -> PacketTable:
         """The whole trace as one :class:`PacketTable`."""
         result: Optional[PacketTable] = None
-        for chunk in self.iter_tables(chunk_size=None, workers=workers,
-                                      stats=stats):
+        for chunk in self.iter_tables(chunk_size=None):
             result = chunk
         return result if result is not None else PacketTable()
 
-    def write_pcap(
-        self,
-        path: str,
-        snaplen: int = 65535,
-        workers: int = 1,
-        progress=None,
-    ) -> int:
+    def write_pcap(self, path: str, snaplen: int = 65535, progress=None) -> int:
         """Serialize the trace to a pcap file in wire format.
 
         Bulk data packets carry zero padding up to their declared size so
         the file is structurally faithful; identification payloads are real.
-        Returns the number of packets written.  ``workers`` parallelizes
-        trace materialization (byte-identical output); ``progress``, if
-        given, is called as ``progress(packets_written, trace_time)``
-        after every chunk (see
-        :class:`repro.workload.progress.ProgressReporter`).
+        Returns the number of packets written.  ``progress``, if given, is
+        called as ``progress(packets_written, trace_time)`` after every
+        chunk (see :class:`repro.workload.progress.ProgressReporter`).
         """
         written = 0
         with open(path, "wb") as fileobj:
@@ -311,7 +290,7 @@ class TraceGenerator:
             # Stream columnar chunks and read rows through the reused
             # view cursor: bounded memory, no per-packet objects.
             last_timestamp = 0.0
-            for chunk in self.iter_tables(workers=workers):
+            for chunk in self.iter_tables():
                 for view in chunk.iter_views():
                     pair = view.pair
                     transport = 20 if pair.protocol == IPPROTO_TCP else 8
@@ -330,26 +309,11 @@ class TraceGenerator:
         return written
 
 
-def generate_trace(
-    config: Optional[TraceConfig] = None, workers: int = 1
-) -> List[Packet]:
+def generate_trace(config: Optional[TraceConfig] = None) -> List[Packet]:
     """One-call convenience: a full in-memory synthetic trace.
 
-    ``workers > 1`` materializes the trace on a process pool and converts
-    the columnar stream back to ``Packet`` objects (field-identical to
-    the serial path).  Either way the full object list is built — see
-    :meth:`TraceGenerator.packet_list` for the size warning; tables are
-    the representation for 10M+-packet traces.
+    The full object list is built — see :meth:`TraceGenerator.packet_list`
+    for the size warning; tables are the representation for 10M+-packet
+    traces.
     """
-    generator = TraceGenerator(config)
-    if workers <= 1:
-        return generator.packet_list()
-    table = generator.table(workers=workers)
-    if len(table) >= MATERIALIZE_WARNING_THRESHOLD:
-        warnings.warn(
-            f"generate_trace() is materializing {len(table):,} Packet "
-            f"objects; use TraceGenerator.table() or iter_tables() for "
-            f"traces this large",
-            stacklevel=2,
-        )
-    return table.to_packets()
+    return TraceGenerator(config).packet_list()

@@ -3,18 +3,14 @@
 Spec synthesis is cheap and inherently serial (one shared RNG walks the
 Poisson arrival loop), but materialization — expanding each
 :class:`~repro.workload.apps.ConnectionSpec` to packet rows — is seeded
-*per spec* via ``derive_seed(seed, index)``, so any partition of the
-spec list can be expanded anywhere.  :func:`parallel_tables` is
-``TraceGenerator.iter_tables`` for every worker count:
+*per spec* via ``derive_seed(seed, index)``, so every spec's rows are
+the same whichever batch expands it.  :func:`materialize_tables` is
+``TraceGenerator.iter_tables``:
 
 1. it cuts the (start-sorted) spec list into contiguous batches;
 2. :func:`_materialize_batch` expands each batch to a :class:`RowBatch`
-   — columns plus the batch's payload rows — in-process for
-   ``workers=1``, on a :class:`~repro.shard.lifecycle.WorkerPool`
-   otherwise (``array`` columns pickle as raw buffers, so a batch
-   crosses the process boundary as a handful of byte blobs, the same
-   columns-not-objects idea as :mod:`repro.net.stream`).  With numpy
-   on, a TCP connection expected to send more than
+   — columns plus the batch's payload rows.  With numpy on, a TCP
+   connection expected to send more than
    :data:`~repro.workload.apps.COLUMN_ROWS` rows is built as numpy
    columns (:func:`~repro.workload.apps.tcp_columns`); every other
    connection takes the stdlib rows
@@ -26,20 +22,20 @@ spec list can be expanded anywhere.  :func:`parallel_tables` is
    through one timestamp merge (:class:`_PendingMerger`) and one chunk
    emitter (:class:`_ChunkEmitter`).
 
-The emitted chunk stream is the same bytes for every worker count and
+The emitted chunk stream is the same bytes for every batch size and
 with numpy on or off: the merge is a stable timestamp sort over rows
 appended in admission order (same tiebreak invariant), and chunk
 boundaries are consecutive ``chunk_size`` windows of the merged stream
-regardless of flush cadence.  ``tests/workload/test_parallel_generation.py``
-and ``tests/workload/test_tcp_columns.py`` pin all of this.
+regardless of flush cadence.  ``tests/workload/test_parallel_generation.py``,
+``tests/workload/test_table_generation.py`` and
+``tests/workload/test_tcp_columns.py`` pin all of this.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -47,7 +43,6 @@ from repro.core.hashing import derive_seed
 from repro.net import table as _table
 from repro.net.inet import IPPROTO_TCP
 from repro.net.table import PacketTable
-from repro.shard.lifecycle import WorkerPool
 from repro.workload.apps import (
     COLUMN_ROWS,
     ConnectionSpec,
@@ -56,7 +51,7 @@ from repro.workload.apps import (
     tcp_columns,
 )
 
-__all__ = ["GenerationStats", "RowBatch", "parallel_tables"]
+__all__ = ["RowBatch", "materialize_tables"]
 
 
 class _PendingMerger:
@@ -217,69 +212,41 @@ class _ChunkEmitter:
 
 
 @dataclass
-class GenerationStats:
-    """Utilization accounting for one generation run.
-
-    ``busy_s`` sums the in-materialization wall clock of every batch;
-    compared against ``wall_s × workers`` it shows how much of the pool
-    actually worked — the per-worker utilization the benchmark JSONs
-    record.
-    """
-
-    workers: int = 0
-    batches: int = 0
-    rows: int = 0
-    #: Summed materialization seconds (across all batches).
-    busy_s: float = 0.0
-    #: Consumer wall clock from the first batch to the last emitted chunk.
-    wall_s: float = 0.0
-
-    def utilization(self) -> float:
-        """Fraction of the pool's wall-clock capacity spent materializing."""
-        if self.wall_s <= 0.0 or self.workers <= 0:
-            return 0.0
-        return self.busy_s / (self.wall_s * self.workers)
-
-
-@dataclass
 class RowBatch:
     """One spec batch, expanded to columns.
 
-    ``counts[j]`` is the row count of spec ``base_index + j`` — zero
+    ``counts[j]`` is the row count of the batch's ``j``-th spec — zero
     counts are reported so the consumer skips pair interning for empty
     specs.  The columns hold each spec's rows in turn: in timestamp order
     from the stdlib rows, in append order from numpy columns; the
     merge's stable sort puts both in the same places.  With numpy on they
-    are ``array`` columns; without it, lists of per-spec tuples that the
-    stdlib merge flattens once.  ``payloads[i]`` is the payload of batch
-    row ``payload_rows[i]``, in the order a spec-by-spec expansion meets
+    are ``array`` columns, which the consumer views as numpy arrays
+    without a copy; without it, lists of per-spec tuples that the stdlib
+    merge flattens once.  ``payloads[i]`` is the payload of batch row
+    ``payload_rows[i]``, in the order a spec-by-spec expansion meets
     them.
     """
 
-    base_index: int
     counts: List[int]
     ts: Sequence
     ob: Sequence
     sz: Sequence
     fl: Sequence
-    payload_rows: List[int] = field(default_factory=list)
-    payloads: List[bytes] = field(default_factory=list)
-    #: Seconds spent materializing this batch.
-    busy_s: float = 0.0
+    payload_rows: List[int]
+    payloads: List[bytes]
 
 
-def _materialize_batch(task: Tuple[int, int, Sequence[ConnectionSpec]]) -> RowBatch:
-    """Expand a contiguous spec slice to columns, in-process or in a pool
-    worker.
+def _materialize_batch(
+    seed: int, base_index: int, specs: Sequence[ConnectionSpec]
+) -> RowBatch:
+    """Expand a contiguous spec slice, starting at spec ``base_index``,
+    to columns.
 
     Every spec uses its private ``derive_seed(seed, spec_index)`` stream,
-    so the rows are those of a spec-by-spec expansion whichever process
-    runs the batch and whichever of the two row builders a spec takes.
-    The column type follows ``repro.net.table._numpy()`` here, which a
-    forked pool worker shares with the consumer that reads the batch.
+    so the rows are those of a spec-by-spec expansion whichever batch
+    holds the spec and whichever of the two row builders it takes.  The
+    column type follows ``repro.net.table._numpy()``.
     """
-    seed, base_index, specs = task
-    started = time.perf_counter()
     columnar = _table._numpy() is not None
     if columnar:
         columns = (array("d"), array("b"), array("q"), array("I"))
@@ -313,38 +280,29 @@ def _materialize_batch(task: Tuple[int, int, Sequence[ConnectionSpec]]) -> RowBa
                     payloads.append(carried[row])
         counts.append(count)
         position += count
-    return RowBatch(base_index, counts, *columns, payload_rows, payloads,
-                    busy_s=time.perf_counter() - started)
+    return RowBatch(counts, *columns, payload_rows, payloads)
 
 
-def _batch_size_for(spec_count: int, workers: int) -> int:
-    """Batches per worker ≈ 4: small enough that the ordered consumption
-    pipeline stays busy, large enough that per-batch dispatch overhead
-    (task pickle + result unpickle) amortizes.  Batch size provably does
-    not affect output — only wall clock."""
-    return max(16, min(4096, -(-spec_count // (workers * 4))))
+def _batch_size_for(spec_count: int) -> int:
+    """About four batches per trace, between 16 and 4,096 specs each.
+    Batch size provably does not affect output — only wall clock."""
+    return max(16, min(4096, -(-spec_count // 4)))
 
 
-def parallel_tables(
+def materialize_tables(
     generator,
     chunk_size: Optional[int] = 65536,
-    workers: int = 2,
     batch_size: Optional[int] = None,
-    stats: Optional[GenerationStats] = None,
 ) -> Iterator[PacketTable]:
     """``TraceGenerator.iter_tables``: the trace's chunk stream.
 
-    ``workers=1`` materializes each batch in-process; more workers run
-    :func:`_materialize_batch` on a process pool, and the stream is the
-    same bytes (same columns, same shared pools, same chunk boundaries).
-    Ordered ``imap`` consumption keeps memory bounded by a few in-flight
-    batches plus the pending merge window, and overlaps the consumer's
-    interning/merging with the workers' materialization.
+    Each batch is materialized, interned and staged in turn; the pending
+    rows merge and emit once at least ``max(chunk_size, 65536)`` of them
+    have grown since the last merge, so memory stays bounded by the rows
+    of concurrent connections plus a batch and one chunk.
     """
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1: {chunk_size}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1: {workers}")
 
     specs = generator.specs()
     seed = generator.config.seed
@@ -359,14 +317,7 @@ def parallel_tables(
     np = merger._np
 
     if batch_size is None:
-        batch_size = _batch_size_for(len(specs), workers)
-    tasks = [
-        (seed, base, specs[base:base + batch_size])
-        for base in range(0, len(specs), batch_size)
-    ]
-    if stats is not None:
-        stats.workers = workers
-        stats.batches = len(tasks)
+        batch_size = _batch_size_for(len(specs))
 
     # Per merge column, the pieces staged since the last merge.
     pending: List[list] = [[], [], [], [], [], []]
@@ -404,45 +355,22 @@ def parallel_tables(
             pieces += column
         return rows
 
-    pool = None
-    if workers > 1:
-        pool = WorkerPool(workers)
-        pool.launch()
-        batches = pool.imap(_materialize_batch, tasks)
-    else:
-        batches = map(_materialize_batch, tasks)
-    started = time.perf_counter()
-    completed = False
-    try:
-        grown = 0
-        for (_, base, batch_specs), batch in zip(tasks, batches):
-            if grown >= flush_floor:
-                grown = 0
-                # Valid frontier: every row of this batch and all later
-                # ones is timestamped at or after this batch's first
-                # spec start (specs are start-sorted; rows never precede
-                # their spec's start).
-                columns, cut = merger.merge(pending, batch_specs[0].start)
-                pending = [[], [], [], [], [], []]
-                if cut:
-                    yield from emitter.emit(columns, cut)
-            rows = append_batch(batch, batch_specs)
-            grown += rows
-            if stats is not None:
-                stats.rows += rows
-                stats.busy_s += batch.busy_s
-        columns, cut = merger.merge(pending, None)
-        yield from emitter.emit(columns, cut)
-        if len(emitter.current):
-            yield emitter.current
-        completed = True
-    finally:
-        if stats is not None:
-            stats.wall_s = time.perf_counter() - started
-        if pool is not None:
-            if completed:
-                pool.stop()
-            else:
-                # Abandoned mid-stream (consumer stopped early or an error
-                # propagated): close() would wait out every queued batch.
-                pool.terminate()
+    grown = 0
+    for base in range(0, len(specs), batch_size):
+        batch_specs = specs[base:base + batch_size]
+        batch = _materialize_batch(seed, base, batch_specs)
+        if grown >= flush_floor:
+            grown = 0
+            # Valid frontier: every row of this batch and all later ones
+            # is timestamped at or after this batch's first spec start
+            # (specs are start-sorted; rows never precede their spec's
+            # start).
+            columns, cut = merger.merge(pending, batch_specs[0].start)
+            pending = [[], [], [], [], [], []]
+            if cut:
+                yield from emitter.emit(columns, cut)
+        grown += append_batch(batch, batch_specs)
+    columns, cut = merger.merge(pending, None)
+    yield from emitter.emit(columns, cut)
+    if len(emitter.current):
+        yield emitter.current

@@ -143,7 +143,7 @@ class TestRouteCache:
         # Query twice: first pass populates the cache, second pass hits it.
         for _ in range(2):
             for address in addresses:
-                assert filt.shard_index_for(address) == filt._scan_shard_index(address)
+                assert filt.plan.lane_of(address) == filt.plan.scan(address)
 
     def test_routing_through_cache_matches_scan_semantics(self):
         filt = self.overlapping()
@@ -158,17 +158,17 @@ class TestRouteCache:
     def test_cache_is_bounded(self):
         filt = self.overlapping(cache_size=4)
         for offset in range(50):
-            filt.shard_index_for(parse_ipv4("10.1.0.0") + offset)
-        assert len(filt._route_cache) <= 4
+            filt.plan.lane_of(parse_ipv4("10.1.0.0") + offset)
+        assert len(filt.plan._route_cache) <= 4
         # Still correct after heavy eviction.
-        assert filt.shard_index_for(parse_ipv4("10.2.0.9")) == 2
+        assert filt.plan.lane_of(parse_ipv4("10.2.0.9")) == 2
 
     def test_reset_invalidates_cache(self):
         filt = self.overlapping()
         filt.process(out_pkt(HOST_A))
-        assert filt._route_cache
+        assert filt.plan._route_cache
         filt.reset()
-        assert not filt._route_cache
+        assert not filt.plan._route_cache
 
     def test_cache_size_validation(self):
         with pytest.raises(ValueError):

@@ -1,69 +1,16 @@
-"""Tests for the shared shard lifecycle layer (repro.shard.lifecycle)."""
+"""Tests for the worker pool and lane merge arm (repro.shard.lifecycle)."""
 
 import pytest
 
-from repro.core.bitmap_filter import BitmapFilterConfig
 from repro.core.hashing import FNV64_OFFSET
-from repro.filters.base import SnapshotUnsupported, Verdict
-from repro.filters.bitmap import BitmapPacketFilter
+from repro.filters.base import Verdict
 from repro.shard.lifecycle import (
     DefaultLaneFilter,
-    MemberLane,
     WorkerPool,
     combine_lane_fingerprints,
 )
 
-from tests.conftest import in_packet, out_packet
-
-
-def make_filter():
-    return BitmapPacketFilter(
-        BitmapFilterConfig(size=2 ** 10, vectors=3, hashes=2,
-                           rotate_interval=5.0)
-    )
-
-
-class TestMemberLane:
-    def test_launch_without_isolation_shares_member(self):
-        member = make_filter()
-        lane = MemberLane(0, member)
-        lane.launch()
-        assert lane.filter is member
-        lane.stop()
-        assert lane.filter is None
-
-    def test_isolation_deep_copies(self):
-        member = make_filter()
-        with MemberLane(0, member, isolate=True) as lane:
-            assert lane.filter is not member
-            lane.filter.process(out_packet())
-            assert lane.filter.stats.total == 1
-            assert member.stats.total == 0
-
-    def test_ping_reports_status_and_packets(self):
-        lane = MemberLane(2, make_filter())
-        assert lane.ping() == {"lane": 2, "status": "down", "packets": 0}
-        lane.launch()
-        lane.filter.process(out_packet())
-        assert lane.ping()["status"] == "up"
-        assert lane.ping()["packets"] == 1
-
-    def test_snapshot_restore_round_trip(self):
-        lane = MemberLane(0, make_filter())
-        lane.launch()
-        lane.filter.process(out_packet(t=1.0))
-        state = lane.snapshot_state()
-        lane.restore_state(state)
-        lane.launch()
-        # The marked connection's return packet still passes.
-        assert lane.filter.decide(in_packet(t=1.5)) is Verdict.PASS
-
-    def test_launch_is_idempotent(self):
-        lane = MemberLane(0, make_filter(), isolate=True)
-        lane.launch()
-        isolated = lane.filter
-        lane.launch()
-        assert lane.filter is isolated
+from tests.conftest import in_packet
 
 
 def _square(value):
@@ -74,9 +21,9 @@ class TestWorkerPool:
     def test_map_and_lifecycle(self):
         pool = WorkerPool(2)
         with pool:
-            assert pool.ping()["status"] == "up"
             assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
-        assert pool.ping()["status"] == "down"
+        with pytest.raises(RuntimeError):
+            pool.map(_square, [1])  # stopped on exit
 
     def test_map_before_launch_raises(self):
         with pytest.raises(RuntimeError):
@@ -85,10 +32,6 @@ class TestWorkerPool:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             WorkerPool(0)
-
-    def test_snapshot_unsupported(self):
-        with pytest.raises(SnapshotUnsupported):
-            WorkerPool(1).snapshot_state()
 
 
 class TestDefaultLaneFilter:

@@ -17,11 +17,8 @@ from repro.filters.naive import NaiveTimerFilter
 from repro.filters.sharded import ShardedFilter
 from repro.net.inet import IPPROTO_TCP, parse_ipv4
 from repro.net.packet import Direction, Packet, SocketPair
-from repro.sim.parallel import (
-    DefaultLaneFilter,
-    ParallelReplayResult,
-    parallel_replay,
-)
+from repro.sim.parallel import DefaultLaneFilter, parallel_replay
+from repro.sim.pipeline import ReplayResult
 from repro.sim.replay import replay
 from repro.workload import TraceConfig, TraceGenerator
 
@@ -83,7 +80,7 @@ class TestEquivalence:
         packets = trace(3)
         single = replay(packets, make_sharded(), use_blocklist=True)
         parallel = replay(packets, make_sharded(), use_blocklist=True, workers=2)
-        assert isinstance(parallel, ParallelReplayResult)
+        assert isinstance(parallel, ReplayResult)
         assert parallel.workers == 2
         assert parallel.lanes  # per-lane records ride along on the result
         assert fingerprint(parallel) == fingerprint(single)
@@ -326,17 +323,25 @@ class TestTransports:
         config = TraceConfig(duration=20.0, connection_rate=6.0, seed=seed)
         return as_table(TraceGenerator(config).iter_tables(512))
 
-    def test_shm_leaves_parent_filter_state_untouched(self):
+    def check_parent_filter_state_untouched(self, workers):
         table = self.table_trace()
         sharded = make_sharded()
-        parallel_replay(table, sharded, workers=2)
+        parallel_replay(table, sharded, workers=workers)
         # Statistics merge back into the parent's filter; bitmap *state*
-        # stays in the workers — the parent's vectors were never touched.
+        # stays with the lanes — the parent's vectors were never touched.
         for _, _, shard in sharded.shards:
             assert all(
                 vector.utilization == 0.0 for vector in shard.core.vectors
             )
         assert sharded.stats.total > 0  # merged lane statistics
+
+    def test_shm_leaves_parent_filter_state_untouched(self):
+        """Worker lanes replay the filter copy pickled into each task."""
+        self.check_parent_filter_state_untouched(workers=2)
+
+    def test_in_process_lanes_leave_parent_filter_state_untouched(self):
+        """The serial path replays a deep copy of each lane filter."""
+        self.check_parent_filter_state_untouched(workers=1)
 
     def test_shm_coerces_packet_list_input(self):
         packets = trace(3, duration=10.0)

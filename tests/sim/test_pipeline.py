@@ -34,14 +34,12 @@ from repro.filters.spi import SPIFilter
 from repro.net.inet import parse_ipv4
 from repro.net.table import PacketTable
 from repro.sim.metrics import scatter_points
-from repro.sim.parallel import ParallelReplayResult
 from repro.sim.pipeline import (
     FINGERPRINT_SEED,
     BatchedBackend,
     ParallelBackend,
     PipelineConfig,
     ReplayPipeline,
-    ReplayResult,
     SequentialBackend,
     fingerprint_verdicts,
     select_backend,
@@ -450,10 +448,6 @@ class TestCompareDropRatesLockstep:
 
 
 class TestUnifiedResultShape:
-    def test_parallel_result_is_replay_result(self):
-        """The pre-unification result split is gone: one class, aliased."""
-        assert ParallelReplayResult is ReplayResult
-
     def test_single_process_shape(self):
         result = replay(trace(1), SPIFilter())
         assert result.workers == 1

@@ -41,12 +41,15 @@ def make_sharded(shard_count=2, size=2 ** 13):
 
 def fingerprint(result):
     router = result.router
+    # The bitmap core's counters: the filter's own, or each shard's.
+    members = getattr(router.filter, "members", [router.filter])
     return {
         "packets": result.packets,
         "inbound_packets": result.inbound_packets,
         "inbound_dropped": result.inbound_dropped,
         "duration": result.duration,
         "filter_stats": router.filter.stats.as_dict(),
+        "core_stats": [member.core.stats.as_dict() for member in members],
         "offered_bins": router.offered._bins,
         "passed_bins": router.passed._bins,
         "drop_packets": router.inbound_drops._packets,

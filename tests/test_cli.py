@@ -211,27 +211,6 @@ class TestFilter:
         assert "hint:" not in out
 
 
-class TestTraceWorkers:
-    def test_parallel_pcap_byte_identical(self, trace_path, tmp_path):
-        import filecmp
-
-        parallel_path = str(tmp_path / "parallel.pcap")
-        assert main(["trace", "--out", parallel_path, "--duration", "10",
-                     "--rate", "6", "--seed", "3", "--workers", "2"]) == 0
-        assert filecmp.cmp(trace_path, parallel_path, shallow=False)
-
-    def test_workers_flag_parses_everywhere(self):
-        parser = build_parser()
-        assert parser.parse_args(["trace", "--out", "x", "--workers", "4"
-                                  ]).workers == 4
-        assert parser.parse_args(["feed", "unix:/tmp/s", "--workers", "2"
-                                  ]).workers == 2
-        args = parser.parse_args(["filter", "--gen-workers", "2"])
-        assert args.gen_workers == 2 and args.pcap is None
-        assert parser.parse_args(["figures", "--gen-workers", "2"
-                                  ]).gen_workers == 2
-
-
 class TestFilterSynthetic:
     def test_filter_without_pcap_synthesizes(self, capsys):
         assert main(["filter", "--filter", "bitmap", "--duration", "8",
@@ -239,11 +218,6 @@ class TestFilterSynthetic:
         out = capsys.readouterr().out
         assert "synthesizing trace" in out
         assert "inbound drop rate" in out
-
-    def test_filter_synthetic_with_gen_workers(self, capsys):
-        assert main(["filter", "--filter", "spi", "--duration", "8",
-                     "--rate", "5", "--seed", "3", "--gen-workers", "2"]) == 0
-        assert "inbound drop rate" in capsys.readouterr().out
 
 
 class TestPlan:

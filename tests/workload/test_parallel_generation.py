@@ -1,26 +1,21 @@
-"""The parallel materialization path's byte-identity contract.
-
-``iter_tables(workers=N)`` must emit *exactly* the serial chunk stream —
-same column bytes, same shared interning pools, same chunk boundaries —
-for every worker count, on both merge paths.  Alongside it: the
-utilization accounting (:class:`GenerationStats`), the throttled
+"""The batch materializer's chunk stream, the throttled
 :class:`ProgressReporter`, and the materialization-size warnings.
+
+:func:`materialize_tables` must emit the same stream — column bytes,
+shared interning pools, chunk boundaries — whatever the batch size, and
+keep every chunk within ``chunk_size`` rows.
 """
 
 import io
 
 import pytest
 
-import repro.net.table as table_mod
 import repro.workload.generator as generator_mod
-from repro.workload.generator import TraceConfig, TraceGenerator, generate_trace
-from repro.workload.parallel import GenerationStats, parallel_tables
+from repro.workload.generator import TraceConfig, TraceGenerator
+from repro.workload.parallel import materialize_tables
 from repro.workload.progress import ProgressReporter, _format_seconds
 
-CONFIGS = [
-    TraceConfig(duration=30.0, connection_rate=6.0, seed=7),
-    TraceConfig(duration=45.0, connection_rate=4.0, seed=42),
-]
+CONFIG = TraceConfig(duration=30.0, connection_rate=6.0, seed=7)
 
 
 def column_bytes(chunk):
@@ -47,42 +42,11 @@ def stream_signature(chunks):
     return columns, pairs, payloads
 
 
-@pytest.fixture(params=["numpy", "stdlib"])
-def merge_path(request, monkeypatch):
-    if request.param == "numpy" and not table_mod.HAVE_NUMPY:
-        pytest.skip("numpy not installed")
-    monkeypatch.setattr(
-        table_mod, "_use_numpy", request.param == "numpy" and table_mod.HAVE_NUMPY
-    )
-    return request.param
-
-
 class TestParallelByteIdentity:
-    @pytest.mark.parametrize("config", CONFIGS, ids=["seed7", "seed42"])
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_chunk_stream_identical(self, config, workers, merge_path):
-        serial = stream_signature(
-            TraceGenerator(config).iter_tables(chunk_size=1024)
-        )
-        parallel = stream_signature(
-            TraceGenerator(config).iter_tables(chunk_size=1024, workers=workers)
-        )
-        assert parallel == serial
-
-    def test_one_shot_table_identical(self, merge_path):
-        serial = TraceGenerator(CONFIGS[0]).table()
-        parallel = TraceGenerator(CONFIGS[0]).table(workers=2)
-        assert len(parallel) == len(serial)
-        assert column_bytes(parallel) == column_bytes(serial)
-        assert [tuple(pair) for pair in parallel.pairs] == [
-            tuple(pair) for pair in serial.pairs
-        ]
-        assert list(parallel.payloads) == list(serial.payloads)
+    """Bounded chunks over one pool, the same bytes for every batch size."""
 
     def test_chunk_size_bounds_hold(self):
-        chunks = list(
-            TraceGenerator(CONFIGS[0]).iter_tables(chunk_size=777, workers=2)
-        )
+        chunks = list(TraceGenerator(CONFIG).iter_tables(chunk_size=777))
         assert len(chunks) > 1
         assert all(len(chunk) <= 777 for chunk in chunks)
         # All chunks spawn from one pool: interned ids stay valid
@@ -90,72 +54,23 @@ class TestParallelByteIdentity:
         assert all(chunk.pairs is chunks[0].pairs for chunk in chunks[1:])
 
     def test_batch_size_does_not_affect_output(self):
-        generator = TraceGenerator(CONFIGS[0])
+        generator = TraceGenerator(CONFIG)
         baseline = stream_signature(generator.iter_tables(chunk_size=512))
         for batch_size in (1, 7, 1000):
             got = stream_signature(
-                parallel_tables(
-                    TraceGenerator(CONFIGS[0]), chunk_size=512, workers=2,
+                materialize_tables(
+                    TraceGenerator(CONFIG), chunk_size=512,
                     batch_size=batch_size,
                 )
             )
             assert got == baseline
 
-    def test_workers_one_falls_through_to_serial(self):
-        serial = stream_signature(TraceGenerator(CONFIGS[0]).iter_tables())
-        fallthrough = stream_signature(
-            parallel_tables(TraceGenerator(CONFIGS[0]), workers=1)
-        )
-        assert fallthrough == serial
-
     def test_empty_trace(self):
         # Seeded so the first Poisson arrival lands past the horizon:
         # zero specs, zero chunks, an empty table.
         config = TraceConfig(duration=0.01, connection_rate=0.01, seed=1)
-        assert list(TraceGenerator(config).iter_tables(workers=2)) == list(
-            TraceGenerator(config).iter_tables()
-        )
-        assert len(TraceGenerator(config).table(workers=2)) == 0
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            list(TraceGenerator(CONFIGS[0]).iter_tables(workers=0))
-
-    def test_early_abandon_terminates_cleanly(self):
-        stream = TraceGenerator(CONFIGS[0]).iter_tables(chunk_size=64, workers=2)
-        first = next(stream)
-        assert len(first) == 64
-        stream.close()  # must not hang on queued batches
-
-
-class TestGeneratePacketsParity:
-    def test_generate_trace_parallel_matches_serial(self):
-        config = TraceConfig(duration=10.0, connection_rate=4.0, seed=9)
-        serial = generate_trace(config)
-        parallel = generate_trace(config, workers=2)
-        assert [
-            (p.timestamp, p.pair, p.size, p.flags, p.payload, p.direction)
-            for p in parallel
-        ] == [
-            (p.timestamp, p.pair, p.size, p.flags, p.payload, p.direction)
-            for p in serial
-        ]
-
-
-class TestGenerationStats:
-    def test_populated_by_parallel_run(self):
-        stats = GenerationStats()
-        table = TraceGenerator(CONFIGS[0]).table(workers=2, stats=stats)
-        assert stats.workers == 2
-        assert stats.batches >= 1
-        assert stats.rows == len(table)
-        assert stats.busy_s > 0.0
-        assert stats.wall_s > 0.0
-        assert 0.0 < stats.utilization()
-
-    def test_utilization_degenerate_cases(self):
-        assert GenerationStats().utilization() == 0.0
-        assert GenerationStats(workers=4, wall_s=0.0).utilization() == 0.0
+        assert list(TraceGenerator(config).iter_tables()) == []
+        assert len(TraceGenerator(config).table()) == 0
 
 
 class _FakeClock:
@@ -224,14 +139,8 @@ class TestMaterializeWarnings:
     def test_packet_list_warns_past_threshold(self, monkeypatch):
         monkeypatch.setattr(generator_mod, "MATERIALIZE_WARNING_THRESHOLD", 100)
         with pytest.warns(UserWarning, match="packet_list"):
-            packets = TraceGenerator(CONFIGS[0]).packet_list()
+            packets = TraceGenerator(CONFIG).packet_list()
         assert len(packets) > 100  # warning did not truncate the trace
-
-    def test_generate_trace_parallel_warns_past_threshold(self, monkeypatch):
-        monkeypatch.setattr(generator_mod, "MATERIALIZE_WARNING_THRESHOLD", 100)
-        config = TraceConfig(duration=10.0, connection_rate=4.0, seed=9)
-        with pytest.warns(UserWarning, match="generate_trace"):
-            generate_trace(config, workers=2)
 
     def test_small_traces_stay_quiet(self):
         import warnings

@@ -92,19 +92,6 @@ class TestChunkingByteIdentity:
         assert list(pool.pairs) == list(one_shot.pairs)
         assert list(pool.payloads) == list(one_shot.payloads)
 
-    @pytest.mark.parametrize("chunk_size", [311, 4096])
-    def test_parallel_chunking_matches_serial_one_shot(self, chunk_size,
-                                                       merge_path):
-        one_shot = TraceGenerator(CONFIGS[1]).table()
-        chunks = list(
-            TraceGenerator(CONFIGS[1]).iter_tables(chunk_size=chunk_size,
-                                                   workers=2)
-        )
-        for column in COLUMNS:
-            assert b"".join(
-                getattr(chunk, column).tobytes() for chunk in chunks
-            ) == getattr(one_shot, column).tobytes(), column
-
 
 class TestNumpyStdlibIdentity:
     """The acceleration path is an optimization, never a behavior change."""

@@ -210,7 +210,7 @@ class TestBatch:
     @example(task=TWIN_START)
     def test_stdlib_batch_matches_spec_by_spec(self, task):
         with materializer(False, parallel_mod.COLUMN_ROWS):
-            assert merged(_materialize_batch(task)) == reference(task)
+            assert merged(_materialize_batch(*task)) == reference(task)
 
     @needs_numpy
     @settings(max_examples=60, deadline=None)
@@ -218,9 +218,9 @@ class TestBatch:
     @example(task=TWIN_START, column_rows=0)
     def test_numpy_batch_matches_stdlib_batch(self, task, column_rows):
         with materializer(False, column_rows):
-            stdlib = merged(_materialize_batch(task))
+            stdlib = merged(_materialize_batch(*task))
         with materializer(True, column_rows):
-            columnar = merged(_materialize_batch(task))
+            columnar = merged(_materialize_batch(*task))
         assert columnar == stdlib == reference(task)
 
     def test_twin_start_shares_a_timestamp(self):
