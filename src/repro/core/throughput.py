@@ -10,7 +10,7 @@ per second.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Sequence, Tuple
+from typing import Deque, Optional, Tuple
 
 
 def restore_meter(snapshot: dict) -> "SlidingWindowMeter":
@@ -27,9 +27,11 @@ class SlidingWindowMeter:
     Feed ``(timestamp, bytes)`` observations; read back bits/second.
     Stores one (timestamp, bytes) entry per packet inside the window;
     memory is bounded by window length times packet rate.  It is exact
-    and deterministic, and the fused kernels' deferred eviction
-    (:func:`repro.sim.kernels._settle_meter`) relies on its window
-    semantics.
+    and deterministic.  Eviction pops the oldest samples below a
+    horizon, so appending samples in any order and evicting once at the
+    largest horizon leaves what a :meth:`record` loop leaves; the fused
+    kernels (:mod:`repro.sim.kernels`) rely on that to hold the meter in
+    locals and defer its evictions.
     """
 
     def __init__(self, window: float = 1.0) -> None:
@@ -49,42 +51,19 @@ class SlidingWindowMeter:
         entries = self._entries
         entries.append((timestamp, size_bytes))
         total = self._total_bytes + size_bytes
-        # _evict inlined; the sample just appended is inside the window,
-        # so the deque never empties here.
+        # The sample just appended is inside the window, so the deque
+        # never empties here.
         horizon = timestamp - self.window
         while entries[0][0] < horizon:
             total -= entries.popleft()[1]
         self._total_bytes = total
 
-    def record_many(self, timestamps: Sequence[float], sizes: Sequence[int]) -> None:
-        """Append the batch, then evict once at its largest horizon.
-
-        Equal to a :meth:`record` loop in any timestamp order: the sample
-        with the largest timestamp sets the largest horizon, is never
-        evicted by it, and so shields every sample appended behind it.
-        A negative size is rejected before anything changes.
-        """
-        if not timestamps:
-            return
-        if min(sizes) < 0:
-            negative = next(size for size in sizes if size < 0)
-            raise ValueError(f"negative size: {negative}")
-        if self._first_time is None:
-            self._first_time = timestamps[0]
-        self._entries.extend(zip(timestamps, sizes))
-        self._total_bytes += sum(sizes)
-        self._evict(max(timestamps))
-
-    def _evict(self, now: float) -> None:
+    def rate_bps(self, now: float) -> float:
+        """Estimated throughput in bits/second as of ``now``."""
         horizon = now - self.window
         entries = self._entries
         while entries and entries[0][0] < horizon:
-            _, size = entries.popleft()
-            self._total_bytes -= size
-
-    def rate_bps(self, now: float) -> float:
-        """Estimated throughput in bits/second as of ``now``."""
-        self._evict(now)
+            self._total_bytes -= entries.popleft()[1]
         if self._first_time is None:
             return 0.0
         # During warm-up (less than ``window`` seconds observed) divide by

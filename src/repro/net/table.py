@@ -97,6 +97,7 @@ class PacketTable:
     __slots__ = (
         "timestamps", "sizes", "flags", "outbound", "pair_ids",
         "payload_ids", "pairs", "payloads", "_pair_index", "_payload_index",
+        "_flow_slots",
     )
 
     #: Column order and native typecodes — the canonical schema shared by
@@ -118,6 +119,8 @@ class PacketTable:
         self.payloads: List[bytes] = [_EMPTY]
         self._pair_index: Optional[Dict[SocketPair, int]] = {}
         self._payload_index: Optional[Dict[bytes, int]] = {_EMPTY: 0}
+        #: ``(rows, slots)``: :meth:`flow_slots` as of ``rows`` rows.
+        self._flow_slots: Optional[Tuple[int, List[int]]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -358,6 +361,7 @@ class PacketTable:
         child.payloads = self.payloads
         child._pair_index = None
         child._payload_index = None
+        child._flow_slots = None
         return child
 
     def spawn(self) -> "PacketTable":
@@ -461,6 +465,7 @@ class PacketTable:
         table.payloads = payloads
         table._pair_index = None
         table._payload_index = None
+        table._flow_slots = None
         return table
 
     def materialize(self) -> "PacketTable":
@@ -485,13 +490,23 @@ class PacketTable:
 
         What the batched engine needs to hash each flow at most once per
         direction per table instead of once per packet, and the blocked-σ
-        gate its distinct flows.  The scan reads the table's own rows
-        only, never its pool, so its cost follows the chunk however large
-        a stream's interned pool has grown.  With numpy, a chunk whose
-        pair ids span at most four times its rows marks its slots in an
-        array over that span, one linear pass; a sparser chunk sorts
-        them (``unique``).
+        gate its distinct flows.  A table is scanned once
+        (:meth:`_scan_flow_slots`): the list is kept with the row count it
+        was taken at, so the gate and the kernel of one table share it and
+        an appended row rescans.  Callers must not modify it.
         """
+        rows = len(self)
+        if self._flow_slots is None or self._flow_slots[0] != rows:
+            self._flow_slots = (rows, self._scan_flow_slots())
+        return self._flow_slots[1]
+
+    def _scan_flow_slots(self) -> List[int]:
+        """:meth:`flow_slots`' scan.  It reads the table's own rows only,
+        never its pool, so its cost follows the chunk however large a
+        stream's interned pool has grown.  With numpy, a chunk whose pair
+        ids span at most four times its rows marks its slots in an array
+        over that span, one linear pass; a sparser chunk sorts them
+        (``unique``)."""
         if not len(self):
             return []
         np = _numpy() if len(self) > 64 else None
@@ -561,6 +576,7 @@ class PacketTable:
          self.pair_ids, self.payload_ids, self.pairs, self.payloads) = state
         self._pair_index = None
         self._payload_index = None
+        self._flow_slots = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

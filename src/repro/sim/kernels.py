@@ -29,15 +29,20 @@ by the pair ids the table holds, filled from
 or on a flow's first row, so a chunk's work never scales with the
 stream's interned pool.
 
-Outbound samples bound for a filter's uplink meter are staged in two
-local lists and land through one :meth:`SlidingWindowMeter.record_many
-<repro.core.throughput.SlidingWindowMeter.record_many>` call before every
-rate read that decides a verdict, and at table end.  A rate read that
-decides nothing — a static policy's, or the bitmap filter's on a hit
-under a policy that only maps the rate — only evicts samples, so it is
-skipped and its time noted; the meter is evicted to the latest such time
-at table end (:func:`_settle_meter`), or as soon as a row's timestamp
-goes back before it.  Every path therefore leaves the same meter.
+No kernel calls its filter's uplink meter per row.  The bitmap, SPI and
+counting kernels append each passed upload straight onto the meter's
+sample deque and count its bytes, leaving the eviction its ``record``
+would make owed.  A rate read that decides nothing — a static policy's,
+or the bitmap filter's on a hit under a policy that only maps the rate
+— only evicts, so it is skipped and its eviction owed too.  Evicting
+once at the latest owed time leaves what evicting at each of them did
+while no row goes back before it, so the meter owes one time: a rate
+read that decides a verdict applies it, lands the counted bytes and
+computes ``P_d`` in one call (:func:`_read`, Equation 1's ramp inline);
+a row whose timestamp goes back before it, and the table's end, land it
+(:func:`_land`).  The RED policer reads on every policed row, so it
+does the meter's eviction, rate and ``record`` inline.  Every path
+therefore leaves the same meter.
 
 Everything around the filter — the store's GC clock (the router splits
 the table where it fires), the offered/passed series and drop windows
@@ -146,39 +151,62 @@ def _static_probability(policy) -> Optional[float]:
 
     A static policy ignores the measured rate, so the per-packet
     ``rate_bps`` read is skipped (its eviction is deferred, see
-    :func:`_settle_meter`) and the constant hoisted out of the loop.
+    :func:`_land`) and the constant hoisted out of the loop.  Exact type:
+    a subclass may override ``probability``.
     """
-    return policy.probability(0.0) if isinstance(policy, StaticDropPolicy) else None
+    return policy.probability(0.0) if type(policy) is StaticDropPolicy else None
 
 
 def _pure_policy(policy) -> bool:
     """True when ``P_d`` is a pure function of the rate, so a read whose
     value decides nothing may be skipped.  A stateful policy (the
-    integrating :class:`~repro.core.autotune.TargetRateController`) must
-    see every read its filter's ``decide`` makes."""
-    return isinstance(policy, (StaticDropPolicy, RedDropPolicy))
+    integrating :class:`~repro.core.autotune.TargetRateController`, or
+    any subclass) must see every read its filter's ``decide`` makes."""
+    return type(policy) in (StaticDropPolicy, RedDropPolicy)
 
 
-def _land_uploads(meter, times: List[float], sizes: List[int]) -> None:
-    """Record the staged outbound samples in one batch and empty the stage."""
-    if times:
-        meter.record_many(times, sizes)
-        times.clear()
-        sizes.clear()
+def _land(meter, uploaded: int, now: float) -> None:
+    """Apply what a kernel owes ``meter`` as of ``now``.
 
-
-def _settle_meter(meter, times: List[float], sizes: List[int], skipped: float) -> None:
-    """Land the staged samples, then evict as the skipped rate read at
-    ``skipped`` would have (``-inf``: none is pending).
-
-    Eviction pops the oldest samples below a horizon, so while
-    timestamps do not go back, one eviction at the latest skipped read
-    leaves what evicting at each of them did; a kernel settles early
-    when a row's timestamp goes back before ``skipped``.
+    A kernel appends each passed upload straight onto the meter's deque
+    and counts its bytes in ``uploaded``; here they join the byte total
+    (the first one ever opens the meter's span), then the samples below
+    ``now``'s horizon are evicted.  That leaves what the per-packet
+    ``record`` and ``rate_bps`` calls up to ``now`` leave, as long as no
+    row since the last landing went back before one of them
+    (``SlidingWindowMeter``: eviction order).  ``now = -inf`` evicts
+    nothing.
     """
-    _land_uploads(meter, times, sizes)
-    if skipped > -inf:
-        meter.rate_bps(skipped)
+    entries = meter._entries
+    if meter._first_time is None and entries:
+        meter._first_time = entries[0][0]
+    total = meter._total_bytes + uploaded
+    horizon = now - meter.window
+    while entries and entries[0][0] < horizon:
+        total -= entries.popleft()[1]
+    meter._total_bytes = total
+
+
+def _read(meter, policy, uploaded: int, now: float) -> float:
+    """``P_d`` as the per-packet ``DropController.probability(now)`` reads
+    it, in one call: :func:`_land`, the meter's rate and Equation 1's
+    ramp inline (any other policy's ``probability``, a subclass's too)."""
+    _land(meter, uploaded, now)
+    first = meter._first_time
+    if first is None:
+        rate = 0.0
+    else:
+        # SlidingWindowMeter.rate_bps: the elapsed span during warm-up.
+        window = meter.window
+        elapsed = now - first
+        rate = meter._total_bytes * 8.0 / (elapsed if 0.0 < elapsed < window else window)
+    if type(policy) is not RedDropPolicy:
+        return policy.probability(rate)
+    if rate <= policy.low:
+        return 0.0
+    if rate >= policy.high:
+        return 1.0
+    return (rate - policy.low) / (policy.high - policy.low)
 
 
 # ----------------------------------------------------------------------
@@ -221,16 +249,12 @@ def bitmap_kernel(flt: BitmapPacketFilter, table, out, gate) -> None:
     flagged, suppress, block = gate
     bufs = [vector._buf for vector in core.vectors]
     rng_random = core._rng.random
-    controller = flt.drop_controller
-    meter = controller.meter
-    static_p = _static_probability(controller.policy)
-    read_on_hit = not _pure_policy(controller.policy)
-    probability_at = controller.probability
-    up_times: List[float] = []
-    up_sizes: List[int] = []
-    stage_time = up_times.append
-    stage_size = up_sizes.append
-    skipped = -inf  # time of the latest rate read not yet applied
+    meter, policy = flt.drop_controller.meter, flt.drop_controller.policy
+    upload = meter._entries.append
+    uploaded = 0  # bytes on the meter's deque, not in its total yet
+    owed = -inf  # time of the latest meter eviction not yet applied
+    static_p = _static_probability(policy)
+    read_on_hit = not _pure_policy(policy)
     marked = hits = misses = dropped = 0
     next_rotation = core._next_rotation
     if next_rotation is None:
@@ -248,10 +272,10 @@ def bitmap_kernel(flt: BitmapPacketFilter, table, out, gate) -> None:
     for i, now, size, is_out, pid, _ in table_rows(table):
         if pid in flagged and suppress(pid, now, size):
             continue
-        if not skipped <= now < next_rotation:
-            if now < skipped:
-                _settle_meter(meter, up_times, up_sizes, skipped)
-                skipped = -inf
+        if not owed <= now < next_rotation:
+            if now < owed:
+                _land(meter, uploaded, owed)
+                uploaded, owed = 0, -inf
             if now >= next_rotation:
                 if core.advance_to(now):
                     generation += 1
@@ -267,8 +291,9 @@ def bitmap_kernel(flt: BitmapPacketFilter, table, out, gate) -> None:
                     for buf in bufs:
                         buf[byte] |= bit
             marked += 1
-            stage_time(now)
-            stage_size(size)
+            upload((now, size))
+            uploaded += size
+            owed = now
             out[i] = 1
             continue
 
@@ -281,12 +306,11 @@ def bitmap_kernel(flt: BitmapPacketFilter, table, out, gate) -> None:
             if not hit:
                 misses += 1
                 if static_p is None:
-                    if up_times:
-                        _land_uploads(meter, up_times, up_sizes)
-                    probability = probability_at(now)
+                    probability = _read(meter, policy, uploaded, now)
+                    uploaded, owed = 0, -inf
                 else:
                     probability = static_p
-                    skipped = now
+                    owed = now
                 if probability >= 1.0 or rng_random() < probability:
                     dropped += 1
                     out[i] = 0
@@ -298,14 +322,13 @@ def bitmap_kernel(flt: BitmapPacketFilter, table, out, gate) -> None:
             hit_gen[pid] = generation
         hits += 1
         if read_on_hit:
-            if up_times:
-                _land_uploads(meter, up_times, up_sizes)
-            probability_at(now)
+            _read(meter, policy, uploaded, now)
+            uploaded, owed = 0, -inf
         else:
-            skipped = now
+            owed = now
         out[i] = 1
 
-    _settle_meter(meter, up_times, up_sizes, skipped)
+    _land(meter, uploaded, owed)
     stats = core.stats
     stats.outbound_marked += marked
     stats.inbound_hits += hits
@@ -348,15 +371,11 @@ def spi_kernel(flt: SPIFilter, table, out, gate) -> None:
     flow_pop = flow_table.pop
     peak_flows = flt.peak_flows
     rng_random = flt._rng.random
-    controller = flt.drop_controller
-    meter = controller.meter
-    static_p = _static_probability(controller.policy)
-    probability_at = controller.probability
-    up_times: List[float] = []
-    up_sizes: List[int] = []
-    stage_time = up_times.append
-    stage_size = up_sizes.append
-    skipped = -inf  # time of the latest rate read not yet applied
+    meter, policy = flt.drop_controller.meter, flt.drop_controller.policy
+    upload = meter._entries.append
+    uploaded = 0  # bytes on the meter's deque, not in its total yet
+    owed = -inf  # time of the latest meter eviction not yet applied
+    static_p = _static_probability(policy)
     idle = flt.idle_timeout
     time_wait = flt.time_wait
     gc_interval = flt._gc_interval
@@ -368,10 +387,10 @@ def spi_kernel(flt: SPIFilter, table, out, gate) -> None:
     for i, now, size, is_out, pid, fl in table_rows(table):
         if pid in flagged and suppress(pid, now, size):
             continue
-        if not skipped <= now < next_gc:
-            if now < skipped:
-                _settle_meter(meter, up_times, up_sizes, skipped)
-                skipped = -inf
+        if not owed <= now < next_gc:
+            if now < owed:
+                _land(meter, uploaded, owed)
+                uploaded, owed = 0, -inf
             # Inlined SPIFilter._maybe_gc.
             if next_gc == -inf:
                 next_gc = now + gc_interval
@@ -403,8 +422,9 @@ def spi_kernel(flt: SPIFilter, table, out, gate) -> None:
                     state.fin_fwd = True
                     if state.fin_rev:
                         state.expires_at = now + time_wait
-            stage_time(now)
-            stage_size(size)
+            upload((now, size))
+            uploaded += size
+            owed = now
             out[i] = 1
             continue
 
@@ -425,12 +445,11 @@ def spi_kernel(flt: SPIFilter, table, out, gate) -> None:
                 continue
             del flow_table[key]
         if static_p is None:
-            if up_times:
-                _land_uploads(meter, up_times, up_sizes)
-            probability = probability_at(now)
+            probability = _read(meter, policy, uploaded, now)
+            uploaded, owed = 0, -inf
         else:
             probability = static_p
-            skipped = now
+            owed = now
         if probability >= 1.0 or (probability > 0.0 and rng_random() < probability):
             out[i] = 0
             if block is not None:
@@ -438,7 +457,7 @@ def spi_kernel(flt: SPIFilter, table, out, gate) -> None:
         else:
             out[i] = 1
 
-    _settle_meter(meter, up_times, up_sizes, skipped)
+    _land(meter, uploaded, owed)
     flt._next_gc = None if next_gc == -inf else next_gc
     flt.peak_flows = peak_flows
 
@@ -494,15 +513,11 @@ def counting_kernel(flt: CountingBitmapFilter, table, out, gate) -> None:
     cells_list = [column._cells for column in columns]
     half_closed = flt._half_closed
     rng_random = core._rng.random
-    controller = flt.drop_controller
-    meter = controller.meter
-    static_p = _static_probability(controller.policy)
-    probability_at = controller.probability
-    up_times: List[float] = []
-    up_sizes: List[int] = []
-    stage_time = up_times.append
-    stage_size = up_sizes.append
-    skipped = -inf  # time of the latest rate read not yet applied
+    meter, policy = flt.drop_controller.meter, flt.drop_controller.policy
+    upload = meter._entries.append
+    uploaded = 0  # bytes on the meter's deque, not in its total yet
+    owed = -inf  # time of the latest meter eviction not yet applied
+    static_p = _static_probability(policy)
     next_rotation = core._next_rotation
     if next_rotation is None:
         next_rotation = -inf  # unanchored: the first row anchors the clock
@@ -599,10 +614,10 @@ def counting_kernel(flt: CountingBitmapFilter, table, out, gate) -> None:
     for i, now, size, is_out, pid, fl in table_rows(table):
         if pid in flagged and suppress(pid, now, size):
             continue
-        if not skipped <= now < next_rotation:
-            if now < skipped:
-                _settle_meter(meter, up_times, up_sizes, skipped)
-                skipped = -inf
+        if not owed <= now < next_rotation:
+            if now < owed:
+                _land(meter, uploaded, owed)
+                uploaded, owed = 0, -inf
             if now >= next_rotation:
                 # CountingBitmapFilter.advance_to: deferred increments and
                 # staged counters land before rotate() clears a column.
@@ -632,8 +647,9 @@ def counting_kernel(flt: CountingBitmapFilter, table, out, gate) -> None:
                         else:
                             flows.append(pid)
             marked += 1
-            stage_time(now)
-            stage_size(size)
+            upload((now, size))
+            uploaded += size
+            owed = now
             if fl & 0x05 and pid in tcp:
                 track_close(idx_out[pid], key_out[pid], fl, now)
             out[i] = 1
@@ -654,12 +670,11 @@ def counting_kernel(flt: CountingBitmapFilter, table, out, gate) -> None:
             continue
         misses += 1
         if static_p is None:
-            if up_times:
-                _land_uploads(meter, up_times, up_sizes)
-            probability = probability_at(now)
+            probability = _read(meter, policy, uploaded, now)
+            uploaded, owed = 0, -inf
         else:
             probability = static_p
-            skipped = now
+            owed = now
         # The core's unguarded coin (BitmapFilter.drop): a draw even at
         # P_d = 0, unlike SPI/RED's guarded form.
         if probability >= 1.0 or rng_random() < probability:
@@ -671,7 +686,7 @@ def counting_kernel(flt: CountingBitmapFilter, table, out, gate) -> None:
             out[i] = 1
 
     land(marked - landed)
-    _settle_meter(meter, up_times, up_sizes, skipped)
+    _land(meter, uploaded, owed)
     flt.deleted_on_close += deleted
     stats = core.stats
     stats.outbound_marked += marked
@@ -721,23 +736,28 @@ def token_bucket_kernel(flt: TokenBucketFilter, table, out, gate) -> None:
 
 @register_kernel(RedPolicerFilter)
 def red_policer_kernel(flt: RedPolicerFilter, table, out, gate) -> None:
-    """Equation-1 policing with the ramp inlined.
+    """Equation-1 policing with the meter and the ramp inlined.
 
     ``P_d`` is read from the meter *before* the verdict and the meter is
     fed only by passed policed-direction packets, so the probability
     trajectory depends on earlier drops — the loop stays strictly
-    sequential (no precomputed probability column).  A static policy's
-    reads only evict, so they are deferred to table end.
+    sequential (no precomputed probability column).  The meter's sample
+    deque, byte total and first-sample time are locals for the whole
+    table: every policed row evicts and (under a non-static policy) reads
+    the rate as :meth:`SlidingWindowMeter.rate_bps
+    <repro.core.throughput.SlidingWindowMeter.rate_bps>` does, and a
+    passed one appends its sample as ``record`` does.
     """
     policy = flt.policy
     meter = flt.meter
-    rate_bps = meter.rate_bps
-    meter_record = meter.record
-    skipped = -inf  # time of the latest rate read not yet applied
+    entries = meter._entries
+    push, popleft = entries.append, entries.popleft
+    window = meter.window
+    total, first = meter._total_bytes, meter._first_time
     rng_random = flt._rng.random
     policed_out = 1 if flt.direction is Direction.OUTBOUND else 0
     static_p = _static_probability(policy)
-    if isinstance(policy, RedDropPolicy):
+    if type(policy) is RedDropPolicy:  # a subclass keeps its probability
         red_low: Optional[float] = policy.low
         red_high = policy.high
     else:
@@ -751,13 +771,18 @@ def red_policer_kernel(flt: RedPolicerFilter, table, out, gate) -> None:
         if is_out != policed_out:
             out[i] = 1
             continue
+        horizon = now - window
+        while entries and entries[0][0] < horizon:
+            total -= popleft()[1]
         if static_p is not None:
             probability = static_p
-            if now < skipped:
-                rate_bps(skipped)
-            skipped = now
         else:
-            throughput = rate_bps(now)
+            if first is None:
+                throughput = 0.0
+            else:
+                elapsed = now - first
+                throughput = total * 8.0 / (
+                    elapsed if 0.0 < elapsed < window else window)
             if red_low is not None:
                 # Inlined RedDropPolicy.probability (Equation 1).
                 if throughput <= red_low:
@@ -773,11 +798,16 @@ def red_policer_kernel(flt: RedPolicerFilter, table, out, gate) -> None:
             if block is not None and not is_out:
                 block(pid, now)
         else:
-            meter_record(now, size)
+            # The read above evicted to this row's horizon, so the record's
+            # own eviction has nothing left to pop.
+            if first is None:
+                first = now
+            push((now, size))
+            total += size
             out[i] = 1
 
-    if skipped > -inf:
-        rate_bps(skipped)
+    meter._total_bytes = total
+    meter._first_time = first
 
 
 # ----------------------------------------------------------------------

@@ -295,10 +295,11 @@ def tally_rows(timestamps, sizes, outbound, codes,
     ``window``; without them, one bin keyed 0 and no windows.
 
     Table columns of more than 64 rows take numpy when
-    :func:`~repro.net.table._numpy` returns it (one ``unique`` per index
-    kind, ``bincount`` over ``bin * 6 + slot``: sized by the bins present,
-    never by the span); list columns and small tables one plain loop, so
-    per-packet replay never imports numpy.  Both give identical tallies.
+    :func:`~repro.net.table._numpy` returns it (each index kind's keys
+    from its runs of equal keys, ``bincount`` over ``bin * 6 + slot``:
+    sized by the bins present, never by the span); list columns and small
+    tables one plain loop, so per-packet replay never imports numpy.
+    Both give identical tallies.
     """
     np = _numpy() if len(codes) > 64 and not isinstance(sizes, list) else None
     if np is None:
@@ -318,24 +319,32 @@ def _tally_numpy(np, timestamps, sizes, outbound, codes, interval, window):
     cell, keys = code + 3 * out.view(np.uint8), [0]
     # A float64 → int64 cast truncates toward zero exactly like int().
     if interval:
-        keys, inverse = np.unique((times / interval).astype(np.int64),
-                                  return_inverse=True)
+        keys, inverse = _runs(np, (times / interval).astype(np.int64))
         keys, cell = keys.tolist(), inverse * BYTES + cell
     counts = np.bincount(cell, minlength=BYTES * len(keys)).reshape(-1, BYTES)
     # float64 sums of integer sizes are exact below 2**53 bytes per bin.
     volume = np.bincount(cell, weights=np.frombuffer(sizes, dtype=np.int64),
                          minlength=BYTES * len(keys)).astype(np.int64)
     bins = dict(zip(keys, np.hstack((counts, volume.reshape(-1, BYTES))).tolist()))
-    if not window:
-        return bins, {}
     # ``take`` at the inbound positions: a boolean mask copies slower.
-    inbound = np.flatnonzero(~out)
-    keys, inverse = np.unique((times.take(inbound) / window).astype(np.int64),
-                              return_inverse=True)
+    inbound = np.flatnonzero(~out) if window else ()
+    if not len(inbound):
+        return bins, {}
+    keys, inverse = _runs(np, (times.take(inbound) / window).astype(np.int64))
     missed = np.bincount(inverse * 2 + (code.take(inbound) != CODE_PASS),
                          minlength=2 * len(keys)).reshape(-1, 2)
     missed[:, 0] += missed[:, 1]
     return bins, dict(zip(keys.tolist(), missed.tolist()))
+
+
+def _runs(np, keys):
+    """``np.unique(keys, return_inverse=True)`` for a non-empty key column,
+    without sorting it: a table's rows come in runs of one key (in time
+    order, or nearly), so only the runs' first keys are sorted and each
+    run's index repeats over the run."""
+    starts = np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))
+    unique, inverse = np.unique(keys[starts], return_inverse=True)
+    return unique, np.repeat(inverse, np.diff(starts, append=len(keys)))
 
 
 def _add_cell(cells: Dict[int, List[int]], key: int, run: List[int]) -> None:

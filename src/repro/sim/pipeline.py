@@ -54,7 +54,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional
 from repro.filters.base import CODE_PASS, PacketFilter, Verdict
 from repro.filters.blocklist import BlockedConnectionStore
 from repro.net.packet import Packet
-from repro.net.table import PacketTable
+from repro.net.table import PacketTable, _numpy
 from repro.sim.metrics import ThroughputSeries
 from repro.sim.router import EdgeRouter
 
@@ -136,6 +136,12 @@ _DROP_BITS = bytes(code != CODE_PASS for code in range(256))
 #: (block word | low-2-bit state << 1) → block constant; see
 #: :func:`_block_offsets`.
 _BLOCK_OFFSETS: Optional[Dict[int, int]] = None
+#: Codes from which a fold takes numpy, once something has loaded it.
+NUMPY_FOLD_ROWS = 512
+#: Eight-row blocks per numpy fold step: the length of its power table.
+_FOLD_BLOCKS = 4096
+#: The numpy fold's tables; see :func:`_fold_numpy`.
+_FOLD_TABLES = None
 
 
 def _block_offsets() -> Dict[int, int]:
@@ -162,6 +168,46 @@ def _block_offsets() -> Dict[int, int]:
     return offsets
 
 
+def _fold_numpy(np, fingerprint: int, codes, blocks: int) -> int:
+    """The block loop of :func:`fingerprint_verdicts` over the first
+    ``blocks`` eight-row blocks of ``codes``, in numpy.
+
+    A block's drop pattern p (row r at bit r, ``packbits``) and h's low
+    two bits s give C; since P⁸ ≡ 1 (mod 4), the next block's state is
+    (s + C) & 3, which for every p is s XOR a constant of p (a 256-entry
+    table), so the states are a running XOR.  Then n blocks fold as
+    h·P⁸ⁿ + Σ Cᵢ·P⁸⁽ⁿ⁻¹⁻ⁱ⁾, one wrapping ``uint64`` dot product per
+    step of at most :data:`_FOLD_BLOCKS` blocks, so no table grows with
+    the codes.
+    """
+    global _FOLD_TABLES
+    if _FOLD_TABLES is None:
+        offsets = _BLOCK_OFFSETS or _block_offsets()
+        words = [int.from_bytes(bytes((pattern >> row) & 1 for row in range(8)),
+                                sys.byteorder) for pattern in range(256)]
+        constants = np.array([offsets[word | state << 1] for word in words
+                              for state in range(4)], dtype=np.uint64)
+        steps = (constants[::4] & 3).astype(np.uint8)  # the state after s = 0
+        powers = np.ones(_FOLD_BLOCKS, dtype=np.uint64)
+        np.multiply.accumulate(
+            np.full(_FOLD_BLOCKS - 1, _FNV_PRIME_8, dtype=np.uint64), out=powers[1:])
+        _FOLD_TABLES = constants, steps, powers[::-1].copy()
+    constants, steps, powers = _FOLD_TABLES
+    drops = np.frombuffer(codes, dtype=np.uint8, count=8 * blocks) != CODE_PASS
+    patterns = np.packbits(drops, bitorder="little")
+    for start in range(0, blocks, _FOLD_BLOCKS):
+        piece = patterns[start:start + _FOLD_BLOCKS]
+        states = np.empty(len(piece), dtype=np.uint8)
+        states[0] = fingerprint & 3
+        states[1:] = steps[piece[:-1]]
+        np.bitwise_xor.accumulate(states, out=states)
+        keys = (piece.astype(np.intp) << 2) | states
+        folded = int(np.dot(constants[keys], powers[-len(piece):]))
+        fingerprint = (fingerprint * pow(_FNV_PRIME_8, len(piece), 1 << 64)
+                       + folded) & _FNV_MASK
+    return fingerprint
+
+
 def fingerprint_verdicts(fingerprint: int, codes) -> int:
     """Fold verdict codes into a running 64-bit FNV-1a fingerprint.
 
@@ -172,16 +218,25 @@ def fingerprint_verdicts(fingerprint: int, codes) -> int:
     of the same stream compare with one integer, and a service warm
     restart can persist the accumulator (a plain int) and keep folding.
     Start from :data:`FINGERPRINT_SEED`.  Whole eight-row blocks fold in
-    one step each (:func:`_block_offsets`), the rest row by row.
+    one step each (:func:`_block_offsets`), the rest row by row; from
+    :data:`NUMPY_FOLD_ROWS` codes on, the blocks fold in numpy
+    (:func:`_fold_numpy`) when it is on and already loaded, so a
+    per-packet replay never imports it.
     """
     whole = len(codes) & -8
     if whole:
-        offsets = _BLOCK_OFFSETS or _block_offsets()
-        drops = memoryview(codes.translate(_DROP_BITS))[:whole].cast("Q")
-        for word in drops:
-            fingerprint = (
-                fingerprint * _FNV_PRIME_8 + offsets[word | (fingerprint & 3) << 1]
-            ) & _FNV_MASK
+        np = (_numpy() if len(codes) >= NUMPY_FOLD_ROWS and "numpy" in sys.modules
+              else None)
+        if np is not None:
+            fingerprint = _fold_numpy(np, fingerprint, codes, whole >> 3)
+        else:
+            offsets = _BLOCK_OFFSETS or _block_offsets()
+            drops = memoryview(codes.translate(_DROP_BITS))[:whole].cast("Q")
+            for word in drops:
+                fingerprint = (
+                    fingerprint * _FNV_PRIME_8
+                    + offsets[word | (fingerprint & 3) << 1]
+                ) & _FNV_MASK
         codes = codes[whole:]
     for code in codes:
         fingerprint = (

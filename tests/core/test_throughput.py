@@ -1,10 +1,14 @@
 """Tests for the uplink-throughput estimator."""
 
+from math import inf
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.dropper import RedDropPolicy
 from repro.core.throughput import SlidingWindowMeter, from_mbps, mbps
+from repro.sim.kernels import _land, _read
 
 #: Few distinct times, so batches carry ties and cross the 1 s window.
 SAMPLES = st.lists(
@@ -104,36 +108,45 @@ def test_sliding_window_rate_never_negative(events):
         assert meter.rate_bps(timestamp) >= 0.0
 
 
-class TestRecordMany:
-    """``record_many`` against a ``record`` loop, compared by snapshot."""
+class TestDeferredEviction:
+    """What a fused kernel (:mod:`repro.sim.kernels`) does to its filter's
+    meter: samples appended straight onto the deque in any order, then
+    one ``_land`` at the latest of their times, or one ``_read`` no
+    earlier, against a ``record`` loop and ``rate_bps``."""
+
+    #: Equation 1 over the rates these samples give: the ramp's three arms.
+    POLICY = RedDropPolicy(low=4000.0, high=40000.0)
 
     @staticmethod
-    def both(prefill):
-        meters = SlidingWindowMeter(window=1.0), SlidingWindowMeter(window=1.0)
+    def meters(prefill):
+        meters = [SlidingWindowMeter(window=1.0) for _ in range(3)]
         for meter in meters:
             for timestamp, size in prefill:
                 meter.record(timestamp, size)
         return meters
 
-    @given(prefill=SAMPLES, batch=SAMPLES, ordered=st.booleans())
+    @given(prefill=SAMPLES, batch=SAMPLES, ordered=st.booleans(),
+           late=st.sampled_from([0.0, 0.5, 3.0]))
     @settings(max_examples=300)
     # The prefill goes out; (3.0, 10) shields every later sample.
-    @example(prefill=[(0.0, 100), (0.9, 200)], ordered=False,
+    @example(prefill=[(0.0, 100), (0.9, 200)], ordered=False, late=0.0,
              batch=[(3.0, 10), (1.5, 20), (2.5, 30), (3.0, 40), (0.5, 50)])
-    @example(prefill=[(0.0, 100)], batch=[], ordered=False)
-    def test_matches_a_record_loop(self, prefill, batch, ordered):
+    @example(prefill=[(0.0, 100)], batch=[], ordered=False, late=0.5)
+    # A fresh meter: the first sample appended opens its span.
+    @example(prefill=[], batch=[(1.5, 20), (0.5, 50)], ordered=False, late=0.0)
+    def test_matches_a_record_loop(self, prefill, batch, ordered, late):
         if ordered:
             batch = sorted(batch)
-        looped, batched = self.both(prefill)
+        looped, landed, read = self.meters(prefill)
         for timestamp, size in batch:
             looped.record(timestamp, size)
-        batched.record_many([t for t, _ in batch], [size for _, size in batch])
-        assert batched.snapshot() == looped.snapshot()
-        assert batched.rate_bps(4.0) == looped.rate_bps(4.0)
-
-    def test_negative_size_rejected_before_any_change(self):
-        meter, _ = self.both([(0.0, 100)])
-        before = meter.snapshot()
-        with pytest.raises(ValueError, match="negative size: -5"):
-            meter.record_many([0.5, 9.0, 9.5], [10, -5, 20])
-        assert meter.snapshot() == before
+            landed._entries.append((timestamp, size))
+            read._entries.append((timestamp, size))
+        uploaded = sum(size for _, size in batch)
+        latest = max((timestamp for timestamp, _ in batch), default=-inf)
+        _land(landed, uploaded, latest)
+        assert landed.snapshot() == looped.snapshot()
+        now = max(latest, 0.0) + late
+        probability = _read(read, self.POLICY, uploaded, now)
+        assert probability == self.POLICY.probability(looped.rate_bps(now))
+        assert read.snapshot() == looped.snapshot()

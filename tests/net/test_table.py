@@ -321,7 +321,8 @@ class TestFlowSlots:
             table_mod._use_numpy = False
             want = table.flow_slots()
             table_mod._use_numpy = True
-            assert table.flow_slots() == want
+            # A table keeps its slots: scan a fresh one.
+            assert table.slice(0, len(table)).flow_slots() == want
         finally:
             table_mod._use_numpy = saved
 
@@ -344,6 +345,24 @@ class TestFlowSlots:
         saved = table_mod._use_numpy
         table_mod._use_numpy = not saved
         try:
-            assert table.flow_slots() == want
+            assert table.slice(0, len(table)).flow_slots() == want
         finally:
             table_mod._use_numpy = saved
+
+    def test_one_scan_per_table_until_a_row_is_appended(self, monkeypatch):
+        table = self.table_of([3, 1, 3, 2], [True, False, False, True])
+        scanned = []
+        scan = PacketTable._scan_flow_slots
+        monkeypatch.setattr(PacketTable, "_scan_flow_slots",
+                            lambda table: scanned.append(len(table)) or scan(table))
+        assert table.flow_slots() == [2, 5, 7, 6]
+        assert table.flow_slots() == [2, 5, 7, 6]
+        assert scanned == [4]
+        table.timestamps.append(4.0)
+        table.sizes.append(40)
+        table.flags.append(0)
+        table.outbound.append(1)
+        table.pair_ids.append(1)
+        table.payload_ids.append(0)
+        assert table.flow_slots() == [3, 2, 5, 7, 6]
+        assert scanned == [4, 5]

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.core.bitmap_filter import BitmapFilterConfig
+from repro.core.dropper import RedDropPolicy
 from repro.filters.bitmap import BitmapPacketFilter
 from repro.filters.chain import FilterChain
 from repro.filters.counting import CountingBitmapFilter
@@ -127,6 +128,37 @@ class TestRegistry:
         assert result.inbound_dropped == 0
         strict = replay(packets, SPIFilter(), batched=True, use_blocklist=True)
         assert strict.inbound_dropped > 0  # sanity: the base would drop
+
+    @pytest.mark.parametrize("name", ["bitmap", "red-policer"])
+    def test_policy_subclass_keeps_its_probability(self, name):
+        # The fused functions take shortcuts for RedDropPolicy itself
+        # only: Equation 1's ramp inline, and no read on a bitmap hit.  A
+        # subclass's probability() decides, and sees every read decide()
+        # makes.
+        class HalvedRed(RedDropPolicy):
+            reads = 0
+
+            def probability(self, throughput):
+                self.reads += 1  # every other read halves P_d
+                base = super().probability(throughput)
+                return base / 2 if self.reads % 2 else base
+
+        def make(policy_type):
+            policy = policy_type(low=2e4, high=2e5)
+            if name == "red-policer":
+                return RedPolicerFilter(policy, rng=random.Random(7))
+            return BitmapPacketFilter(SMALL_CONFIG, DropController(policy),
+                                      rng=random.Random(7))
+
+        packets = trace(2)
+        sequential = replay(list(packets), make(HalvedRed), record_fingerprint=True)
+        batched = replay(list(packets), make(HalvedRed), batched=True,
+                         record_fingerprint=True)
+        assert fingerprint(batched) == fingerprint(sequential)
+        # On this trace the override changes verdicts.
+        plain = replay(list(packets), make(RedDropPolicy), batched=True,
+                       record_fingerprint=True)
+        assert plain.fingerprint != batched.fingerprint
 
 
 class TestSequentialVsBatched:

@@ -239,6 +239,19 @@ EDGES = (0.0, [
     (GAP, 0, True, CODE_DROP), (0.0, 1500, False, CODE_PASS),
     (-INTERVAL, 40, False, CODE_DROP),
 ] * 10)
+#: Rows going back and forth between bins and windows: a bin's and a
+#: window's rows come in many runs, out of key order.
+BACK_AND_FORTH = (7.5, [
+    (0.0, 40, False, CODE_PASS), (INTERVAL, 1500, True, CODE_PASS),
+    (-INTERVAL, 40, False, CODE_DROP), (WINDOW, 40, False, CODE_UNSEEN),
+    (-WINDOW, 0, True, CODE_DROP),
+] * 20)
+#: Every row in one bin and one window: a single run.
+ONE_BIN = (7.5, [
+    (0.0, 40, False, CODE_PASS), (2.0 ** -20, 1500, True, CODE_DROP),
+    (0.0, 0, False, CODE_UNSEEN), (0.0, 40, True, CODE_PASS),
+    (0.0, 1500, False, CODE_DROP),
+] * 20)
 
 
 class TestTally:
@@ -288,6 +301,8 @@ class TestTally:
     @given(trace=tally_rows_strategy, lengths=fold_lengths)
     @example(trace=EDGES, lengths=[300])
     @example(trace=EDGES, lengths=[65, 1, 3])
+    @example(trace=BACK_AND_FORTH, lengths=[300])
+    @example(trace=ONE_BIN, lengths=[300])
     def test_three_formulations_agree(self, trace, lengths):
         start, steps = trace
         now, rows = start, []

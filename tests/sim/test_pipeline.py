@@ -13,9 +13,10 @@ a per-filter :func:`repro.sim.replay.replay`.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.net.table as table_module
 from repro.core.bitmap_filter import BitmapFilterConfig
 from repro.filters.base import (
     CODE_DROP,
@@ -35,7 +36,9 @@ from repro.net.inet import parse_ipv4
 from repro.net.table import PacketTable
 from repro.sim.metrics import scatter_points
 from repro.sim.pipeline import (
+    _FOLD_BLOCKS,
     FINGERPRINT_SEED,
+    NUMPY_FOLD_ROWS,
     BatchedBackend,
     ParallelBackend,
     PipelineConfig,
@@ -471,17 +474,44 @@ def scalar_fold(fingerprint, codes):
 
 
 CODES = st.lists(st.sampled_from([CODE_DROP, CODE_PASS, CODE_UNSEEN]), max_size=40)
+#: Row codes from bytes: each byte mod 3 (drop, pass or unseen).
+TO_CODES = bytes(byte % 3 for byte in range(256))
+
+
+def random_codes(seed, length):
+    return bytearray(random.Random(seed).randbytes(length)).translate(TO_CODES)
+
+
+#: Buffers past the numpy fold's minimum.
+LONG_CODES = st.builds(random_codes, st.integers(0, 2 ** 32 - 1),
+                       st.integers(NUMPY_FOLD_ROWS - 8, 5000))
+#: More blocks than one numpy fold step takes.
+PAST_ONE_STEP = random_codes(7, 8 * _FOLD_BLOCKS + 24)
 
 
 @pytest.mark.parametrize("tail", range(8))
-@settings(max_examples=60)
-@given(codes=CODES, start=st.integers(0, 2 ** 64 - 1) | st.just(FINGERPRINT_SEED))
-def test_block_fold_is_the_scalar_fold(tail, codes, start):
+@settings(max_examples=60, deadline=None)
+@given(codes=CODES.map(bytearray) | LONG_CODES,
+       start=st.integers(0, 2 ** 64 - 1) | st.just(FINGERPRINT_SEED),
+       cut=st.integers(0, 5000))
+@example(codes=PAST_ONE_STEP, start=FINGERPRINT_SEED, cut=8 * _FOLD_BLOCKS - 3)
+def test_block_fold_is_the_scalar_fold(tail, codes, start, cut):
     # Every length mod 8: whole eight-row blocks, then ``tail`` rows.
-    codes = bytearray(codes[:len(codes) & -8] + [CODE_UNSEEN, CODE_PASS] * 4)
+    codes = codes[:len(codes) & -8] + bytearray([CODE_UNSEEN, CODE_PASS] * 4)
     codes = codes[:len(codes) - 8 + tail]
     assert len(codes) % 8 == tail
-    for low_bits in range(4):  # the fold's state: the low two bits
-        start = start & ~3 | low_bits
-        assert fingerprint_verdicts(start, codes) == scalar_fold(start, codes)
-        assert fingerprint_verdicts(start, bytes(codes)) == scalar_fold(start, codes)
+    head, rest = codes[:cut], codes[cut:]
+    saved = table_module._use_numpy
+    try:
+        for low_bits in range(4):  # the fold's state: the low two bits
+            start = start & ~3 | low_bits
+            want = scalar_fold(start, codes)
+            for numpy in (True, False):
+                table_module._use_numpy = numpy and table_module.HAVE_NUMPY
+                table_module._numpy()  # loaded, so a long buffer's fold may take it
+                assert fingerprint_verdicts(start, codes) == want
+                assert fingerprint_verdicts(start, bytes(codes)) == want
+                # Split anywhere: the fold of the rest continues the head's.
+                assert fingerprint_verdicts(fingerprint_verdicts(start, head), rest) == want
+    finally:
+        table_module._use_numpy = saved

@@ -7,7 +7,8 @@ blocked-σ gate and each fused kernel's flow caches -- must be sized by
 the flows the chunk holds.  Here the pool holds many more pairs than the
 chunk uses, refuses ``len()`` and iteration, and counts item reads; each
 chunk replays through every fused kernel, with and without a blocklist,
-and must give the codes it gives over a pool of its own flows.
+scans its flow slots once and must give the codes it gives over a pool
+of its own flows.
 """
 
 import random
@@ -106,6 +107,20 @@ def chunks(trace, rows):
     return holder.pairs, out
 
 
+@pytest.fixture
+def scanned(monkeypatch):
+    """The tables a flow-slot scan ran on, in order."""
+    tables = []
+    scan = PacketTable._scan_flow_slots
+
+    def counted(table):
+        tables.append(table)
+        return scan(table)
+
+    monkeypatch.setattr(PacketTable, "_scan_flow_slots", counted)
+    return tables
+
+
 @pytest.fixture(params=["numpy", "stdlib"])
 def slot_path(request, monkeypatch):
     if request.param == "numpy" and not table_mod.HAVE_NUMPY:
@@ -139,14 +154,15 @@ def test_flow_slot_branches_match_the_stdlib_scan(trace, monkeypatch):
             monkeypatch.setattr(table_mod, "_use_numpy", False)
             want = table.flow_slots()
             monkeypatch.setattr(table_mod, "_use_numpy", True)
-            assert table.flow_slots() == want
+            # A table keeps its slots: scan a fresh one.
+            assert table.slice(0, len(table)).flow_slots() == want
 
 
 @pytest.mark.parametrize("rows", [4096, 40])
 @pytest.mark.parametrize("name, use_blocklist", CASES,
                          ids=[f"{name}-{'blocklist' if gated else 'open'}"
                               for name, gated in CASES])
-def test_chunk_work_reads_only_the_chunks_flows(trace, slot_path, name,
+def test_chunk_work_reads_only_the_chunks_flows(trace, slot_path, scanned, name,
                                                 use_blocklist, rows):
     pool, pieces = chunks(trace, rows)
     guarded = EdgeRouter(FILTERS[name](), blocklist=(
@@ -156,9 +172,12 @@ def test_chunk_work_reads_only_the_chunks_flows(trace, slot_path, name,
     assert kernel_for(guarded.filter, gated=use_blocklist) is not None
     for chunk, source in pieces:
         pool.reads = 0
+        scanned.clear()
         codes = guarded.process_table(chunk)
         flows = len(set(chunk.pair_ids))
         assert pool.reads <= READS_PER_FLOW * flows * len(members(guarded.filter))
+        # The gate and the kernel of one table share one flow-slot scan.
+        assert len(scanned) == len(set(map(id, scanned)))
         assert codes == plain.process_table(source)
     if use_blocklist:
         # The second chunk met a store with entries at table start.
